@@ -40,20 +40,32 @@ short:
 cover:
 	$(GO) test -cover ./...
 
-# Perf baselines (see docs/performance.md): the simulator inner loop
-# (ns/sim-cycle), Algorithm 1 selection, the idempotence analysis and
-# the spec-addressed job layer in BENCH_core.json; the multitasking
-# hot-loop scenario in BENCH_engine.json; the event-queue
-# microbenchmarks in BENCH_eventq.json; the chimerad admission-queue
-# hot loop in BENCH_sched.json. Regenerates the checked-in
-# files so perf PRs have a before/after to diff — `make benchdiff`
-# checks a fresh run against them.
+# Perf baselines (see docs/performance.md), one NAME:PACKAGE:PATTERN
+# group per line, each recorded as BENCH_NAME.json: the simulator inner
+# loop (ns/sim-cycle), Algorithm 1 selection, the idempotence analysis
+# and the spec-addressed job layer (core); the multitasking hot-loop
+# scenario (engine); the event-queue microbenchmarks (eventq); the fleet
+# front and peer cache (cluster); the chimerad admission-queue hot loop
+# (sched). `make bench` regenerates the checked-in files so perf PRs
+# have a before/after to diff — `make benchdiff` checks a fresh run
+# against them.
+BENCH_GROUPS = \
+	core:.:^(BenchmarkSimulation|BenchmarkSelect|BenchmarkAnalyze|BenchmarkSimjobPool)$$ \
+	engine:.:^BenchmarkEngineHot$$ \
+	eventq:./internal/eventq/:^BenchmarkEventQ \
+	cluster:./internal/cluster/:^BenchmarkFleet \
+	sched:./internal/sched/:^BenchmarkAdmissionQueue$$
+
+bench_field = $(word $(2),$(subst :, ,$(1)))
+
+# bench_groups PREFIX: run every group into PREFIX<name>.json.
+define bench_groups
+$(foreach g,$(BENCH_GROUPS),$(GO) test -run '^$$' -bench '$(call bench_field,$(g),3)' -benchmem -count=1 $(call bench_field,$(g),2) | $(GO) run ./cmd/benchjson -out $(1)$(call bench_field,$(g),1).json
+)
+endef
+
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSimulation|BenchmarkSelect|BenchmarkAnalyze|BenchmarkSimjobPool)$$' -benchmem -count=1 . | $(GO) run ./cmd/benchjson -out BENCH_core.json
-	$(GO) test -run '^$$' -bench '^BenchmarkEngineHot$$' -benchmem -count=1 . | $(GO) run ./cmd/benchjson -out BENCH_engine.json
-	$(GO) test -run '^$$' -bench '^BenchmarkEventQ' -benchmem -count=1 ./internal/eventq/ | $(GO) run ./cmd/benchjson -out BENCH_eventq.json
-	$(GO) test -run '^$$' -bench '^BenchmarkFleet' -benchmem -count=1 ./internal/cluster/ | $(GO) run ./cmd/benchjson -out BENCH_cluster.json
-	$(GO) test -run '^$$' -bench '^BenchmarkAdmissionQueue$$' -benchmem -count=1 ./internal/sched/ | $(GO) run ./cmd/benchjson -out BENCH_sched.json
+	$(call bench_groups,BENCH_)
 
 # Non-regression gate: rerun the baseline benchmarks into a scratch
 # directory and compare against the checked-in BENCH_*.json with
@@ -64,17 +76,8 @@ bench:
 BENCHDIFF_DIR ?= /tmp/chimera-benchdiff
 benchdiff:
 	mkdir -p $(BENCHDIFF_DIR)
-	$(GO) test -run '^$$' -bench '^(BenchmarkSimulation|BenchmarkSelect|BenchmarkAnalyze|BenchmarkSimjobPool)$$' -benchmem -count=1 . | $(GO) run ./cmd/benchjson -out $(BENCHDIFF_DIR)/core.json
-	$(GO) test -run '^$$' -bench '^BenchmarkEngineHot$$' -benchmem -count=1 . | $(GO) run ./cmd/benchjson -out $(BENCHDIFF_DIR)/engine.json
-	$(GO) test -run '^$$' -bench '^BenchmarkEventQ' -benchmem -count=1 ./internal/eventq/ | $(GO) run ./cmd/benchjson -out $(BENCHDIFF_DIR)/eventq.json
-	$(GO) test -run '^$$' -bench '^BenchmarkFleet' -benchmem -count=1 ./internal/cluster/ | $(GO) run ./cmd/benchjson -out $(BENCHDIFF_DIR)/cluster.json
-	$(GO) test -run '^$$' -bench '^BenchmarkAdmissionQueue$$' -benchmem -count=1 ./internal/sched/ | $(GO) run ./cmd/benchjson -out $(BENCHDIFF_DIR)/sched.json
-	$(GO) run ./cmd/benchdiff \
-		BENCH_core.json $(BENCHDIFF_DIR)/core.json \
-		BENCH_engine.json $(BENCHDIFF_DIR)/engine.json \
-		BENCH_eventq.json $(BENCHDIFF_DIR)/eventq.json \
-		BENCH_cluster.json $(BENCHDIFF_DIR)/cluster.json \
-		BENCH_sched.json $(BENCHDIFF_DIR)/sched.json
+	$(call bench_groups,$(BENCHDIFF_DIR)/)
+	$(GO) run ./cmd/benchdiff $(foreach g,$(BENCH_GROUPS),BENCH_$(call bench_field,$(g),1).json $(BENCHDIFF_DIR)/$(call bench_field,$(g),1).json)
 
 # Metamorphic identity gate: the quick exhibit sweep must be
 # bit-reproducible (two runs byte-identical) and must still match the

@@ -70,7 +70,7 @@ func benchAblationVariant(b *testing.B, policy chimera.Policy, warm bool) {
 		runner.Warm = warm
 		total, n := 0.0, 0
 		for _, bench := range chimera.Catalog().BenchmarkNames() {
-			res, err := runner.RunPeriodic(bench, policy)
+			res, _, err := runner.RunPeriodic(context.Background(), bench, policy)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -31,7 +32,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fcfs, err := runner.RunPair(a, b, nil, true)
+	// A pair is the two-process case of the N-program scenario.
+	ctx, pair := context.Background(), []string{a, b}
+	fcfs, _, err := runner.RunMulti(ctx, pair, nil, true)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +45,7 @@ func main() {
 		"FCFS", fcfs.ANTT, fcfs.STP, "-", "-", fcfs.Requests)
 
 	for _, policy := range chimera.StandardPolicies() {
-		res, err := runner.RunPair(a, b, policy, false)
+		res, _, err := runner.RunMulti(ctx, pair, policy, false)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -42,7 +43,7 @@ func main() {
 	fmt.Printf("Periodic real-time task vs %s over %.0fµs (15µs constraint):\n\n", bench, windowUs)
 	fmt.Printf("%-10s  %10s  %9s  %22s\n", "policy", "violations", "overhead", "technique mix (blocks)")
 	for _, policy := range chimera.StandardPolicies() {
-		res, err := runner.RunPeriodic(bench, policy)
+		res, _, err := runner.RunPeriodic(context.Background(), bench, policy)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package chimera
 
 import (
+	"context"
 	"io"
 
 	"chimera/internal/experiments"
@@ -69,14 +70,15 @@ func GlobalJobStats() JobStats { return simjob.GlobalStats() }
 
 // Scenario runners -----------------------------------------------------------
 
-// ScenarioRunner executes the §4.1 periodic-task and §4.4 pair scenarios
+// ScenarioRunner executes the §4.1 periodic-task and §4.4
+// multiprogramming scenarios (a pair is the two-process RunMulti run)
 // with memoized stand-alone baselines.
 type ScenarioRunner = workloads.Runner
 
-// PeriodicResult and PairResult are the per-scenario outcomes.
+// PeriodicResult and MultiResult are the per-scenario outcomes.
 type (
 	PeriodicResult = workloads.PeriodicResult
-	PairResult     = workloads.PairResult
+	MultiResult    = workloads.MultiResult
 )
 
 // NewScenarioRunner builds a runner with the given simulation window,
@@ -101,7 +103,7 @@ type (
 // RecordScenario executes one §4.1 contention scenario with full
 // tracing (never cached) — the source of `chimerasim -trace` artifacts.
 func RecordScenario(opts RecordOptions) (*Recording, error) {
-	return workloads.Record(opts)
+	return workloads.Record(context.Background(), opts)
 }
 
 // Metrics --------------------------------------------------------------------

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
+
 	"chimera/internal/engine"
 	"chimera/internal/kernels"
 	"chimera/internal/metrics"
+	"chimera/internal/simjob"
 	"chimera/internal/tablefmt"
 	"chimera/internal/units"
 	"chimera/internal/workloads"
@@ -40,11 +43,11 @@ func Ablations(s Scale) ([]*tablefmt.Table, error) {
 		{"Chimera @5µs + 1µs headroom", engine.ChimeraPolicy{}, true, units.FromMicroseconds(5), units.FromMicroseconds(1)},
 	}
 
-	// One runner per variant on a shared pool; the variant × benchmark
-	// grid is enumerated up front and fanned out flat.
+	// Policy flags are not part of a spec, so the variants run as typed
+	// Runner calls: one runner per variant on a shared pool, the variant
+	// × benchmark grid as one flat task list.
 	pool := s.pool()
-	results := make([][]workloads.PeriodicResult, len(variants))
-	var tasks []func() error
+	runners := make([]*workloads.Runner, len(variants))
 	for vi, v := range variants {
 		r, err := s.periodicRunner(v.constraint)
 		if err != nil {
@@ -52,21 +55,14 @@ func Ablations(s Scale) ([]*tablefmt.Table, error) {
 		}
 		r.Warm = v.warm
 		r.Headroom = v.headroom
-		r.UsePool(pool)
-		results[vi] = make([]workloads.PeriodicResult, len(names))
-		for bi, bench := range names {
-			vi, bi, bench, policy, r := vi, bi, bench, v.policy, r
-			tasks = append(tasks, func() error {
-				res, err := r.RunPeriodic(bench, policy)
-				if err != nil {
-					return err
-				}
-				results[vi][bi] = res
-				return nil
-			})
-		}
+		runners[vi] = r.UsePool(pool)
 	}
-	if err := pool.Run(tasks...); err != nil {
+	results, err := simjob.Map(pool, len(variants)*len(names), func(i int) (workloads.PeriodicResult, error) {
+		vi := i / len(names)
+		res, _, err := runners[vi].RunPeriodic(context.Background(), names[i%len(names)], variants[vi].policy)
+		return res, err
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -75,8 +71,7 @@ func Ablations(s Scale) ([]*tablefmt.Table, error) {
 	for vi, v := range variants {
 		var violations, overheads []float64
 		forced := 0
-		for bi := range names {
-			res := results[vi][bi]
+		for _, res := range results[vi*len(names) : (vi+1)*len(names)] {
 			violations = append(violations, res.ViolationRate)
 			overheads = append(overheads, res.Overhead)
 			forced += res.ForcedRequests

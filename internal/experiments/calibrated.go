@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
-	"chimera/internal/metrics"
 	"chimera/internal/tablefmt"
 	"chimera/internal/workloads"
 )
@@ -23,51 +23,29 @@ func Calibrated(s Scale) ([]*tablefmt.Table, error) {
 		{"Table 2 CPIs", kernels.Load()},
 		{"warp-model CPIs", kernels.LoadCalibrated()},
 	}
-	policies := workloads.StandardPolicies()
 
-	// One runner per timing model on a shared pool; the model × policy ×
-	// benchmark grid is enumerated up front and fanned out flat.
+	// One environment per timing model on a shared pool (the catalogs
+	// share benchmark names); the model × policy × benchmark grid runs
+	// as one flat task list.
 	pool := s.pool()
-	results := make([][][]workloads.PeriodicResult, len(models))
-	var tasks []func() error
+	envs := make([]*workloads.Runner, len(models))
 	for mi, m := range models {
 		r, err := s.newRunnerWith(m.cat, s.PeriodicWindow/2, Constraint15, s.Seed)
 		if err != nil {
 			return nil, err
 		}
-		r.UsePool(pool)
-		benches := m.cat.BenchmarkNames()
-		results[mi] = make([][]workloads.PeriodicResult, len(policies))
-		for pi, policy := range policies {
-			results[mi][pi] = make([]workloads.PeriodicResult, len(benches))
-			for bi, bench := range benches {
-				mi, pi, bi, bench, policy, r := mi, pi, bi, bench, policy, r
-				tasks = append(tasks, func() error {
-					res, err := r.RunPeriodic(bench, policy)
-					if err != nil {
-						return err
-					}
-					results[mi][pi][bi] = res
-					return nil
-				})
-			}
-		}
+		envs[mi] = r.UsePool(pool)
 	}
-	if err := pool.Run(tasks...); err != nil {
+	specs := specGrid(specBase(jobspec.KindPeriodic, envs[0]), standardPolicies, kernels.Load().BenchmarkNames())
+	results, err := runIn(pool, envs, specs)
+	if err != nil {
 		return nil, err
 	}
 
 	t := tablefmt.New("Extension: Fig 6 under warp-level-calibrated CPIs",
 		"Timing model", "Switch", "Drain", "Flush", "Chimera")
 	for mi, m := range models {
-		avgs := make([]float64, 0, 4)
-		for pi := range policies {
-			var rates []float64
-			for bi := range results[mi][pi] {
-				rates = append(rates, results[mi][pi][bi].ViolationRate)
-			}
-			avgs = append(avgs, metrics.Mean(rates))
-		}
+		avgs := violationMeans(results[mi], len(standardPolicies))
 		t.AddRow(m.name,
 			tablefmt.Pct(avgs[0]), tablefmt.Pct(avgs[1]),
 			tablefmt.Pct(avgs[2]), tablefmt.Pct(avgs[3]))

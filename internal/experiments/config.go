@@ -3,17 +3,24 @@
 // returning printable tables. The EXPERIMENTS.md document records
 // paper-reported versus measured values for all of them.
 //
-// Each exhibit enumerates its full set of simulation jobs up front and
-// fans them out over an internal/simjob pool, assembling results in
-// enumeration order — the rendered tables are byte-identical at any
-// Parallelism. Exhibits share the process-wide result cache, so runs
-// common to several figures (the §4.1 grid behind Figures 6, 7, 8 and 9;
-// the stand-alone baselines behind every pair exhibit) are simulated
-// once per process.
+// Each exhibit enumerates its full set of simulation jobs up front — as
+// jobspec.Spec grids wherever a spec can express them, as typed Runner
+// calls for policy-flag variants and runs of more than two processes —
+// and fans them out as one flat task list over an internal/simjob pool
+// (simjob.Map), assembling results in enumeration order: the rendered
+// tables are byte-identical at any Parallelism. Exhibits share the
+// process-wide result cache, so runs common to several figures (the
+// §4.1 grid behind Figures 6, 7, 8 and 9; the stand-alone baselines
+// behind every pair exhibit; the LUD+HS pair behind Figure 10 and the
+// scaling table) are simulated once per process.
 package experiments
 
 import (
+	"context"
+
+	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
+	"chimera/internal/metrics"
 	"chimera/internal/simjob"
 	"chimera/internal/units"
 	"chimera/internal/workloads"
@@ -110,4 +117,70 @@ func (s Scale) periodicRunner(constraint units.Cycles) (*workloads.Runner, error
 // pairRunner builds the §4.4 runner.
 func (s Scale) pairRunner(window units.Cycles) (*workloads.Runner, error) {
 	return s.newRunner(window, Constraint30, s.Seed)
+}
+
+// standardPolicies names the four §4 contenders as spec policies, in
+// the paper's presentation order (workloads.StandardPolicies).
+var standardPolicies = []string{jobspec.PolicySwitch, jobspec.PolicyDrain, jobspec.PolicyFlush, jobspec.PolicyChimera}
+
+// specBase is the spec template of the given kind carrying r's window,
+// constraint, headroom and seed in spec units.
+func specBase(kind string, r *workloads.Runner) jobspec.Spec {
+	return jobspec.Spec{Kind: kind}.
+		WithWindowUs(r.Window.Microseconds()).
+		WithConstraintUs(r.Constraint.Microseconds()).
+		WithHeadroomUs(r.Headroom.Microseconds()).
+		WithSeed(r.Seed)
+}
+
+// specGrid fills base with every policy × benchmark, policy-major
+// (spec i is policies[i/len(benches)] on benches[i%len(benches)]), each
+// normalized to canonical wire form. Neighbouring tasks thus run
+// different benchmarks, and so fetch different solo baselines instead
+// of one waiting on the other's.
+func specGrid(base jobspec.Spec, policies, benches []string) []jobspec.Spec {
+	specs := make([]jobspec.Spec, 0, len(policies)*len(benches))
+	for _, policy := range policies {
+		for _, bench := range benches {
+			spec := base
+			spec.Bench, spec.Policy = bench, policy
+			spec.Normalize()
+			specs = append(specs, spec)
+		}
+	}
+	return specs
+}
+
+// violationMeans averages each policy's deadline-violation rate over
+// the benchmarks of one specGrid block of periodic results, in policy
+// order.
+func violationMeans(block []workloads.SpecResult, policies int) []float64 {
+	n := len(block) / policies
+	means := make([]float64, policies)
+	for p := range means {
+		var rates []float64
+		for _, res := range block[p*n : (p+1)*n] {
+			rates = append(rates, res.Periodic.ViolationRate)
+		}
+		means[p] = metrics.Mean(rates)
+	}
+	return means
+}
+
+// runIn runs the specs in every environment — runners on pool that
+// differ in device, catalog or contention — as one flat task list over
+// pool, and returns the results indexed [environment][spec].
+func runIn(pool *simjob.Pool, envs []*workloads.Runner, specs []jobspec.Spec) ([][]workloads.SpecResult, error) {
+	flat, err := simjob.Map(pool, len(envs)*len(specs), func(i int) (workloads.SpecResult, error) {
+		res, _, err := workloads.NewExecutor(envs[i/len(specs)]).Run(context.Background(), specs[i%len(specs)])
+		return res, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]workloads.SpecResult, len(envs))
+	for e := range envs {
+		out[e] = flat[e*len(specs) : (e+1)*len(specs)]
+	}
+	return out, nil
 }

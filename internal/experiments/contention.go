@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"chimera/internal/engine"
-	"chimera/internal/preempt"
+	"chimera/internal/jobspec"
 	"chimera/internal/tablefmt"
 	"chimera/internal/workloads"
 )
@@ -21,44 +20,24 @@ var contentionBenchmarks = []string{"BS", "KM", "CP", "SAD"}
 // share) and comparing throughput overheads under the context-switch
 // baseline and under Chimera.
 func Contention(s Scale) ([]*tablefmt.Table, error) {
-	policies := []engine.Policy{
-		engine.FixedPolicy{Technique: preempt.Switch},
-		engine.ChimeraPolicy{},
-	}
+	policies := []string{jobspec.PolicySwitch, jobspec.PolicyChimera}
 	betas := []float64{0, 1}
 
-	// One runner per beta on a shared pool; the benchmark × policy ×
-	// beta grid is enumerated up front and fanned out flat.
+	// One environment per beta on a shared pool; the beta × policy ×
+	// benchmark grid runs as one flat task list.
 	pool := s.pool()
-	runners := make([]*workloads.Runner, len(betas))
+	envs := make([]*workloads.Runner, len(betas))
 	for bi, beta := range betas {
 		r, err := s.periodicRunner(Constraint15)
 		if err != nil {
 			return nil, err
 		}
 		r.Contention = beta
-		runners[bi] = r.UsePool(pool)
+		envs[bi] = r.UsePool(pool)
 	}
-	results := make([][][]workloads.PeriodicResult, len(contentionBenchmarks))
-	var tasks []func() error
-	for i, bench := range contentionBenchmarks {
-		results[i] = make([][]workloads.PeriodicResult, len(policies))
-		for j, policy := range policies {
-			results[i][j] = make([]workloads.PeriodicResult, len(betas))
-			for k := range betas {
-				i, j, k, bench, policy := i, j, k, bench, policy
-				tasks = append(tasks, func() error {
-					res, err := runners[k].RunPeriodic(bench, policy)
-					if err != nil {
-						return err
-					}
-					results[i][j][k] = res
-					return nil
-				})
-			}
-		}
-	}
-	if err := pool.Run(tasks...); err != nil {
+	specs := specGrid(specBase(jobspec.KindPeriodic, envs[0]), policies, contentionBenchmarks)
+	results, err := runIn(pool, envs, specs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -68,7 +47,7 @@ func Contention(s Scale) ([]*tablefmt.Table, error) {
 		row := []string{bench}
 		for j := range policies {
 			for k := range betas {
-				row = append(row, tablefmt.Pct(results[i][j][k].Overhead))
+				row = append(row, tablefmt.Pct(results[k][j*len(contentionBenchmarks)+i].Periodic.Overhead))
 			}
 		}
 		t.AddRow(row...)

@@ -1,15 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
-	"chimera/internal/engine"
+	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
-	"chimera/internal/preempt"
 	"chimera/internal/tablefmt"
-	"chimera/internal/units"
 	"chimera/internal/workloads"
 )
 
@@ -19,85 +18,39 @@ import (
 // compared with the measured handover latency. The paper reports that
 // Chimera's rare deadline misses stem from drain misestimation "in the
 // range of few hundred cycles (< 1µs)" — this table shows where this
-// reproduction's estimator errors sit, per policy.
-// estSamples is the per-(policy, benchmark) outcome of one estimator
-// validation run.
-type estSamples struct {
-	errsUs   []float64
-	over     int
-	requests int
-}
-
+// reproduction's estimator errors sit, per policy. The samples are the
+// per-request Outcomes every cached periodic result carries.
 func EstimationAccuracy(s Scale) ([]*tablefmt.Table, error) {
-	cat := kernels.Load()
-	benches := cat.BenchmarkNames()
-	policies := workloads.StandardPolicies()
-
-	// These runs sample per-request estimator error rather than scenario
-	// metrics, so they bypass the Runner; the policy × benchmark grid
-	// still fans out over a pool, collected in grid order.
-	pool := s.pool()
-	samples := make([][]estSamples, len(policies))
-	var tasks []func() error
-	for pi, policy := range policies {
-		samples[pi] = make([]estSamples, len(benches))
-		for bi, bench := range benches {
-			pi, bi, bench, policy := pi, bi, bench, policy
-			tasks = append(tasks, func() error {
-				sim := engine.New(engine.Options{
-					Policy:     policy,
-					Constraint: Constraint15,
-					Seed:       s.Seed,
-					WarmStats:  true,
-				})
-				b, err := cat.Benchmark(bench)
-				if err != nil {
-					return err
-				}
-				launches, err := workloads.Launches(cat, b)
-				if err != nil {
-					return err
-				}
-				sim.AddProcess(engine.ProcessSpec{Name: bench, Launches: launches, Loop: true})
-				sim.AddPeriodicTask(workloads.PeriodicSpec(sim.Config().NumSMs))
-				// A shorter window suffices: each request contributes a sample.
-				sim.Run(s.PeriodicWindow / 4)
-				out := estSamples{}
-				for _, req := range sim.Requests() {
-					// Skip incomplete requests and ones whose plan carried a
-					// conservative-max estimate (a breached block under a
-					// uniform flush plan has no finite latency estimate).
-					if !req.Completed || req.EstLatencyCycles <= 0 || req.EstLatencyCycles >= preempt.Infeasible {
-						continue
-					}
-					out.requests++
-					est := req.EstLatencyCycles / units.CyclesPerMicrosecond
-					act := req.LatencyCycles.Microseconds()
-					out.errsUs = append(out.errsUs, math.Abs(est-act))
-					if est >= act {
-						out.over++
-					}
-				}
-				samples[pi][bi] = out
-				return nil
-			})
-		}
+	// A shorter window suffices: each request contributes a sample.
+	r, err := s.newRunner(s.PeriodicWindow/4, Constraint15, s.Seed)
+	if err != nil {
+		return nil, err
 	}
-	if err := pool.Run(tasks...); err != nil {
+	benches := kernels.Load().BenchmarkNames()
+	results, err := workloads.NewExecutor(r).RunSpecs(context.Background(),
+		specGrid(specBase(jobspec.KindPeriodic, r), standardPolicies, benches))
+	if err != nil {
 		return nil, err
 	}
 
 	t := tablefmt.New("Extension: estimated vs measured preemption latency (@15µs)",
 		"Policy", "Requests", "MeanErr", "P95Err", "MaxErr", "Overest%")
-	for pi, policy := range policies {
+	for pi, policy := range workloads.StandardPolicies() {
 		var errsUs []float64
 		over := 0
-		requests := 0
-		for bi := range benches {
-			sm := samples[pi][bi]
-			errsUs = append(errsUs, sm.errsUs...)
-			over += sm.over
-			requests += sm.requests
+		for _, res := range results[pi*len(benches) : (pi+1)*len(benches)] {
+			for _, o := range res.Periodic.Outcomes {
+				// Skip incomplete requests and ones whose plan carried a
+				// conservative-max estimate (a breached block under a
+				// uniform flush plan has no finite latency estimate).
+				if !o.Completed || o.EstLatencyUs == 0 {
+					continue
+				}
+				errsUs = append(errsUs, math.Abs(o.EstLatencyUs-o.LatencyUs))
+				if o.EstLatencyUs >= o.LatencyUs {
+					over++
+				}
+			}
 		}
 		if len(errsUs) == 0 {
 			t.AddRow(policy.Name(), "0", "-", "-", "-", "-")
@@ -113,7 +66,7 @@ func EstimationAccuracy(s Scale) ([]*tablefmt.Table, error) {
 		max := errsUs[len(errsUs)-1]
 		t.AddRow(
 			policy.Name(),
-			fmt.Sprintf("%d", requests),
+			fmt.Sprintf("%d", len(errsUs)),
 			tablefmt.Us(mean),
 			tablefmt.Us(p95),
 			tablefmt.Us(max),

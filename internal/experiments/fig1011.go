@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"chimera/internal/engine"
+	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
 	"chimera/internal/metrics"
 	"chimera/internal/tablefmt"
@@ -23,39 +24,51 @@ type PairSweep struct {
 }
 
 // RunPairSweep executes the LUD×partner grid: every (partner, policy)
-// job — the FCFS baseline included — is enumerated up front and fanned
-// out over the runner's pool, then unpacked in grid order.
+// pair spec — the FCFS baseline included — is enumerated up front and
+// fanned out over the runner's pool, then unpacked in grid order.
 func RunPairSweep(r *workloads.Runner) (*PairSweep, error) {
-	cat := kernels.Load()
-	policies := workloads.StandardPolicies()
 	sweep := &PairSweep{}
-	for _, p := range policies {
+	for _, p := range workloads.StandardPolicies() {
 		sweep.Policies = append(sweep.Policies, p.Name())
 	}
-	for _, bench := range cat.BenchmarkNames() {
+	var pairs [][2]string
+	for _, bench := range kernels.Load().BenchmarkNames() {
 		if bench != "LUD" {
 			sweep.Partners = append(sweep.Partners, bench)
+			pairs = append(pairs, [2]string{"LUD", bench})
 		}
 	}
 
-	perPartner := 1 + len(policies) // FCFS baseline + each policy
-	var specs []workloads.PairSpec
-	for _, partner := range sweep.Partners {
-		specs = append(specs, workloads.PairSpec{A: "LUD", B: partner, Serial: true})
-		for _, p := range policies {
-			specs = append(specs, workloads.PairSpec{A: "LUD", B: partner, Policy: p})
-		}
-	}
-	results, err := r.RunPairsAll(specs)
+	policies := append([]string{jobspec.PolicyFCFS}, standardPolicies...)
+	results, err := workloads.NewExecutor(r).RunSpecs(context.Background(), pairSpecs(r, pairs, policies))
 	if err != nil {
 		return nil, err
 	}
 	for i := range sweep.Partners {
-		chunk := results[i*perPartner : (i+1)*perPartner]
-		sweep.FCFS = append(sweep.FCFS, chunk[0])
-		sweep.Results = append(sweep.Results, chunk[1:])
+		chunk := results[i*len(policies) : (i+1)*len(policies)]
+		sweep.FCFS = append(sweep.FCFS, *chunk[0].Pair)
+		row := make([]workloads.PairResult, 0, len(standardPolicies))
+		for _, res := range chunk[1:] {
+			row = append(row, *res.Pair)
+		}
+		sweep.Results = append(sweep.Results, row)
 	}
 	return sweep, nil
+}
+
+// pairSpecs enumerates every pair under every policy as pair specs at
+// r's window, constraint and seed, pair-major (spec i is
+// pairs[i/len(policies)] under policies[i%len(policies)]).
+func pairSpecs(r *workloads.Runner, pairs [][2]string, policies []string) []jobspec.Spec {
+	specs := make([]jobspec.Spec, 0, len(pairs)*len(policies))
+	for _, pair := range pairs {
+		for _, policy := range policies {
+			spec := specBase(jobspec.KindPair, r)
+			spec.Bench, spec.BenchB, spec.Policy = pair[0], pair[1], policy
+			specs = append(specs, spec)
+		}
+	}
+	return specs
 }
 
 // Fig10 reproduces Figure 10: ANTT improvement over non-preemptive FCFS
@@ -147,28 +160,24 @@ func AllPairs(s Scale) (*tablefmt.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cat := kernels.Load()
-	names := cat.BenchmarkNames()
-	// Every unordered pair under FCFS and Chimera, as one flat job set.
-	var specs []workloads.PairSpec
+	names := kernels.Load().BenchmarkNames()
+	// Every unordered pair under FCFS and Chimera, as one spec batch.
+	var pairs [][2]string
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
-			specs = append(specs,
-				workloads.PairSpec{A: names[i], B: names[j], Serial: true},
-				workloads.PairSpec{A: names[i], B: names[j], Policy: engine.ChimeraPolicy{}})
+			pairs = append(pairs, [2]string{names[i], names[j]})
 		}
 	}
-	results, err := r.RunPairsAll(specs)
+	results, err := workloads.NewExecutor(r).RunSpecs(context.Background(),
+		pairSpecs(r, pairs, []string{jobspec.PolicyFCFS, jobspec.PolicyChimera}))
 	if err != nil {
 		return nil, err
 	}
 	var anttImps, stpImps []float64
-	pairs := 0
 	for k := 0; k < len(results); k += 2 {
-		fcfs, ch := results[k], results[k+1]
+		fcfs, ch := results[k].Pair, results[k+1].Pair
 		anttImps = append(anttImps, fcfs.ANTT/ch.ANTT)
 		stpImps = append(stpImps, (ch.STP-fcfs.STP)/fcfs.STP)
-		pairs++
 	}
 	geo, err := metrics.Geomean(anttImps)
 	if err != nil {
@@ -176,7 +185,7 @@ func AllPairs(s Scale) (*tablefmt.Table, error) {
 	}
 	t := tablefmt.New("§4.4: Chimera vs FCFS over all benchmark combinations",
 		"Metric", "Measured", "Paper")
-	t.AddRow("pairs", fmt.Sprintf("%d", pairs), "all combinations")
+	t.AddRow("pairs", fmt.Sprintf("%d", len(pairs)), "all combinations")
 	t.AddRow("ANTT improvement (geomean)", tablefmt.Times(geo), "5.5x")
 	t.AddRow("STP improvement (mean)", tablefmt.Pct(metrics.Mean(stpImps)), "12.2%")
 	return t, nil

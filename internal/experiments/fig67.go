@@ -21,27 +21,16 @@ type PeriodicSweep struct {
 }
 
 // PeriodicSweepSpecs enumerates the §4.1 grid as canonical job specs:
-// every benchmark against every standard policy, periodic kind, with
-// the runner's simulation parameters spelled out in spec units. The
+// every benchmark against every standard policy (benchmark-major),
+// periodic kind, with the runner's simulation parameters spelled out
+// in spec units. The
 // specs are the serializable face of the sweep — hand them to any
 // Executor (in-process, chimerad, replay) and the same grid runs under
 // the same cache identities.
 func PeriodicSweepSpecs(r *workloads.Runner) []jobspec.Spec {
-	benches := kernels.Load().BenchmarkNames()
-	policies := workloads.StandardPolicies()
-	specs := make([]jobspec.Spec, 0, len(benches)*len(policies))
-	for _, bench := range benches {
-		for _, p := range policies {
-			spec := jobspec.Periodic(bench, jobspec.PolicyName(p, false)).
-				WithWindowUs(r.Window.Microseconds()).
-				WithConstraintUs(r.Constraint.Microseconds()).
-				WithHeadroomUs(r.Headroom.Microseconds()).
-				WithSeed(r.Seed)
-			// Normalize here so the enumeration is already in canonical
-			// wire form (lowercase policy names).
-			spec.Normalize()
-			specs = append(specs, spec)
-		}
+	var specs []jobspec.Spec
+	for _, bench := range kernels.Load().BenchmarkNames() {
+		specs = append(specs, specGrid(specBase(jobspec.KindPeriodic, r), standardPolicies, []string{bench})...)
 	}
 	return specs
 }
@@ -51,8 +40,8 @@ func PeriodicSweepSpecs(r *workloads.Runner) []jobspec.Spec {
 // PeriodicSweepSpecs and fanned out over the runner's pool through the
 // jobspec Executor, with results collected in grid order regardless of
 // completion order. The spec path derives the same simjob identities as
-// the direct Runner calls it replaced, so runs stay shared with every
-// other exhibit on the same cache.
+// direct Runner calls, so runs stay shared with every other exhibit on
+// the same cache.
 func RunPeriodicSweep(r *workloads.Runner) (*PeriodicSweep, error) {
 	cat := kernels.Load()
 	policies := workloads.StandardPolicies()

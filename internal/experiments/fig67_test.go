@@ -14,8 +14,7 @@ import (
 
 // TestPeriodicSweepSpecIdentity pins the jobspec-refactor invariant the
 // exhibits depend on: the spec enumeration behind Figures 6 and 7
-// derives exactly the cache identities of the direct Runner calls it
-// replaced, so a run simulated by any jobspec entry point (chimerad,
+// derives exactly the cache identities of direct Runner calls, so a run simulated by any jobspec entry point (chimerad,
 // replay, another exhibit) is reused by the sweep and vice versa.
 func TestPeriodicSweepSpecIdentity(t *testing.T) {
 	s := QuickScale()
@@ -51,7 +50,7 @@ func TestPeriodicSweepSpecIdentity(t *testing.T) {
 	for _, idx := range []int{0, len(policies) + 2} {
 		spec := specs[idx]
 		bench, policy := benches[idx/len(policies)], policies[idx%len(policies)]
-		direct, _, err := r.RunPeriodicCtx(ctx, bench, policy)
+		direct, _, err := r.RunPeriodic(ctx, bench, policy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"chimera/internal/engine"
+	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
 	"chimera/internal/metrics"
 	"chimera/internal/preempt"
@@ -28,35 +29,19 @@ var Fig8Constraints = []units.Cycles{
 // flushing growing as the constraint tightens and draining holding a
 // ~19 % floor.
 func Fig8(s Scale) (*tablefmt.Table, error) {
-	cat := kernels.Load()
-	benches := cat.BenchmarkNames()
-
-	// Enumerate the full constraint × benchmark grid up front and fan it
-	// out over one pool (the per-constraint runners share it), then
-	// assemble rows in sweep order.
-	pool := s.pool()
-	results := make([][]workloads.PeriodicResult, len(Fig8Constraints))
-	var tasks []func() error
-	for ci, constraint := range Fig8Constraints {
-		r, err := s.periodicRunner(constraint)
-		if err != nil {
-			return nil, err
-		}
-		r.UsePool(pool)
-		results[ci] = make([]workloads.PeriodicResult, len(benches))
-		for bi, bench := range benches {
-			ci, bi, bench, r := ci, bi, bench, r
-			tasks = append(tasks, func() error {
-				res, err := r.RunPeriodic(bench, engine.ChimeraPolicy{})
-				if err != nil {
-					return err
-				}
-				results[ci][bi] = res
-				return nil
-			})
-		}
+	benches := kernels.Load().BenchmarkNames()
+	r, err := s.periodicRunner(Constraint15)
+	if err != nil {
+		return nil, err
 	}
-	if err := pool.Run(tasks...); err != nil {
+	// The full constraint × benchmark grid as one spec batch.
+	var specs []jobspec.Spec
+	for _, constraint := range Fig8Constraints {
+		base := specBase(jobspec.KindPeriodic, r).WithConstraintUs(constraint.Microseconds())
+		specs = append(specs, specGrid(base, []string{jobspec.PolicyChimera}, benches)...)
+	}
+	results, err := workloads.NewExecutor(r).RunSpecs(context.Background(), specs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -65,7 +50,8 @@ func Fig8(s Scale) (*tablefmt.Table, error) {
 	for ci, constraint := range Fig8Constraints {
 		var violations, overheads []float64
 		var mix [preempt.NumTechniques]int
-		for _, res := range results[ci] {
+		for _, sr := range results[ci*len(benches) : (ci+1)*len(benches)] {
+			res := sr.Periodic
 			violations = append(violations, res.ViolationRate)
 			overheads = append(overheads, res.Overhead)
 			for tech, n := range res.Mix {

@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"chimera/internal/engine"
 	"chimera/internal/kernels"
 	"chimera/internal/metrics"
 	"chimera/internal/preempt"
+	"chimera/internal/simjob"
 	"chimera/internal/tablefmt"
+	"chimera/internal/workloads"
 )
 
 // Fig9 reproduces Figure 9: the effectiveness of relaxing the
@@ -26,20 +29,25 @@ func Fig9(s Scale) (*tablefmt.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cat := kernels.Load()
-	names := cat.BenchmarkNames()
-	// Both flushing arms over every benchmark, as one batched job set.
-	results, err := r.RunPeriodicAll(names, []engine.Policy{
+	names := kernels.Load().BenchmarkNames()
+	// Strict idempotence is a policy flag no spec carries, so both
+	// flushing arms over every benchmark run as typed Runner calls, one
+	// flat task list, arm-major like specGrid.
+	arms := []engine.Policy{
 		engine.FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true},
 		engine.FixedPolicy{Technique: preempt.Flush},
+	}
+	results, err := simjob.Map(r.Pool(), len(arms)*len(names), func(i int) (workloads.PeriodicResult, error) {
+		res, _, err := r.RunPeriodic(context.Background(), names[i%len(names)], arms[i/len(names)])
+		return res, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	var strict, relaxed []float64
 	for i := range names {
-		strict = append(strict, results[i][0].ViolationRate)
-		relaxed = append(relaxed, results[i][1].ViolationRate)
+		strict = append(strict, results[i].ViolationRate)
+		relaxed = append(relaxed, results[len(names)+i].ViolationRate)
 	}
 
 	t := tablefmt.New("Figure 9: Strict vs relaxed idempotence in SM flushing @15µs",

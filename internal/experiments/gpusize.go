@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"chimera/internal/gpu"
+	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
-	"chimera/internal/metrics"
 	"chimera/internal/tablefmt"
 	"chimera/internal/workloads"
 )
@@ -23,61 +23,38 @@ var gpuSizes = []int{15, 30, 60}
 // long and it collapses. The structural claim under test: Chimera's
 // near-zero violations are not an artifact of the 30-SM configuration.
 func GPUSize(s Scale) ([]*tablefmt.Table, error) {
-	cat := kernels.Load()
-	benches := cat.BenchmarkNames()
-	policies := workloads.StandardPolicies()
+	benches := kernels.Load().BenchmarkNames()
 
-	// One runner per device size on a shared pool; the size × policy ×
-	// benchmark grid is enumerated up front and fanned out flat.
+	// One environment per device size on a shared pool; the size ×
+	// policy × benchmark grid runs as one flat task list.
 	pool := s.pool()
-	results := make([][][]workloads.PeriodicResult, len(gpuSizes))
-	var tasks []func() error
+	envs := make([]*workloads.Runner, len(gpuSizes))
 	for gi, numSMs := range gpuSizes {
-		cfg := gpu.DefaultConfig()
-		cfg.NumSMs = numSMs
 		r, err := s.newRunner(s.PeriodicWindow/2, Constraint15, s.Seed)
 		if err != nil {
 			return nil, err
 		}
-		r.Config = cfg
-		r.UsePool(pool)
-		results[gi] = make([][]workloads.PeriodicResult, len(policies))
-		for pi, policy := range policies {
-			results[gi][pi] = make([]workloads.PeriodicResult, len(benches))
-			for bi, bench := range benches {
-				gi, pi, bi, bench, policy, r := gi, pi, bi, bench, policy, r
-				tasks = append(tasks, func() error {
-					res, err := r.RunPeriodic(bench, policy)
-					if err != nil {
-						return err
-					}
-					results[gi][pi][bi] = res
-					return nil
-				})
-			}
-		}
+		r.Config = gpu.DefaultConfig()
+		r.Config.NumSMs = numSMs
+		envs[gi] = r.UsePool(pool)
 	}
-	if err := pool.Run(tasks...); err != nil {
+	specs := specGrid(specBase(jobspec.KindPeriodic, envs[0]), standardPolicies, benches)
+	results, err := runIn(pool, envs, specs)
+	if err != nil {
 		return nil, err
 	}
 
 	t := tablefmt.New("Extension: Fig 6 across device sizes (@15µs)",
 		"SMs", "Switch", "Drain", "Flush", "Chimera", "TB-preempts")
 	for gi, numSMs := range gpuSizes {
-		avgs := make([]float64, 0, 4)
+		avgs := violationMeans(results[gi], len(standardPolicies))
 		tbPreempts := 0
-		for pi, policy := range policies {
-			var rates []float64
-			for bi := range benches {
-				res := results[gi][pi][bi]
-				rates = append(rates, res.ViolationRate)
-				if policy.Name() == "Chimera" {
-					for _, n := range res.Mix {
-						tbPreempts += n
-					}
+		for _, res := range results[gi] {
+			if res.Periodic.Policy == "Chimera" {
+				for _, n := range res.Periodic.Mix {
+					tbPreempts += n
 				}
 			}
-			avgs = append(avgs, metrics.Mean(rates))
 		}
 		t.AddRow(fmt.Sprintf("%d", numSMs),
 			tablefmt.Pct(avgs[0]), tablefmt.Pct(avgs[1]),

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"chimera/internal/engine"
+	"chimera/internal/simjob"
 	"chimera/internal/tablefmt"
 	"chimera/internal/workloads"
 )
@@ -32,14 +34,19 @@ func Scaling(s Scale) ([]*tablefmt.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// FCFS and Chimera for every set, as one batched job set.
-	var specs []workloads.MultiSpec
-	for _, set := range scalingSets {
-		specs = append(specs,
-			workloads.MultiSpec{Benchmarks: set, Serial: true},
-			workloads.MultiSpec{Benchmarks: set, Policy: engine.ChimeraPolicy{}})
-	}
-	results, err := r.RunMultiAll(specs)
+	// More than two processes exceed what a spec carries, so FCFS and
+	// Chimera for every set run as typed RunMulti calls, one flat task
+	// list. The two-process set shares its runs with Figure 10's LUD+HS
+	// pair specs.
+	arms := []struct {
+		policy engine.Policy
+		serial bool
+	}{{nil, true}, {engine.ChimeraPolicy{}, false}}
+	results, err := simjob.Map(r.Pool(), len(scalingSets)*len(arms), func(i int) (workloads.MultiResult, error) {
+		arm := arms[i%len(arms)]
+		res, _, err := r.RunMulti(context.Background(), scalingSets[i/len(arms)], arm.policy, arm.serial)
+		return res, err
+	})
 	if err != nil {
 		return nil, err
 	}

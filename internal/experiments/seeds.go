@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
-	"chimera/internal/metrics"
 	"chimera/internal/tablefmt"
 	"chimera/internal/workloads"
 )
@@ -18,52 +19,29 @@ const seedCount = 5
 // table shows how much the averages move run to run — and that
 // Chimera's zero-violation result is not a lucky draw.
 func Seeds(s Scale) ([]*tablefmt.Table, error) {
-	cat := kernels.Load()
-	benches := cat.BenchmarkNames()
-	policies := workloads.StandardPolicies()
-
-	// One runner per seed on a shared pool; the full seed × policy ×
-	// benchmark grid is enumerated up front and fanned out flat.
-	pool := s.pool()
-	results := make([][][]workloads.PeriodicResult, seedCount)
-	var tasks []func() error
-	for i := 0; i < seedCount; i++ {
-		r, err := s.newRunner(s.PeriodicWindow/2, Constraint15, s.Seed+uint64(i))
-		if err != nil {
-			return nil, err
-		}
-		r.UsePool(pool)
-		results[i] = make([][]workloads.PeriodicResult, len(policies))
-		for j, policy := range policies {
-			results[i][j] = make([]workloads.PeriodicResult, len(benches))
-			for k, bench := range benches {
-				i, j, k, bench, policy, r := i, j, k, bench, policy, r
-				tasks = append(tasks, func() error {
-					res, err := r.RunPeriodic(bench, policy)
-					if err != nil {
-						return err
-					}
-					results[i][j][k] = res
-					return nil
-				})
-			}
-		}
+	benches := kernels.Load().BenchmarkNames()
+	r, err := s.newRunner(s.PeriodicWindow/2, Constraint15, s.Seed)
+	if err != nil {
+		return nil, err
 	}
-	if err := pool.Run(tasks...); err != nil {
+	// The full seed × policy × benchmark grid as one spec batch.
+	var specs []jobspec.Spec
+	for i := 0; i < seedCount; i++ {
+		base := specBase(jobspec.KindPeriodic, r).WithSeed(s.Seed + uint64(i))
+		specs = append(specs, specGrid(base, standardPolicies, benches)...)
+	}
+	results, err := workloads.NewExecutor(r).RunSpecs(context.Background(), specs)
+	if err != nil {
 		return nil, err
 	}
 
 	t := tablefmt.New("Extension: Fig 6 averages across RNG seeds (@15µs)",
 		"Seed", "Switch", "Drain", "Flush", "Chimera")
-	perPolicy := make([][]float64, len(policies))
+	perPolicy := make([][]float64, len(standardPolicies))
+	block := len(benches) * len(standardPolicies)
 	for i := 0; i < seedCount; i++ {
 		row := []string{fmt.Sprintf("%d", s.Seed+uint64(i))}
-		for j := range policies {
-			var rates []float64
-			for k := range benches {
-				rates = append(rates, results[i][j][k].ViolationRate)
-			}
-			avg := metrics.Mean(rates)
+		for j, avg := range violationMeans(results[i*block:(i+1)*block], len(standardPolicies)) {
 			perPolicy[j] = append(perPolicy[j], avg)
 			row = append(row, tablefmt.Pct(avg))
 		}

@@ -6,7 +6,6 @@ import (
 
 	"chimera/internal/jobspec"
 	"chimera/internal/tablefmt"
-	"chimera/internal/units"
 	"chimera/internal/workloads"
 )
 
@@ -40,50 +39,38 @@ var ShootoutPolicies = []string{
 // §4.4 relaxed bound.
 var ShootoutConstraintsUs = []float64{10, 15, 30}
 
-// ShootoutSpecs enumerates one constraint's leg of the shootout as
-// canonical job specs: every shootout benchmark against the periodic
-// real-time task under every shootout policy, at the runner's window,
-// constraint and seed. The 15 µs leg derives the same cache identities
-// as the Figure 6/7 sweep for the four standard policies, so those runs
-// are shared rather than repeated.
-func ShootoutSpecs(r *workloads.Runner) []jobspec.Spec {
-	specs := make([]jobspec.Spec, 0, len(ShootoutBenchmarks)*len(ShootoutPolicies))
-	for _, bench := range ShootoutBenchmarks {
-		for _, policy := range ShootoutPolicies {
-			spec := jobspec.Periodic(bench, policy).
-				WithWindowUs(r.Window.Microseconds()).
-				WithConstraintUs(r.Constraint.Microseconds()).
-				WithHeadroomUs(r.Headroom.Microseconds()).
-				WithSeed(r.Seed)
-			spec.Normalize()
-			specs = append(specs, spec)
-		}
-	}
-	return specs
-}
-
 // PolicyShootout runs the full shootout: one table per constraint, rows
 // per policy, with per-benchmark deadline-miss rates, the suite-wide
-// miss rate, and the measured preemption-latency tail. The exhibit is
-// deterministic — two same-seed runs render byte-identical tables.
+// miss rate, and the measured preemption-latency tail. Every
+// constraint's benchmark × policy grid runs as one spec batch; the
+// 15 µs leg derives the same cache identities as the Figure 6/7 sweep
+// for the four standard policies, so those runs are shared rather than
+// repeated. The exhibit is deterministic — two same-seed runs render
+// byte-identical tables.
 func PolicyShootout(s Scale) ([]*tablefmt.Table, error) {
-	tables := make([]*tablefmt.Table, 0, len(ShootoutConstraintsUs))
+	r, err := s.periodicRunner(Constraint15)
+	if err != nil {
+		return nil, err
+	}
+	var specs []jobspec.Spec
 	for _, cUs := range ShootoutConstraintsUs {
-		r, err := s.periodicRunner(units.FromMicroseconds(cUs))
-		if err != nil {
-			return nil, err
-		}
-		results, err := workloads.NewExecutor(r).RunSpecs(context.Background(), ShootoutSpecs(r))
-		if err != nil {
-			return nil, err
-		}
-		tables = append(tables, shootoutTable(cUs, results))
+		base := specBase(jobspec.KindPeriodic, r).WithConstraintUs(cUs)
+		specs = append(specs, specGrid(base, ShootoutPolicies, ShootoutBenchmarks)...)
+	}
+	results, err := workloads.NewExecutor(r).RunSpecs(context.Background(), specs)
+	if err != nil {
+		return nil, err
+	}
+	leg := len(ShootoutBenchmarks) * len(ShootoutPolicies)
+	tables := make([]*tablefmt.Table, len(ShootoutConstraintsUs))
+	for k, cUs := range ShootoutConstraintsUs {
+		tables[k] = shootoutTable(cUs, results[k*leg:(k+1)*leg])
 	}
 	return tables, nil
 }
 
-// shootoutTable renders one constraint's leg: results are in
-// ShootoutSpecs enumeration order (benchmark-major, policy-minor).
+// shootoutTable renders one constraint's leg: results are in specGrid
+// order (policy-major, benchmark-minor).
 func shootoutTable(constraintUs float64, results []workloads.SpecResult) *tablefmt.Table {
 	cols := append([]string{"Policy"}, ShootoutBenchmarks...)
 	cols = append(cols, "Suite", "P99", "Killed")
@@ -93,7 +80,7 @@ func shootoutTable(constraintUs float64, results []workloads.SpecResult) *tablef
 		var periods, violations float64
 		ls := newLatencyStats("shootout/" + policy)
 		for i := range ShootoutBenchmarks {
-			res := results[i*len(ShootoutPolicies)+j].Periodic
+			res := results[j*len(ShootoutBenchmarks)+i].Periodic
 			row = append(row, tablefmt.Pct(res.ViolationRate))
 			periods += float64(res.Periods)
 			violations += res.ViolationRate * float64(res.Periods)

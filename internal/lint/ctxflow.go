@@ -45,8 +45,8 @@ var CtxFlowPackages = []string{
 //     without default, sync Wait — must take a context.Context so
 //     callers can bound it.
 //
-// Deliberate roots — the non-Ctx convenience wrappers that start a
-// fresh context at the API boundary — have no surrounding context and
+// Deliberate roots — functions without a context parameter that start
+// a fresh context at the API boundary — have no surrounding context and
 // are therefore not laundering; a genuine exception carries
 // //chimera:allow ctxflow <reason>.
 var CtxFlow = &Analyzer{

@@ -293,34 +293,6 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (res *JobResult, raw
 		}
 	}
 
-	if spec.Trace {
-		policy, _, err := jobspec.ParsePolicy(spec.Policy)
-		if err != nil {
-			return nil, nil, false, nil, err
-		}
-		rec, err := workloads.RecordContext(ctx, workloads.RecordOptions{
-			Bench:      spec.Bench,
-			Window:     units.FromMicroseconds(spec.WindowUs),
-			Constraint: units.FromMicroseconds(spec.ConstraintUs),
-			Seed:       spec.Seed,
-			Policy:     policy,
-			Estimator:  spec.Estimator,
-			Metrics:    s.reg,
-		})
-		if err != nil {
-			return nil, nil, true, nil, err
-		}
-		return &JobResult{
-			Kind: spec.Kind,
-			Trace: &TraceInfo{
-				Events:     len(rec.Events),
-				Periods:    rec.Periods,
-				Violations: rec.Violations,
-				Requests:   rec.Requests,
-			},
-		}, nil, true, rec.Events, nil
-	}
-
 	runner, err := workloads.NewRunnerWith(s.catalog,
 		units.FromMicroseconds(spec.WindowUs), units.FromMicroseconds(spec.ConstraintUs), spec.Seed)
 	if err != nil {
@@ -339,8 +311,24 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (res *JobResult, raw
 			strconv.FormatUint(spec.Seed, 10)))
 		runner.Variant = p.Fingerprint()
 	}
+	ex := workloads.NewExecutor(runner)
 
-	out, ran, err := workloads.NewExecutor(runner).Run(ctx, spec)
+	if spec.Trace {
+		rec, err := ex.Record(ctx, spec)
+		if err != nil {
+			return nil, nil, true, nil, err
+		}
+		return &JobResult{
+			Kind: spec.Kind,
+			Trace: &TraceInfo{
+				Events:     len(rec.Events),
+				Periods:    rec.Periods,
+				Violations: rec.Violations,
+				Requests:   rec.Requests,
+			},
+		}, nil, true, rec.Events, nil
+	}
+	out, ran, err := ex.Run(ctx, spec)
 	if err != nil {
 		return nil, nil, ran, nil, err
 	}

@@ -12,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"chimera/internal/preempt"
+	"chimera/internal/trace"
 )
 
 // newTestServer boots a server with small limits and an httptest
@@ -457,6 +460,48 @@ func TestTraceEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("untraced trace fetch: got %d, want 404", resp2.StatusCode)
+	}
+}
+
+// TestTraceMatchesUntracedSpec pins that a traced job simulates exactly
+// what the untraced spec computes — headroom included: the trace's
+// per-block preemption events, by technique, equal the untraced
+// result's Mix.
+func TestTraceMatchesUntracedSpec(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	spec := JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 20000, ConstraintUs: 5, HeadroomUs: 1}
+
+	spec.Trace = true
+	st, code := postJob(t, ts, spec, "?wait=1")
+	if code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("traced job: code %d state %s (%s)", code, st.State, st.Error)
+	}
+	j, _ := s.lookup(st.ID)
+	j.mu.Lock()
+	var traced [preempt.NumTechniques]int
+	for _, ev := range j.events {
+		switch ev.Kind {
+		case trace.SaveTB:
+			traced[preempt.Switch]++
+		case trace.DrainTB:
+			traced[preempt.Drain]++
+		case trace.FlushTB:
+			traced[preempt.Flush]++
+		}
+	}
+	j.mu.Unlock()
+
+	spec.Trace = false
+	st, code = postJob(t, ts, spec, "?wait=1")
+	if code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("untraced job: code %d state %s (%s)", code, st.State, st.Error)
+	}
+	var res JobResult
+	if err := json.Unmarshal(st.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Periodic == nil || traced != res.Periodic.Mix {
+		t.Errorf("traced switch/drain/flush blocks %v, untraced spec computes %v", traced, res.Periodic.Mix)
 	}
 }
 

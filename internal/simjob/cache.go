@@ -18,9 +18,9 @@ import (
 // panicked jobs within a budget.
 type JobError struct {
 	// Job identifies the panicked execution when it unwound a
-	// Cache/Pool Do call (zero value for a bare Pool.Run task).
+	// Cache/Pool Do call (zero value for a bare Map task).
 	Job Job
-	// Task is the Pool.Run task index, or -1 for cache executions.
+	// Task is the Map task index, or -1 for cache executions.
 	Task int
 	// Value is the recovered panic value.
 	Value any

@@ -127,7 +127,7 @@ func TestPoolRunPanicKeepsDraining(t *testing.T) {
 			return nil
 		}
 	}
-	err := p.Run(tasks...)
+	err := p.run(tasks...)
 	var je *JobError
 	if !errors.As(err, &je) || je.Task != 2 {
 		t.Fatalf("want *JobError{Task:2}, got %v", err)

@@ -10,7 +10,7 @@ import (
 
 // Pool bounds the parallelism of a batch of simulation jobs and routes
 // their results through a Cache. It is cheap to construct — the workers
-// are the caller goroutines of Run, admitted through a semaphore — so
+// are goroutines Map starts per task, admitted through a semaphore — so
 // every experiment runner can carry its own Pool while sharing the
 // process-wide cache.
 type Pool struct {
@@ -89,16 +89,36 @@ func (p *Pool) DoContext(ctx context.Context, job Job, fn func(context.Context) 
 	return v, err
 }
 
-// Run executes the tasks with at most Parallelism of them in flight,
-// waits for all of them, and returns the first error in task order (all
-// tasks run to completion regardless). Tasks typically close over an
-// index into a caller-owned results slice, which keeps assembly order
-// deterministic no matter the completion order. Run may be called
-// concurrently; tasks must not call Run on the same pool (they would
-// wait for worker slots their parents hold).
-//
-//chimera:allow ctxflow Run is a structured-concurrency barrier: cancellation reaches tasks through the contexts they close over, and the barrier must still wait for them to unwind or goroutines would leak
-func (p *Pool) Run(tasks ...func() error) error {
+// Map runs fn(i) for every i in [0, n) as one flat task list on the
+// pool, at most Parallelism at once, and returns the results in index
+// order, or the first error by index (every task runs to completion
+// regardless; a panicking task fails as a *JobError). It is the one
+// fan-out behind every batch of simulations: results land by index,
+// never by completion order, so anything assembled from them is
+// byte-identical at any parallelism. Map may be called concurrently;
+// fn must not call Map on the same pool (it would wait for worker slots
+// its caller holds) but may use Do freely. Map takes no context: it is
+// a structured-concurrency barrier that must wait for its tasks to
+// unwind, and cancellation reaches them through the contexts fn closes
+// over.
+func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	tasks := make([]func() error, n)
+	for i := range tasks {
+		tasks[i] = func() (err error) {
+			out[i], err = fn(i)
+			return err
+		}
+	}
+	if err := p.run(tasks...); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// run executes the tasks with at most Parallelism of them in flight,
+// waits for all of them, and returns the first error in task order.
+func (p *Pool) run(tasks ...func() error) error {
 	p.stats.taskQueued(int64(len(tasks)))
 	errs := make([]error, len(tasks))
 	var wg sync.WaitGroup

@@ -30,9 +30,8 @@ const (
 	KindSolo Kind = iota
 	// KindPeriodic is the §4.1 periodic real-time-task scenario.
 	KindPeriodic
-	// KindPair is the §4.4 two-process case study.
-	KindPair
-	// KindMulti is the N-process multiprogramming extension.
+	// KindMulti is §4.4 multiprogramming: N processes sharing the
+	// device, the paper's two-process pairs included.
 	KindMulti
 	// KindCustom is any other simulation routed through the cache.
 	KindCustom
@@ -45,8 +44,6 @@ func (k Kind) String() string {
 		return "solo"
 	case KindPeriodic:
 		return "periodic"
-	case KindPair:
-		return "pair"
 	case KindMulti:
 		return "multi"
 	default:

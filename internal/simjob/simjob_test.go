@@ -138,7 +138,7 @@ func TestPoolRunBoundsParallelism(t *testing.T) {
 			return nil
 		})
 	}
-	if err := p.Run(tasks...); err != nil {
+	if err := p.run(tasks...); err != nil {
 		t.Fatal(err)
 	}
 	if peak.Load() > 3 {
@@ -154,7 +154,7 @@ func TestPoolRunFirstErrorInTaskOrder(t *testing.T) {
 	p := NewPool(4, NewCache())
 	errA, errB := errors.New("a"), errors.New("b")
 	ran := make([]bool, 4)
-	err := p.Run(
+	err := p.run(
 		func() error { ran[0] = true; time.Sleep(5 * time.Millisecond); return errA },
 		func() error { ran[1] = true; return errB },
 		func() error { ran[2] = true; return nil },
@@ -172,9 +172,62 @@ func TestPoolRunFirstErrorInTaskOrder(t *testing.T) {
 
 func TestPoolRunRecoversPanics(t *testing.T) {
 	p := NewPool(2, NewCache())
-	err := p.Run(func() error { panic("kaboom") })
+	err := p.run(func() error { panic("kaboom") })
 	if err == nil || !contains(err.Error(), "kaboom") {
 		t.Errorf("panic not surfaced as error: %v", err)
+	}
+}
+
+// TestMapIndexOrder checks results land by index, not completion order:
+// later tasks finish first, and a serial and an eight-wide pool return
+// the same slice.
+func TestMapIndexOrder(t *testing.T) {
+	const n = 16
+	square := func(i int) (int, error) {
+		time.Sleep(time.Duration(n-i) * 100 * time.Microsecond)
+		return i * i, nil
+	}
+	for _, parallelism := range []int{1, 8} {
+		p := NewPool(parallelism, NewCache())
+		out, err := Map(p, n, square)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range out {
+			if v != i*i {
+				t.Fatalf("parallelism %d: out[%d] = %d, want %d", parallelism, i, v, i*i)
+			}
+		}
+		if st := p.Stats(); st.TasksQueued != n || st.TasksDone != n {
+			t.Errorf("parallelism %d: stats = %+v, want %d tasks through the pool", parallelism, st, n)
+		}
+	}
+}
+
+// TestMapFirstErrorByIndex checks Map fails with the lowest-index error
+// even when a later task fails first, after every task ran.
+func TestMapFirstErrorByIndex(t *testing.T) {
+	p := NewPool(4, NewCache())
+	var ran atomic.Int64
+	out, err := Map(p, 6, func(i int) (int, error) {
+		ran.Add(1)
+		switch i {
+		case 1:
+			time.Sleep(5 * time.Millisecond)
+			return 0, fmt.Errorf("task %d", i)
+		case 4:
+			return 0, fmt.Errorf("task %d", i)
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "task 1" {
+		t.Errorf("err = %v, want the first error by index (task 1)", err)
+	}
+	if out != nil {
+		t.Errorf("out = %v on error, want nil", out)
+	}
+	if ran.Load() != 6 {
+		t.Errorf("%d tasks ran, want all 6", ran.Load())
 	}
 }
 
@@ -192,7 +245,7 @@ func contains(s, sub string) bool {
 // without consuming extra worker slots.
 func TestPoolDoNested(t *testing.T) {
 	p := NewPool(1, NewCache()) // one slot: nested Do must not need a second
-	err := p.Run(func() error {
+	err := p.run(func() error {
 		outer, err := p.Do(Job{Kind: KindPeriodic, Benchmarks: "HS"}, func() (any, error) {
 			inner, err := p.Do(Job{Kind: KindSolo, Benchmarks: "HS"}, func() (any, error) {
 				return 2.0, nil
@@ -224,7 +277,7 @@ func TestPoolProgressHook(t *testing.T) {
 		snaps = append(snaps, s)
 		mu.Unlock()
 	})
-	if err := p.Run(func() error { return nil }, func() error { return nil }); err != nil {
+	if err := p.run(func() error { return nil }, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -250,7 +303,7 @@ func TestGlobalStatsAggregates(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	want := map[Kind]string{KindSolo: "solo", KindPeriodic: "periodic", KindPair: "pair", KindMulti: "multi", KindCustom: "custom"}
+	want := map[Kind]string{KindSolo: "solo", KindPeriodic: "periodic", KindMulti: "multi", KindCustom: "custom"}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), s)

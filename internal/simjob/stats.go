@@ -11,7 +11,7 @@ import (
 // reports one pool; GlobalStats aggregates every pool and cache in the
 // process (what the chimerasim -progress ticker displays).
 type Stats struct {
-	// TasksQueued counts batch tasks submitted to Pool.Run.
+	// TasksQueued counts batch tasks submitted through Map.
 	TasksQueued int64
 	// TasksRunning counts batch tasks currently executing.
 	TasksRunning int64

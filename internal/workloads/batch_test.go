@@ -1,7 +1,10 @@
 package workloads
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -34,7 +37,7 @@ func TestConcurrentDuplicateRunsExecuteOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := r.RunPeriodic("HS", engine.ChimeraPolicy{})
+			res, _, err := r.RunPeriodic(context.Background(), "HS", engine.ChimeraPolicy{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -56,42 +59,45 @@ func TestConcurrentDuplicateRunsExecuteOnce(t *testing.T) {
 }
 
 // TestBatchMatchesSerial checks the fan-out path returns exactly what
-// the serial path computes, in enumeration order.
+// the serial path computes, in enumeration order: RunSpecs eight-wide
+// against one-at-a-time Run calls on a private cache each.
 func TestBatchMatchesSerial(t *testing.T) {
-	benches := []string{"HS", "SAD", "BT"}
-	policies := StandardPolicies()
+	var specs []jobspec.Spec
+	for _, bench := range []string{"HS", "SAD", "BT"} {
+		for _, policy := range []string{jobspec.PolicySwitch, jobspec.PolicyDrain, jobspec.PolicyFlush, jobspec.PolicyChimera} {
+			specs = append(specs, jobspec.Periodic(bench, policy).WithWindowUs(3000).WithSeed(7))
+		}
+	}
+	serial := NewExecutor(isolatedRunner(t, 3000, 1))
+	parallel := NewExecutor(isolatedRunner(t, 3000, 8))
 
-	serial := isolatedRunner(t, 3000, 1)
-	parallel := isolatedRunner(t, 3000, 8)
-
-	batch, err := parallel.RunPeriodicAll(benches, policies)
+	batch, err := parallel.RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, bench := range benches {
-		for j, policy := range policies {
-			want, err := serial.RunPeriodic(bench, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(batch[i][j], want) {
-				t.Errorf("%s/%s: batch %+v != serial %+v", bench, policy.Name(), batch[i][j], want)
-			}
+	for i, spec := range specs {
+		want, _, err := serial.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(batch[i], want) {
+			t.Errorf("%s/%s: batch %+v != serial %+v", spec.Bench, spec.Policy, batch[i].Periodic, want.Periodic)
 		}
 	}
 }
 
-// TestRunPairsAllOrder checks results come back in spec order with the
+// TestRunSpecsOrder checks results come back in spec order with the
 // FCFS baseline and policies interleaved, as the figure harnesses
-// enumerate them.
-func TestRunPairsAllOrder(t *testing.T) {
-	r := isolatedRunner(t, 3000, 4)
-	specs := []PairSpec{
-		{A: "HS", B: "SAD", Serial: true},
-		{A: "HS", B: "SAD", Policy: engine.ChimeraPolicy{}},
-		{A: "HS", B: "HS", Policy: engine.ChimeraPolicy{}},
+// enumerate them, and that a failing batch reports its first failure
+// by index.
+func TestRunSpecsOrder(t *testing.T) {
+	e := NewExecutor(isolatedRunner(t, 3000, 4))
+	specs := []jobspec.Spec{
+		jobspec.Pair("HS", "SAD", jobspec.PolicyFCFS).WithWindowUs(3000),
+		jobspec.Pair("HS", "SAD", jobspec.PolicyChimera).WithWindowUs(3000),
+		jobspec.Pair("HS", "HS", jobspec.PolicyChimera).WithWindowUs(3000),
 	}
-	results, err := r.RunPairsAll(specs)
+	results, err := e.RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,21 +106,27 @@ func TestRunPairsAllOrder(t *testing.T) {
 	}
 	wantPolicies := []string{"FCFS", "Chimera", "Chimera"}
 	for i, res := range results {
-		if res.A != specs[i].A || res.B != specs[i].B || res.Policy != wantPolicies[i] {
-			t.Errorf("result %d = %+v, want spec %+v", i, res, specs[i])
+		if res.Pair == nil || res.Pair.A != specs[i].Bench || res.Pair.B != specs[i].BenchB || res.Pair.Policy != wantPolicies[i] {
+			t.Errorf("result %d = %+v, want spec %+v", i, res.Pair, specs[i])
 		}
+	}
+
+	bad := []jobspec.Spec{specs[0], jobspec.Solo("NOPE1"), specs[1], jobspec.Solo("NOPE2")}
+	if _, err := e.RunSpecs(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "NOPE1") {
+		t.Errorf("err = %v, want the first failing spec by index (NOPE1)", err)
 	}
 }
 
-// TestRunMultiAllSharesSoloBaselines runs overlapping multi sets and
-// checks the solo baselines were computed once per benchmark.
-func TestRunMultiAllSharesSoloBaselines(t *testing.T) {
+// TestRunMultiSharesSoloBaselines runs overlapping multi sets as one
+// fan-out and checks the solo baselines were computed once per
+// benchmark.
+func TestRunMultiSharesSoloBaselines(t *testing.T) {
 	r := isolatedRunner(t, 3000, 4)
-	specs := []MultiSpec{
-		{Benchmarks: []string{"HS", "SAD"}, Policy: engine.ChimeraPolicy{}},
-		{Benchmarks: []string{"HS", "SAD", "BT"}, Policy: engine.ChimeraPolicy{}},
-	}
-	results, err := r.RunMultiAll(specs)
+	sets := [][]string{{"HS", "SAD"}, {"HS", "SAD", "BT"}}
+	results, err := simjob.Map(r.Pool(), len(sets), func(i int) (MultiResult, error) {
+		res, _, err := r.RunMulti(context.Background(), sets[i], engine.ChimeraPolicy{}, false)
+		return res, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +140,32 @@ func TestRunMultiAllSharesSoloBaselines(t *testing.T) {
 	}
 }
 
+// TestRunMultiCancelled checks a cancelled ctx aborts an N-process run
+// and caches nothing, so a live retry simulates afresh.
+func TestRunMultiCancelled(t *testing.T) {
+	r := isolatedRunner(t, 3000, 2)
+	set := []string{"HS", "SAD", "BT"}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := r.RunMulti(ctx, set, engine.ChimeraPolicy{}, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := r.Pool().Cache().Len(); n != 0 {
+		t.Errorf("%d results cached after a cancelled run", n)
+	}
+	if _, executed, err := r.RunMulti(context.Background(), set, engine.ChimeraPolicy{}, false); err != nil || !executed {
+		t.Errorf("live retry: executed=%v err=%v, want a fresh simulation", executed, err)
+	}
+}
+
 // TestErrorResultsRetriedThroughRunner checks an unknown benchmark's
 // error is not cached at the runner level either.
 func TestErrorResultsRetriedThroughRunner(t *testing.T) {
 	r := isolatedRunner(t, 3000, 2)
-	if _, err := r.SoloRate("NOPE"); err == nil {
+	if _, _, err := r.SoloRate(context.Background(), "NOPE"); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, err := r.SoloRate("NOPE"); err == nil {
+	if _, _, err := r.SoloRate(context.Background(), "NOPE"); err == nil {
 		t.Fatal("unknown benchmark accepted on retry")
 	}
 	if st := r.Pool().Cache().Stats(); st.JobsRun != 2 || st.Errors != 2 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"chimera/internal/engine"
 	"chimera/internal/jobspec"
 	"chimera/internal/simjob"
 	"chimera/internal/units"
@@ -35,7 +36,7 @@ type Executor struct {
 }
 
 // NewExecutor wraps an environment Runner. The Runner's Window,
-// Constraint, Seed, Headroom and Variant act as nothing more than
+// Constraint, Seed, Headroom and Estimator act as nothing more than
 // placeholders — each Run overrides them from the spec — while its
 // remaining fields (catalog, pool, Warm, Contention, Config, Metrics,
 // Watchdog, Stall, Variant fallback) define the execution environment
@@ -44,67 +45,56 @@ func NewExecutor(r *Runner) *Executor {
 	return &Executor{base: r}
 }
 
-// NewDefaultExecutor builds an Executor over the shared Table 2 catalog
-// with the documented spec defaults as its environment.
-func NewDefaultExecutor() (*Executor, error) {
-	r, err := NewRunner(units.FromMicroseconds(1000), units.FromMicroseconds(15), 1)
-	if err != nil {
-		return nil, err
-	}
-	return NewExecutor(r), nil
-}
-
 // Runner exposes the environment Runner the Executor derives from.
 func (e *Executor) Runner() *Runner { return e.base }
 
-// runnerFor derives the per-spec Runner: the base environment with the
-// spec's simulation parameters substituted in. The spec must already be
-// normalized.
-func (e *Executor) runnerFor(spec jobspec.Spec) *Runner {
-	r := *e.base
-	r.Window = units.FromMicroseconds(spec.WindowUs)
-	r.Constraint = units.FromMicroseconds(spec.ConstraintUs)
-	r.Headroom = units.FromMicroseconds(spec.HeadroomUs)
-	r.Seed = spec.Seed
-	r.Estimator = spec.Estimator
-	if spec.Variant != "" {
-		r.Variant = spec.Variant
+// prepare normalizes and validates spec in place, parses its policy,
+// and derives the per-spec Runner: the base environment with the spec's
+// simulation parameters substituted in.
+func (e *Executor) prepare(spec *jobspec.Spec) (r *Runner, policy engine.Policy, serial bool, err error) {
+	spec.Normalize()
+	if err := spec.Validate(e.base.cat); err != nil {
+		return nil, nil, false, err
 	}
-	return &r
+	policy, serial, err = jobspec.ParsePolicy(spec.Policy)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	rs := *e.base
+	rs.Window = units.FromMicroseconds(spec.WindowUs)
+	rs.Constraint = units.FromMicroseconds(spec.ConstraintUs)
+	rs.Headroom = units.FromMicroseconds(spec.HeadroomUs)
+	rs.Seed = spec.Seed
+	rs.Estimator = spec.Estimator
+	if spec.Variant != "" {
+		rs.Variant = spec.Variant
+	}
+	return &rs, policy, serial, nil
 }
 
 // Run executes one spec. The spec is normalized and validated first, so
-// callers may pass sparse specs straight from user input. executed
-// reports whether the call ran a simulation (false = result cache or
-// singleflight hit) — the dedup signal chimerad and replay reports use.
+// callers may pass sparse specs straight from user input. A pair spec
+// runs as the two-process RunMulti and shares its cached result.
+// executed reports whether the call ran a simulation (false = result
+// cache or singleflight hit) — the dedup signal chimerad and replay
+// reports use.
 func (e *Executor) Run(ctx context.Context, spec jobspec.Spec) (res SpecResult, executed bool, err error) {
-	spec.Normalize()
-	if err := spec.Validate(e.base.cat); err != nil {
-		return SpecResult{}, false, err
-	}
-	policy, serial, err := jobspec.ParsePolicy(spec.Policy)
+	r, policy, serial, err := e.prepare(&spec)
 	if err != nil {
 		return SpecResult{}, false, err
 	}
-	r := e.runnerFor(spec)
 	res.Kind = spec.Kind
 	switch spec.Kind {
 	case jobspec.KindSolo:
-		res.SoloRate, executed, err = r.SoloRateCtx(ctx, spec.Bench)
+		res.SoloRate, executed, err = r.SoloRate(ctx, spec.Bench)
 	case jobspec.KindPeriodic:
 		var pr PeriodicResult
-		pr, executed, err = r.RunPeriodicCtx(ctx, spec.Bench, policy)
-		if err == nil {
-			res.Periodic = &pr
-		}
-	case jobspec.KindPair:
-		var pr PairResult
-		pr, executed, err = r.RunPairCtx(ctx, spec.Bench, spec.BenchB, policy, serial)
-		if err == nil {
-			res.Pair = &pr
-		}
-	default:
-		err = fmt.Errorf("workloads: unknown spec kind %q", spec.Kind)
+		pr, executed, err = r.RunPeriodic(ctx, spec.Bench, policy)
+		res.Periodic = &pr
+	default: // jobspec.KindPair
+		var mr MultiResult
+		mr, executed, err = r.RunMulti(ctx, []string{spec.Bench, spec.BenchB}, policy, serial)
+		res.Pair = &PairResult{A: spec.Bench, B: spec.BenchB, Policy: mr.Policy, ANTT: mr.ANTT, STP: mr.STP, Requests: mr.Requests}
 	}
 	if err != nil {
 		return SpecResult{}, executed, err
@@ -112,27 +102,19 @@ func (e *Executor) Run(ctx context.Context, spec jobspec.Spec) (res SpecResult, 
 	return res, executed, nil
 }
 
-// RunSpecs executes a batch of specs over the pool's workers and returns
-// results in enumeration order — like the other batch APIs, output is
-// byte-identical at any parallelism. The first error aborts the batch.
+// RunSpecs executes a batch of specs as one flat task list over the
+// pool (simjob.Map) and returns results in enumeration order, so output
+// is byte-identical at any parallelism. The first failing spec by index
+// fails the batch.
 func (e *Executor) RunSpecs(ctx context.Context, specs []jobspec.Spec) ([]SpecResult, error) {
-	out := make([]SpecResult, len(specs))
-	tasks := make([]func() error, len(specs))
-	for i, spec := range specs {
-		i, spec := i, spec
-		tasks[i] = func() error {
-			res, _, err := e.Run(ctx, spec)
-			if err != nil {
-				return fmt.Errorf("workloads: spec %s (%s %s): %w", spec.Hash(), spec.Kind, spec.Benchmarks(), err)
-			}
-			out[i] = res
-			return nil
+	return simjob.Map(e.base.pool, len(specs), func(i int) (SpecResult, error) {
+		spec := specs[i]
+		res, _, err := e.Run(ctx, spec)
+		if err != nil {
+			return SpecResult{}, fmt.Errorf("workloads: spec %s (%s %s): %w", spec.Hash(), spec.Kind, spec.Benchmarks(), err)
 		}
-	}
-	if err := e.base.pool.Run(tasks...); err != nil {
-		return nil, err
-	}
-	return out, nil
+		return res, nil
+	})
 }
 
 // SimJob returns the cache identity the spec executes under — the
@@ -140,24 +122,16 @@ func (e *Executor) RunSpecs(ctx context.Context, specs []jobspec.Spec) ([]SpecRe
 // simjob key. Equal spec hashes yield equal jobs under a fixed
 // environment, which the identity tests pin.
 func (e *Executor) SimJob(spec jobspec.Spec) (simjob.Job, error) {
-	spec.Normalize()
-	if err := spec.Validate(e.base.cat); err != nil {
-		return simjob.Job{}, err
-	}
-	policy, serial, err := jobspec.ParsePolicy(spec.Policy)
+	r, policy, serial, err := e.prepare(&spec)
 	if err != nil {
 		return simjob.Job{}, err
 	}
-	r := e.runnerFor(spec)
+	kind := simjob.KindMulti // a pair is the two-process run
 	switch spec.Kind {
 	case jobspec.KindSolo:
-		// Solo runs always execute under the fixed baseline options, so
-		// policy and headroom are normalized out of the key (see
-		// Runner.job).
-		return r.job(simjob.KindSolo, spec.Bench, "", false, 0), nil
+		kind = simjob.KindSolo
 	case jobspec.KindPeriodic:
-		return r.job(simjob.KindPeriodic, spec.Bench, jobspec.PolicyKey(policy, false), false, r.Headroom), nil
-	default: // jobspec.KindPair
-		return r.job(simjob.KindPair, spec.Benchmarks(), jobspec.PolicyKey(policy, serial), serial, 0), nil
+		kind = simjob.KindPeriodic
 	}
+	return r.job(kind, spec.Benchmarks(), policy, serial), nil
 }

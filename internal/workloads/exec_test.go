@@ -39,7 +39,7 @@ func TestExecutorMatchesRunner(t *testing.T) {
 	// The programmatic path with the same parameters must dedup against
 	// the spec path — they share a simjob identity.
 	r := e.Runner()
-	direct, executed, err := r.RunPeriodicCtx(ctx, "SAD", engine.ChimeraPolicy{})
+	direct, executed, err := r.RunPeriodic(ctx, "SAD", engine.ChimeraPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +48,38 @@ func TestExecutorMatchesRunner(t *testing.T) {
 	}
 	if direct.ViolationRate != res.Periodic.ViolationRate || direct.Overhead != res.Periodic.Overhead {
 		t.Errorf("spec path %+v != runner path %+v", res.Periodic, direct)
+	}
+}
+
+// TestPairIsTwoProcessRun pins that a pair spec is the two-process
+// RunMulti run: after the spec executes, RunMulti on the same two
+// benchmarks, policy and parameters is a cache hit with equal metrics.
+func TestPairIsTwoProcessRun(t *testing.T) {
+	e := newTestExecutor(t)
+	ctx := context.Background()
+	for _, policy := range []string{jobspec.PolicyChimera, jobspec.PolicyFCFS} {
+		spec := jobspec.Pair("HS", "SAD", policy).WithWindowUs(1000).WithConstraintUs(15).WithSeed(7)
+		res, executed, err := e.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !executed || res.Pair == nil {
+			t.Fatalf("%s: pair spec executed=%v result=%+v", policy, executed, res)
+		}
+		p, serial, err := jobspec.ParsePolicy(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi, executed, err := e.Runner().RunMulti(ctx, []string{"HS", "SAD"}, p, serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if executed {
+			t.Errorf("%s: RunMulti re-simulated the pair spec's run", policy)
+		}
+		if multi.ANTT != res.Pair.ANTT || multi.STP != res.Pair.STP || multi.Requests != res.Pair.Requests {
+			t.Errorf("%s: RunMulti %+v != pair %+v", policy, multi, *res.Pair)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -11,9 +12,9 @@ import (
 )
 
 // MultiResult is the outcome of running N benchmarks concurrently — the
-// generalization of the paper's two-process case study (the paper's
-// machinery never assumes two processes; the SM partitioning policy and
-// Algorithm 1 are N-ary by construction).
+// §4.4 case study, whose two-process pairs are the N = 2 case (the
+// paper's machinery never assumes two processes; the SM partitioning
+// policy and Algorithm 1 are N-ary by construction).
 type MultiResult struct {
 	Benchmarks []string
 	Policy     string
@@ -27,77 +28,62 @@ type MultiResult struct {
 	BusyFraction float64
 }
 
-// RunMulti runs the named benchmarks concurrently under the given
-// policy (serial=true for the FCFS baseline) and computes N-program
-// ANTT/STP against their stand-alone rates. Results are memoized by
-// job identity like every other scenario.
-func (r *Runner) RunMulti(benches []string, policy engine.Policy, serial bool) (MultiResult, error) {
-	if len(benches) == 0 {
-		return MultiResult{}, fmt.Errorf("workloads: RunMulti with no benchmarks")
-	}
-	job := r.job(simjob.KindMulti, MultiLabel(benches), jobspec.PolicyKey(policy, serial), serial, 0)
-	v, err := r.pool.Do(job, func() (any, error) {
-		return r.runMulti(benches, policy, serial)
-	})
-	if err != nil {
-		return MultiResult{}, err
-	}
-	return v.(MultiResult), nil
+// PairResult is the wire form of a two-process run, the payload of
+// pair specs: absolute ANTT and STP (improvements over FCFS are
+// computed by the experiment harness from two results).
+type PairResult struct {
+	A, B   string
+	Policy string
+	ANTT   float64
+	STP    float64
+	// Requests is the number of preemption requests the pair generated.
+	Requests int
 }
 
-func (r *Runner) runMulti(benches []string, policy engine.Policy, serial bool) (MultiResult, error) {
+// RunMulti runs the named benchmarks concurrently under the given
+// policy (nil policy + serial for the non-preemptive FCFS baseline) and
+// computes N-program ANTT/STP against their stand-alone rates. Results
+// are memoized by job identity like every other scenario; executed
+// reports whether this call ran the simulation.
+func (r *Runner) RunMulti(ctx context.Context, benches []string, policy engine.Policy, serial bool) (res MultiResult, executed bool, err error) {
+	if len(benches) == 0 {
+		return MultiResult{}, false, fmt.Errorf("workloads: RunMulti with no benchmarks")
+	}
+	return do(ctx, r, r.job(simjob.KindMulti, MultiLabel(benches), policy, serial), func(ctx context.Context) (MultiResult, error) {
+		return r.runMulti(ctx, benches, policy, serial)
+	})
+}
+
+func (r *Runner) runMulti(ctx context.Context, benches []string, policy engine.Policy, serial bool) (MultiResult, error) {
 	singles := make([]float64, len(benches))
 	for i, b := range benches {
-		rate, err := r.SoloRate(b)
+		rate, _, err := r.SoloRate(ctx, b)
 		if err != nil {
 			return MultiResult{}, err
 		}
 		singles[i] = rate
 	}
-	est, err := r.estimator()
+	sim, err := r.simulate(ctx, simjob.KindMulti, benches, policy, serial, nil)
 	if err != nil {
 		return MultiResult{}, err
 	}
-	sim := engine.New(engine.Options{
-		Config:         r.Config,
-		Policy:         policy,
-		Constraint:     r.Constraint,
-		Seed:           r.Seed,
-		WarmStats:      r.Warm,
-		Estimator:      est,
-		Serial:         serial,
-		ContentionBeta: r.Contention,
-	})
-	names := make([]string, len(benches))
-	for i, b := range benches {
-		spec, err := r.cat.Benchmark(b)
-		if err != nil {
-			return MultiResult{}, err
-		}
-		launches, err := Launches(r.cat, spec)
-		if err != nil {
-			return MultiResult{}, err
-		}
-		names[i] = fmt.Sprintf("%s#%d", b, i)
-		sim.AddProcess(engine.ProcessSpec{Name: names[i], Launches: launches, Loop: true})
-	}
-	sim.Run(r.Window)
 
+	// A process that never got the GPU inside the window (FCFS behind a
+	// 20ms kernel) has measured rate zero; floor it at one instruction
+	// per window so its normalized turnaround reflects the starvation
+	// instead of failing the metric.
 	progs := make([]metrics.ProgRate, len(benches))
-	for i := range benches {
-		u := sim.ProcessUseful(names[i])
+	for i, b := range benches {
+		u := sim.ProcessUseful(procName(b, i))
 		if u < 1 {
-			u = 1 // starvation floor, as in RunPair
+			u = 1
 		}
-		progs[i] = metrics.ProgRate{
-			Name:   benches[i],
-			Single: singles[i],
-			Multi:  float64(u) / float64(r.Window),
-		}
+		progs[i] = metrics.ProgRate{Name: b, Single: singles[i], Multi: float64(u) / float64(r.Window)}
 	}
+	name := jobspec.PolicyName(policy, serial)
 	antt, err := metrics.ANTT(progs)
 	if err != nil {
-		return MultiResult{}, err
+		return MultiResult{}, fmt.Errorf("workloads: %s under %s: %w", MultiLabel(benches), name, err)
 	}
 	stp, err := metrics.STP(progs)
 	if err != nil {
@@ -105,12 +91,18 @@ func (r *Runner) runMulti(benches []string, policy engine.Policy, serial bool) (
 	}
 	return MultiResult{
 		Benchmarks:   append([]string(nil), benches...),
-		Policy:       jobspec.PolicyName(policy, serial),
+		Policy:       name,
 		ANTT:         antt,
 		STP:          stp,
 		Requests:     len(sim.Requests()),
 		BusyFraction: sim.SMBusyFraction(r.Window),
 	}, nil
+}
+
+// procName names process i of a multiprogrammed run; the index keeps a
+// self-pair's two processes distinct.
+func procName(bench string, i int) string {
+	return fmt.Sprintf("%s#%d", bench, i)
 }
 
 // MultiLabel renders a benchmark set compactly, e.g. "LUD+HS+SAD".

@@ -2,13 +2,11 @@ package workloads
 
 import (
 	"context"
-	"fmt"
 
 	"chimera/internal/engine"
-	"chimera/internal/gpu"
-	"chimera/internal/kernels"
+	"chimera/internal/jobspec"
 	"chimera/internal/metrics"
-	"chimera/internal/sched/predict"
+	"chimera/internal/simjob"
 	"chimera/internal/trace"
 	"chimera/internal/units"
 )
@@ -16,34 +14,21 @@ import (
 // RecordOptions configures one directly-executed (never cached)
 // contention scenario whose full event stream is kept: the §4.1 setup of
 // a looping background benchmark preempted by the periodic real-time
-// task. Zero values select the canonical recording: SAD under the
-// Chimera policy with a 15 µs constraint for 5 ms.
+// task, under the Chimera policy at the default 15 µs constraint. Zero
+// values select the canonical recording: SAD for 5 ms with seed 1.
 type RecordOptions struct {
 	// Bench is the background benchmark's catalog name (default "SAD").
 	Bench string
 	// Window is the simulated duration (default 5 ms).
 	Window units.Cycles
-	// Constraint is the preemption latency bound (default 15 µs).
-	Constraint units.Cycles
 	// Seed drives the deterministic RNG (default 1).
 	Seed uint64
-	// Policy executes preemption requests (default ChimeraPolicy).
-	Policy engine.Policy
-	// Config overrides the device configuration (zero value = Table 1).
-	Config gpu.Config
 	// Metrics, when set, additionally collects the engine's histograms
 	// and counters into the given registry.
 	Metrics *metrics.Registry
-	// Estimator selects the runtime-estimate source ("" or "oracle" =
-	// the built-in warm-started measured statistics; "online" = the
-	// structural predictor).
-	Estimator string
-	// Extra, when set, receives every event alongside the Recording's
-	// own collector (e.g. a trace.WriterSink streaming to disk).
-	Extra trace.Recorder
 }
 
-// Recording is the outcome of one Record run: the complete ordered
+// Recording is the outcome of one recorded run: the complete ordered
 // event stream plus headline counts for a one-line summary.
 type Recording struct {
 	// Events is every event the run emitted, in nondecreasing At order.
@@ -60,73 +45,52 @@ type Recording struct {
 	Bench string
 }
 
-// Record executes one contention scenario with full tracing and returns
-// the recording. Unlike the Runner scenario methods it never consults
-// the simjob cache — a trace is a side effect, and cached results carry
-// none — so every call simulates.
-func Record(opts RecordOptions) (*Recording, error) {
-	return RecordContext(context.Background(), opts)
-}
-
-// RecordContext is Record with cancellation threaded down to the engine
-// event loop: a cancelled ctx aborts the simulation within one event
-// and returns ctx's error (no partial Recording is produced).
-func RecordContext(ctx context.Context, opts RecordOptions) (*Recording, error) {
+// Record executes the scenario opts describes with full tracing and
+// returns the recording. A cancelled ctx aborts the simulation within
+// one event and returns ctx's error (no partial Recording is produced).
+func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 	if opts.Bench == "" {
 		opts.Bench = "SAD"
 	}
 	if opts.Window == 0 {
 		opts.Window = units.FromMicroseconds(5000)
 	}
-	if opts.Constraint == 0 {
-		opts.Constraint = units.FromMicroseconds(15)
-	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.Policy == nil {
-		opts.Policy = engine.ChimeraPolicy{}
-	}
-
-	cat := kernels.Load()
-	b, err := cat.Benchmark(opts.Bench)
+	r, err := NewRunner(opts.Window, units.FromMicroseconds(15), opts.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("workloads: record: %w", err)
-	}
-	launches, err := Launches(cat, b)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: record: %w", err)
-	}
-
-	col := trace.NewCollector()
-	var rec trace.Recorder = col
-	if opts.Extra != nil {
-		rec = trace.Multi{col, opts.Extra}
-	}
-	est, err := predict.ForName(opts.Estimator)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: %w", err)
-	}
-	sim := engine.New(engine.Options{
-		Config:     opts.Config,
-		Policy:     opts.Policy,
-		Constraint: opts.Constraint,
-		Seed:       opts.Seed,
-		WarmStats:  true,
-		Estimator:  est,
-		Tracer:     rec,
-		Metrics:    opts.Metrics,
-	})
-	sim.AddProcess(engine.ProcessSpec{Name: opts.Bench, Launches: launches, Loop: true})
-	sim.AddPeriodicTask(PeriodicSpec(sim.Config().NumSMs))
-	if err := sim.RunContext(ctx, opts.Window); err != nil {
 		return nil, err
 	}
+	r.Metrics = opts.Metrics
+	return r.record(ctx, opts.Bench, engine.ChimeraPolicy{})
+}
 
+// Record executes one periodic spec with its full event stream kept, on
+// the per-spec Runner Run would use, so the recording is of exactly the
+// simulation the untraced spec computes. A trace is a side effect the
+// result cache cannot replay, so Record always simulates.
+func (e *Executor) Record(ctx context.Context, spec jobspec.Spec) (*Recording, error) {
+	spec.Trace = true // validation then admits periodic specs only
+	r, policy, _, err := e.prepare(&spec)
+	if err != nil {
+		return nil, err
+	}
+	return r.record(ctx, spec.Bench, policy)
+}
+
+// record runs the periodic scenario once, uncached, keeping every event.
+func (r *Runner) record(ctx context.Context, bench string, policy engine.Policy) (*Recording, error) {
+	col := trace.NewCollector()
+	sim, err := r.simulate(ctx, simjob.KindPeriodic, []string{bench}, policy, false, col)
+	if err != nil {
+		return nil, err
+	}
 	out := &Recording{
-		Events: col.Events(),
-		Window: opts.Window,
-		Bench:  opts.Bench,
+		Events:   col.Events(),
+		Requests: len(sim.Requests()),
+		Window:   r.Window,
+		Bench:    bench,
 	}
 	for _, p := range sim.PeriodRecords() {
 		out.Periods++
@@ -134,6 +98,5 @@ func RecordContext(ctx context.Context, opts RecordOptions) (*Recording, error) 
 			out.Violations++
 		}
 	}
-	out.Requests = len(sim.Requests())
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 
 	"chimera/internal/engine"
@@ -12,7 +13,7 @@ func TestRunPeriodicSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunPeriodic("BS", engine.ChimeraPolicy{})
+	res, _, err := r.RunPeriodic(context.Background(), "BS", engine.ChimeraPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +28,12 @@ func TestRunPairSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfs, err := r.RunPair("LUD", "HS", nil, true)
+	pair := []string{"LUD", "HS"}
+	fcfs, _, err := r.RunMulti(context.Background(), pair, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := r.RunPair("LUD", "HS", engine.ChimeraPolicy{}, false)
+	ch, _, err := r.RunMulti(context.Background(), pair, engine.ChimeraPolicy{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

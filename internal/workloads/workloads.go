@@ -1,18 +1,25 @@
 // Package workloads assembles the paper's evaluation scenarios from the
 // kernel catalog and the simulation engine: the periodic real-time task
-// scenario of §4.1-§4.3 and the multiprogrammed-pair case study of §4.4,
+// scenario of §4.1-§4.3 and the multiprogramming case study of §4.4,
 // including the non-preemptive FCFS baseline and the stand-alone runs
 // that normalize ANTT/STP.
+//
+// A Runner has one ctx-first method per scenario family — SoloRate,
+// RunPeriodic and RunMulti — and every run, traced recordings included,
+// builds its engine in one place (Runner.simulate). ANTT and STP are
+// N-program metrics, so a §4.4 pair is simply the two-process RunMulti
+// run: a pair spec and a two-benchmark RunMulti call share one cached
+// result.
 //
 // Every scenario run is routed through an internal/simjob pool: results
 // are memoized by their full Job identity (benchmark, policy, window,
 // constraint, seed, device config, catalog) in a cache shared across the
 // process, with singleflight semantics, so a Runner is safe for
 // concurrent use and the stand-alone baseline of a benchmark is
-// simulated once no matter how many exhibits ask for it. The batch APIs
-// (RunPeriodicAll, RunPairsAll, RunMultiAll) enumerate a full job set
-// and fan it out over the pool's workers while assembling results in
-// enumeration order — output is byte-identical at any parallelism.
+// simulated once no matter how many exhibits ask for it. Executor runs
+// canonical jobspec.Specs through the same methods; batches fan out
+// with simjob.Map, results in enumeration order, so output is
+// byte-identical at any parallelism.
 package workloads
 
 import (
@@ -27,18 +34,9 @@ import (
 	"chimera/internal/preempt"
 	"chimera/internal/sched/predict"
 	"chimera/internal/simjob"
+	"chimera/internal/trace"
 	"chimera/internal/units"
 )
-
-// estimator constructs a fresh per-run estimator instance from the
-// Runner's Estimator name (nil for the default oracle path).
-func (r *Runner) estimator() (predict.Estimator, error) {
-	est, err := predict.ForName(r.Estimator)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: %w", err)
-	}
-	return est, nil
-}
 
 // Launches converts a catalog benchmark into engine launch specs.
 func Launches(cat *kernels.Catalog, b *kernels.Benchmark) ([]engine.LaunchSpec, error) {
@@ -152,10 +150,11 @@ func (r *Runner) UsePool(p *simjob.Pool) *Runner {
 }
 
 // job builds the cache identity of one scenario run under the Runner's
-// current configuration. Solo runs always execute under the fixed
-// baseline options (Chimera policy, no headroom), so those fields are
-// normalized out of the key to maximize sharing across exhibits.
-func (r *Runner) job(kind simjob.Kind, benches, policy string, serial bool, headroom units.Cycles) simjob.Job {
+// current configuration. It mirrors simulate: solo runs always execute
+// under the fixed baseline options (Chimera policy, built-in estimator),
+// so policy and estimator are normalized out of their key to maximize
+// sharing across exhibits, and only periodic runs plan against Headroom.
+func (r *Runner) job(kind simjob.Kind, benches string, policy engine.Policy, serial bool) simjob.Job {
 	// An armed watchdog or stall injector changes run outcomes, so fold
 	// both into the cache-key variant even when the caller forgot to set
 	// one — a faulted run must never be served as a clean result.
@@ -163,83 +162,125 @@ func (r *Runner) job(kind simjob.Kind, benches, policy string, serial bool, head
 	if r.Watchdog != 0 || r.Stall != nil {
 		variant = fmt.Sprintf("%s|wd=%g|stall=%t", variant, r.Watchdog, r.Stall != nil)
 	}
-	// A non-default estimator changes which runtime estimates preemption
-	// planning sees, so it discriminates every preemption-bearing
-	// scenario's identity. Solo runs never preempt; keeping their key
-	// estimator-free maximizes sharing (mirroring jobspec.Hash, which
-	// folds the estimator in for all kinds — specs split keys slightly
-	// more eagerly than direct Runner calls, never less).
-	if kind != simjob.KindSolo && r.Estimator != "" && r.Estimator != predict.NameOracle {
-		variant = fmt.Sprintf("%s|est=%s", variant, r.Estimator)
-	}
-	return simjob.Job{
-		Variant:    variant,
+	job := simjob.Job{
 		Kind:       kind,
 		Benchmarks: benches,
-		Policy:     policy,
 		Serial:     serial,
 		Window:     r.Window,
 		Constraint: r.Constraint,
-		Headroom:   headroom,
 		Seed:       r.Seed,
 		Warm:       r.Warm,
 		Contention: r.Contention,
 		Config:     r.Config,
 		Catalog:    r.cat,
 	}
+	if kind == simjob.KindPeriodic {
+		job.Headroom = r.Headroom
+	}
+	// A non-default estimator changes which runtime estimates preemption
+	// planning sees, so it discriminates every preemption-bearing
+	// scenario's identity (jobspec.Hash folds it in for solo specs too —
+	// specs split keys slightly more eagerly than Runner calls, never
+	// less).
+	if kind != simjob.KindSolo {
+		job.Policy = jobspec.PolicyKey(policy, serial)
+		if r.Estimator != "" && r.Estimator != predict.NameOracle {
+			variant = fmt.Sprintf("%s|est=%s", variant, r.Estimator)
+		}
+	}
+	job.Variant = variant
+	return job
 }
 
-// SoloRate returns the benchmark's stand-alone progress rate (useful
-// warp instructions per cycle on the whole GPU), memoized per benchmark.
-func (r *Runner) SoloRate(bench string) (float64, error) {
-	rate, _, err := r.SoloRateCtx(context.Background(), bench)
-	return rate, err
-}
-
-// SoloRateCtx is SoloRate with cancellation threaded down to the engine
-// event loop. executed reports whether this call ran the simulation
-// (false = cache or singleflight hit) — the signal chimerad uses for
-// dedup accounting.
-func (r *Runner) SoloRateCtx(ctx context.Context, bench string) (rate float64, executed bool, err error) {
-	v, err := r.pool.DoContext(ctx, r.job(simjob.KindSolo, bench, "", false, 0), func(ctx context.Context) (any, error) {
-		executed = true
-		return r.soloRate(ctx, bench)
-	})
-	if err != nil {
-		return 0, executed, err
+// simulate is the one engine setup behind every scenario run, traced
+// recordings included: it runs benches as looping processes for the
+// Runner's window under its configuration and returns the finished
+// simulation. Periodic runs add the §4.1 real-time task and plan
+// against Headroom; preempting runs get a fresh estimator instance;
+// multiprogrammed processes are named by procName. A cancelled ctx
+// aborts the run within one event.
+func (r *Runner) simulate(ctx context.Context, kind simjob.Kind, benches []string, policy engine.Policy, serial bool, tracer trace.Recorder) (*engine.Simulation, error) {
+	procs := make([]engine.ProcessSpec, len(benches))
+	for i, bench := range benches {
+		b, err := r.cat.Benchmark(bench)
+		if err != nil {
+			return nil, err
+		}
+		launches, err := Launches(r.cat, b)
+		if err != nil {
+			return nil, err
+		}
+		procs[i] = engine.ProcessSpec{Name: bench, Launches: launches, Loop: true}
+		if kind == simjob.KindMulti {
+			procs[i].Name = procName(bench, i)
+		}
 	}
-	return v.(float64), executed, nil
-}
-
-func (r *Runner) soloRate(ctx context.Context, bench string) (float64, error) {
-	b, err := r.cat.Benchmark(bench)
-	if err != nil {
-		return 0, err
-	}
-	launches, err := Launches(r.cat, b)
-	if err != nil {
-		return 0, err
-	}
-	sim := engine.New(engine.Options{
+	opts := engine.Options{
 		Config:         r.Config,
-		Policy:         engine.ChimeraPolicy{},
+		Policy:         policy,
+		Serial:         serial,
 		Constraint:     r.Constraint,
 		Seed:           r.Seed,
 		WarmStats:      r.Warm,
 		ContentionBeta: r.Contention,
+		Tracer:         tracer,
 		Metrics:        r.Metrics,
 		WatchdogK:      r.Watchdog,
 		FaultStall:     r.Stall,
-	})
-	sim.AddProcess(engine.ProcessSpec{Name: bench, Launches: launches, Loop: true})
+	}
+	if kind == simjob.KindPeriodic {
+		opts.Headroom = r.Headroom
+	}
+	if kind != simjob.KindSolo {
+		est, err := predict.ForName(r.Estimator)
+		if err != nil {
+			return nil, fmt.Errorf("workloads: %w", err)
+		}
+		opts.Estimator = est
+	}
+	sim := engine.New(opts)
+	for _, p := range procs {
+		sim.AddProcess(p)
+	}
+	if kind == simjob.KindPeriodic {
+		sim.AddPeriodicTask(PeriodicSpec(sim.Config().NumSMs))
+	}
 	if err := sim.RunContext(ctx, r.Window); err != nil {
-		return 0, err
+		return nil, err
 	}
-	rate := float64(sim.ProcessUseful(bench)) / float64(r.Window)
-	if rate <= 0 {
-		return 0, fmt.Errorf("workloads: %s made no stand-alone progress", bench)
+	return sim, nil
+}
+
+// do computes one scenario run through the Runner's pool: memoized by
+// job, with singleflight, and never cached when fn fails or ctx aborts
+// it. executed reports whether this call ran fn (false = cache or
+// singleflight hit) — the dedup signal chimerad and replay report.
+func do[T any](ctx context.Context, r *Runner, job simjob.Job, fn func(context.Context) (T, error)) (res T, executed bool, err error) {
+	v, err := r.pool.DoContext(ctx, job, func(ctx context.Context) (any, error) {
+		executed = true
+		out, err := fn(ctx)
+		return out, err
+	})
+	if err != nil {
+		return res, executed, err
 	}
-	return rate, nil
+	return v.(T), executed, nil
+}
+
+// SoloRate returns the benchmark's stand-alone progress rate (useful
+// warp instructions per cycle on the whole GPU), memoized per benchmark.
+func (r *Runner) SoloRate(ctx context.Context, bench string) (rate float64, executed bool, err error) {
+	return do(ctx, r, r.job(simjob.KindSolo, bench, nil, false), func(ctx context.Context) (float64, error) {
+		sim, err := r.simulate(ctx, simjob.KindSolo, []string{bench}, engine.ChimeraPolicy{}, false, nil)
+		if err != nil {
+			return 0, err
+		}
+		rate := float64(sim.ProcessUseful(bench)) / float64(r.Window)
+		if rate <= 0 {
+			return 0, fmt.Errorf("workloads: %s made no stand-alone progress", bench)
+		}
+		return rate, nil
+	})
 }
 
 // PeriodicSpec returns the §4.1 synthetic real-time task: launched every
@@ -300,64 +341,24 @@ type RequestOutcome struct {
 // RunPeriodic runs one benchmark against the periodic real-time task
 // under the given policy and returns violation and overhead metrics.
 // Results are memoized per job identity so figures sharing the same
-// runs (Fig 6 and Fig 7) pay for them once.
-func (r *Runner) RunPeriodic(bench string, policy engine.Policy) (PeriodicResult, error) {
-	res, _, err := r.RunPeriodicCtx(context.Background(), bench, policy)
-	return res, err
-}
-
-// RunPeriodicCtx is RunPeriodic with cancellation threaded down to the
-// engine event loop: a cancelled ctx stops the simulation within one
-// event and the aborted run is not cached. executed reports whether
-// this call ran the simulation (false = cache or singleflight hit).
-func (r *Runner) RunPeriodicCtx(ctx context.Context, bench string, policy engine.Policy) (res PeriodicResult, executed bool, err error) {
-	job := r.job(simjob.KindPeriodic, bench, jobspec.PolicyKey(policy, false), false, r.Headroom)
-	v, err := r.pool.DoContext(ctx, job, func(ctx context.Context) (any, error) {
-		executed = true
+// runs (Fig 6 and Fig 7) pay for them once; executed reports whether
+// this call ran the simulation.
+func (r *Runner) RunPeriodic(ctx context.Context, bench string, policy engine.Policy) (res PeriodicResult, executed bool, err error) {
+	return do(ctx, r, r.job(simjob.KindPeriodic, bench, policy, false), func(ctx context.Context) (PeriodicResult, error) {
 		return r.runPeriodic(ctx, bench, policy)
 	})
-	if err != nil {
-		return PeriodicResult{}, executed, err
-	}
-	return v.(PeriodicResult), executed, nil
 }
 
 func (r *Runner) runPeriodic(ctx context.Context, bench string, policy engine.Policy) (PeriodicResult, error) {
-	soloRate, _, err := r.SoloRateCtx(ctx, bench)
+	soloRate, _, err := r.SoloRate(ctx, bench)
 	if err != nil {
 		return PeriodicResult{}, err
 	}
-	b, err := r.cat.Benchmark(bench)
+	sim, err := r.simulate(ctx, simjob.KindPeriodic, []string{bench}, policy, false, nil)
 	if err != nil {
 		return PeriodicResult{}, err
 	}
-	launches, err := Launches(r.cat, b)
-	if err != nil {
-		return PeriodicResult{}, err
-	}
-	est, err := r.estimator()
-	if err != nil {
-		return PeriodicResult{}, err
-	}
-	sim := engine.New(engine.Options{
-		Config:         r.Config,
-		Policy:         policy,
-		Constraint:     r.Constraint,
-		Seed:           r.Seed,
-		WarmStats:      r.Warm,
-		Estimator:      est,
-		ContentionBeta: r.Contention,
-		Headroom:       r.Headroom,
-		Metrics:        r.Metrics,
-		WatchdogK:      r.Watchdog,
-		FaultStall:     r.Stall,
-	})
-	sim.AddProcess(engine.ProcessSpec{Name: bench, Launches: launches, Loop: true})
 	rt := PeriodicSpec(sim.Config().NumSMs)
-	sim.AddPeriodicTask(rt)
-	if err := sim.RunContext(ctx, r.Window); err != nil {
-		return PeriodicResult{}, err
-	}
 
 	res := PeriodicResult{Benchmark: bench, Policy: policy.Name()}
 	// The real-time task is entitled to SMs/NumSMs of the machine for
@@ -396,123 +397,6 @@ func (r *Runner) runPeriodic(ctx context.Context, bench string, policy engine.Po
 		res.Outcomes = append(res.Outcomes, out)
 	}
 	return res, nil
-}
-
-// PairResult is one benchmark-pair × policy outcome of the §4.4 case
-// study: absolute ANTT and STP (improvements over FCFS are computed by
-// the experiment harness from two PairResults).
-type PairResult struct {
-	A, B   string
-	Policy string
-	ANTT   float64
-	STP    float64
-	// Requests is the number of preemption requests the pair generated.
-	Requests int
-}
-
-// RunPair runs two benchmarks concurrently under the given policy (nil
-// policy + serial=true is the FCFS baseline) and computes ANTT/STP
-// against their stand-alone rates.
-func (r *Runner) RunPair(a, b string, policy engine.Policy, serial bool) (PairResult, error) {
-	res, _, err := r.RunPairCtx(context.Background(), a, b, policy, serial)
-	return res, err
-}
-
-// RunPairCtx is RunPair with cancellation threaded down to the engine
-// event loop (see RunPeriodicCtx). executed reports whether this call
-// ran the simulation (false = cache or singleflight hit).
-func (r *Runner) RunPairCtx(ctx context.Context, a, b string, policy engine.Policy, serial bool) (res PairResult, executed bool, err error) {
-	job := r.job(simjob.KindPair, a+"+"+b, jobspec.PolicyKey(policy, serial), serial, 0)
-	v, err := r.pool.DoContext(ctx, job, func(ctx context.Context) (any, error) {
-		executed = true
-		return r.runPair(ctx, a, b, policy, serial)
-	})
-	if err != nil {
-		return PairResult{}, executed, err
-	}
-	return v.(PairResult), executed, nil
-}
-
-func (r *Runner) runPair(ctx context.Context, a, b string, policy engine.Policy, serial bool) (PairResult, error) {
-	rateA, _, err := r.SoloRateCtx(ctx, a)
-	if err != nil {
-		return PairResult{}, err
-	}
-	rateB, _, err := r.SoloRateCtx(ctx, b)
-	if err != nil {
-		return PairResult{}, err
-	}
-	ba, err := r.cat.Benchmark(a)
-	if err != nil {
-		return PairResult{}, err
-	}
-	bb, err := r.cat.Benchmark(b)
-	if err != nil {
-		return PairResult{}, err
-	}
-	la, err := Launches(r.cat, ba)
-	if err != nil {
-		return PairResult{}, err
-	}
-	lb, err := Launches(r.cat, bb)
-	if err != nil {
-		return PairResult{}, err
-	}
-	est, err := r.estimator()
-	if err != nil {
-		return PairResult{}, err
-	}
-	sim := engine.New(engine.Options{
-		Config:         r.Config,
-		Policy:         policy,
-		Constraint:     r.Constraint,
-		Seed:           r.Seed,
-		WarmStats:      r.Warm,
-		Estimator:      est,
-		Serial:         serial,
-		ContentionBeta: r.Contention,
-		Metrics:        r.Metrics,
-		WatchdogK:      r.Watchdog,
-		FaultStall:     r.Stall,
-	})
-	// Process names must be unique even for self-pairs (A == B).
-	nameA, nameB := a+"#0", b+"#1"
-	sim.AddProcess(engine.ProcessSpec{Name: nameA, Launches: la, Loop: true})
-	sim.AddProcess(engine.ProcessSpec{Name: nameB, Launches: lb, Loop: true})
-	if err := sim.RunContext(ctx, r.Window); err != nil {
-		return PairResult{}, err
-	}
-
-	// A process that never got the GPU inside the window (FCFS behind a
-	// 20ms kernel) has measured rate zero; floor it at one instruction
-	// per window so its normalized turnaround reflects the starvation
-	// instead of failing the metric.
-	rate := func(name string) float64 {
-		u := sim.ProcessUseful(name)
-		if u < 1 {
-			u = 1
-		}
-		return float64(u) / float64(r.Window)
-	}
-	progs := []metrics.ProgRate{
-		{Name: a, Single: rateA, Multi: rate(nameA)},
-		{Name: b, Single: rateB, Multi: rate(nameB)},
-	}
-	antt, err := metrics.ANTT(progs)
-	if err != nil {
-		return PairResult{}, fmt.Errorf("workloads: %s/%s under %s: %w", a, b, jobspec.PolicyName(policy, serial), err)
-	}
-	stp, err := metrics.STP(progs)
-	if err != nil {
-		return PairResult{}, err
-	}
-	return PairResult{
-		A: a, B: b,
-		Policy:   jobspec.PolicyName(policy, serial),
-		ANTT:     antt,
-		STP:      stp,
-		Requests: len(sim.Requests()),
-	}, nil
 }
 
 // StandardPolicies returns the four §4 contenders in the paper's

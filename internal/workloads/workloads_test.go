@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -39,16 +40,16 @@ func TestLaunchesRejectsUnknownKernel(t *testing.T) {
 
 func TestSoloRateMemoized(t *testing.T) {
 	r := newTestRunner(t, 3000, 15)
-	a, err := r.SoloRate("HS")
+	a, _, err := r.SoloRate(context.Background(), "HS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.SoloRate("HS")
+	b, executed, err := r.SoloRate(context.Background(), "HS")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Errorf("memoized solo rate changed: %v vs %v", a, b)
+	if a != b || executed {
+		t.Errorf("memoized solo rate changed or re-ran: %v vs %v (executed=%v)", a, b, executed)
 	}
 	if a <= 0 || a > 240 {
 		t.Errorf("implausible solo rate %v insts/cycle", a)
@@ -67,11 +68,11 @@ func TestPeriodicSpecHalvesTheMachine(t *testing.T) {
 
 func TestRunPeriodicMemoized(t *testing.T) {
 	r := newTestRunner(t, 4000, 15)
-	a, err := r.RunPeriodic("HS", engine.ChimeraPolicy{})
+	a, _, err := r.RunPeriodic(context.Background(), "HS", engine.ChimeraPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.RunPeriodic("HS", engine.ChimeraPolicy{})
+	b, _, err := r.RunPeriodic(context.Background(), "HS", engine.ChimeraPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestChimeraBeatsSwitchOnViolations(t *testing.T) {
 	// On a strictly idempotent benchmark whose switch time exceeds 15µs
 	// (HS: 19.7µs), the switch baseline violates while Chimera flushes.
 	r := newTestRunner(t, 6000, 15)
-	sw, err := r.RunPeriodic("HS", engine.FixedPolicy{Technique: preempt.Switch})
+	sw, _, err := r.RunPeriodic(context.Background(), "HS", engine.FixedPolicy{Technique: preempt.Switch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := r.RunPeriodic("HS", engine.ChimeraPolicy{})
+	ch, _, err := r.RunPeriodic(context.Background(), "HS", engine.ChimeraPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestRunPairSelfPair(t *testing.T) {
 	// A benchmark paired with itself must split the machine ~evenly:
 	// ANTT near 2 under FCFS and well below that with preemption.
 	r := newTestRunner(t, 4000, 30)
-	ch, err := r.RunPair("HS", "HS", engine.ChimeraPolicy{}, false)
+	ch, _, err := r.RunMulti(context.Background(), []string{"HS", "HS"}, engine.ChimeraPolicy{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +127,12 @@ func TestPreemptiveBeatsFCFSWithLongPartner(t *testing.T) {
 	// MUM's 20ms blocks monopolize the GPU under FCFS; any preemptive
 	// policy must improve ANTT for the pair.
 	r := newTestRunner(t, 8000, 30)
-	fcfs, err := r.RunPair("HS", "MUM", nil, true)
+	pair := []string{"HS", "MUM"}
+	fcfs, _, err := r.RunMulti(context.Background(), pair, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := r.RunPair("HS", "MUM", engine.ChimeraPolicy{}, false)
+	ch, _, err := r.RunMulti(context.Background(), pair, engine.ChimeraPolicy{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestPolicyName(t *testing.T) {
 
 func TestRunMulti(t *testing.T) {
 	r := newTestRunner(t, 6000, 30)
-	res, err := r.RunMulti([]string{"HS", "SAD", "BT"}, engine.ChimeraPolicy{}, false)
+	res, _, err := r.RunMulti(context.Background(), []string{"HS", "SAD", "BT"}, engine.ChimeraPolicy{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestRunMulti(t *testing.T) {
 	if res.Policy != "Chimera" || len(res.Benchmarks) != 3 {
 		t.Errorf("result metadata wrong: %+v", res)
 	}
-	if _, err := r.RunMulti(nil, engine.ChimeraPolicy{}, false); err == nil {
+	if _, _, err := r.RunMulti(context.Background(), nil, engine.ChimeraPolicy{}, false); err == nil {
 		t.Error("empty benchmark set accepted")
 	}
 }
