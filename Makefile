@@ -7,7 +7,7 @@ GO ?= go
 # when not, since offline containers cannot fetch it.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test short cover bench bench-all benchdiff verify-identical race results quick-results fuzz fuzz-smoke examples vet lint docs-check serve-smoke replay-smoke fleet-smoke clean
+.PHONY: all build test short cover bench bench-all benchdiff verify-identical race results quick-results fuzz fuzz-smoke examples vet lint docs-check smoke clean
 
 all: build test
 
@@ -56,11 +56,12 @@ BENCH_GROUPS = \
 	cluster:./internal/cluster/:^BenchmarkFleet \
 	sched:./internal/sched/:^BenchmarkAdmissionQueue$$
 
-bench_field = $(word $(2),$(subst :, ,$(1)))
+# field ENTRY,N,SEP: the Nth SEP-separated field of a list entry.
+field = $(word $(2),$(subst $(3), ,$(1)))
 
 # bench_groups PREFIX: run every group into PREFIX<name>.json.
 define bench_groups
-$(foreach g,$(BENCH_GROUPS),$(GO) test -run '^$$' -bench '$(call bench_field,$(g),3)' -benchmem -count=1 $(call bench_field,$(g),2) | $(GO) run ./cmd/benchjson -out $(1)$(call bench_field,$(g),1).json
+$(foreach g,$(BENCH_GROUPS),$(GO) test -run '^$$' -bench '$(call field,$(g),3,:)' -benchmem -count=1 $(call field,$(g),2,:) | $(GO) run ./cmd/benchjson -out $(1)$(call field,$(g),1,:).json
 )
 endef
 
@@ -77,7 +78,7 @@ BENCHDIFF_DIR ?= /tmp/chimera-benchdiff
 benchdiff:
 	mkdir -p $(BENCHDIFF_DIR)
 	$(call bench_groups,$(BENCHDIFF_DIR)/)
-	$(GO) run ./cmd/benchdiff $(foreach g,$(BENCH_GROUPS),BENCH_$(call bench_field,$(g),1).json $(BENCHDIFF_DIR)/$(call bench_field,$(g),1).json)
+	$(GO) run ./cmd/benchdiff $(foreach g,$(BENCH_GROUPS),BENCH_$(call field,$(g),1,:).json $(BENCHDIFF_DIR)/$(call field,$(g),1,:).json)
 
 # Metamorphic identity gate: the quick exhibit sweep must be
 # bit-reproducible (two runs byte-identical) and must still match the
@@ -114,62 +115,44 @@ quick-results:
 # Documentation gates: every example must build, the observability,
 # server and lint packages (whose APIs docs/observability.md,
 # docs/server.md and docs/static-analysis.md document) must not export
-# undocumented symbols, and the static-analysis page must stay
-# cross-linked from README and DESIGN.
+# undocumented symbols, and the pages must stay cross-linked. Each
+# DOC_LINKS entry is FILE=TEXT: FILE must exist and contain TEXT (`=`
+# separates because chimera:hot holds a colon).
+DOC_LINKS = \
+	README.md=docs/static-analysis.md \
+	DESIGN.md=static-analysis.md \
+	docs/server.md=jobs.md \
+	EXPERIMENTS.md=jobspec \
+	README.md=docs/performance.md \
+	DESIGN.md=performance.md \
+	docs/observability.md=performance.md \
+	docs/performance.md=static-analysis.md \
+	docs/static-analysis.md=chimera:hot \
+	DESIGN.md=hotalloc \
+	DESIGN.md=jobspec \
+	docs/paper-map.md=jobspec \
+	docs/paper-map.md=performance.md \
+	docs/server.md=cluster.md \
+	README.md=docs/cluster.md \
+	docs/server.md=scheduling.md \
+	docs/jobs.md=scheduling.md \
+	docs/observability.md=scheduling.md \
+	docs/faults.md=server.md \
+	docs/cluster.md=server.md \
+	docs/scheduling.md=server.md
+
 docs-check:
 	$(GO) build ./examples/...
 	$(GO) run ./cmd/doccheck ./internal/trace ./internal/metrics ./internal/server ./internal/server/client ./internal/lint ./internal/faults ./internal/jobspec ./internal/replay ./internal/cluster ./internal/sched ./internal/sched/predict
-	@test -f docs/static-analysis.md || { echo "docs/static-analysis.md is missing"; exit 1; }
-	@test -f docs/faults.md || { echo "docs/faults.md is missing"; exit 1; }
-	@test -f docs/jobs.md || { echo "docs/jobs.md is missing"; exit 1; }
-	@test -f docs/performance.md || { echo "docs/performance.md is missing"; exit 1; }
-	@grep -q "docs/static-analysis.md" README.md || { echo "README.md does not link docs/static-analysis.md"; exit 1; }
-	@grep -q "static-analysis.md" DESIGN.md || { echo "DESIGN.md does not link docs/static-analysis.md"; exit 1; }
-	@grep -q "jobs.md" docs/server.md || { echo "docs/server.md does not link docs/jobs.md"; exit 1; }
-	@grep -q "jobspec" EXPERIMENTS.md || { echo "EXPERIMENTS.md does not reference the jobspec layer"; exit 1; }
-	@grep -q "docs/performance.md" README.md || { echo "README.md does not link docs/performance.md"; exit 1; }
-	@grep -q "performance.md" DESIGN.md || { echo "DESIGN.md does not link docs/performance.md"; exit 1; }
-	@grep -q "performance.md" docs/observability.md || { echo "docs/observability.md does not link docs/performance.md"; exit 1; }
-	@grep -q "static-analysis.md" docs/performance.md || { echo "docs/performance.md does not link docs/static-analysis.md"; exit 1; }
-	@grep -q "chimera:hot" docs/static-analysis.md || { echo "docs/static-analysis.md does not document the //chimera:hot contract"; exit 1; }
-	@grep -q "hotalloc" DESIGN.md || { echo "DESIGN.md does not describe the hotalloc analyzer"; exit 1; }
-	@grep -q "jobspec" DESIGN.md || { echo "DESIGN.md does not reference the jobspec layer"; exit 1; }
-	@grep -q "jobspec" docs/paper-map.md || { echo "docs/paper-map.md does not reference the jobspec layer"; exit 1; }
-	@grep -q "performance.md" docs/paper-map.md || { echo "docs/paper-map.md does not reference docs/performance.md"; exit 1; }
-	@test -f docs/cluster.md || { echo "docs/cluster.md is missing"; exit 1; }
-	@grep -q "cluster.md" docs/server.md || { echo "docs/server.md does not link docs/cluster.md"; exit 1; }
-	@grep -q "docs/cluster.md" README.md || { echo "README.md does not link docs/cluster.md"; exit 1; }
-	@test -f docs/scheduling.md || { echo "docs/scheduling.md is missing"; exit 1; }
-	@grep -q "scheduling.md" docs/server.md || { echo "docs/server.md does not link docs/scheduling.md"; exit 1; }
-	@grep -q "scheduling.md" docs/jobs.md || { echo "docs/jobs.md does not link docs/scheduling.md"; exit 1; }
-	@grep -q "scheduling.md" docs/observability.md || { echo "docs/observability.md does not link docs/scheduling.md"; exit 1; }
+	@$(foreach l,$(DOC_LINKS),grep -qF '$(call field,$(l),2,=)' $(call field,$(l),1,=) || { echo "docs-check: $(call field,$(l),1,=) does not mention $(call field,$(l),2,=)"; exit 1; };)
 
-# End-to-end service smoke: boot chimerad on a random port, drive the
-# full client path (submit, poll, cancel, scrape /metrics), then SIGTERM
-# and assert a graceful drain. See docs/server.md.
-serve-smoke:
-	$(GO) build -o bin/chimerad ./cmd/chimerad
-	$(GO) run ./cmd/servesmoke -bin bin/chimerad
-
-# End-to-end record → replay → diff smoke: boot chimerad with -record,
-# drive a mixed campaign, drain, then replay the trace three times (once
-# with timing faults armed) and require byte-identical reports. See
-# docs/jobs.md.
-replay-smoke:
-	$(GO) build -o bin/chimerad ./cmd/chimerad
-	$(GO) build -o bin/chimerareplay ./cmd/chimerareplay
-	$(GO) run ./cmd/replaysmoke -daemon bin/chimerad -replay bin/chimerareplay
-
-# End-to-end fleet smoke: boot two chimerad replicas (peer cache armed)
-# plus a chimerafront on random ports, drive a duplicate-heavy workload
-# through the front and check the fleet-as-one-cache arithmetic, then a
-# chaos leg that arms one replica's HTTP fault plane and SIGTERMs it
-# mid-run — the front must fail its ring range over with zero failed
-# jobs. See docs/cluster.md.
-fleet-smoke:
-	$(GO) build -o bin/chimerad ./cmd/chimerad
-	$(GO) build -o bin/chimerafront ./cmd/chimerafront
-	$(GO) run ./cmd/fleetsmoke -chimerad bin/chimerad -front bin/chimerafront
+# End-to-end smoke of the real binaries (cmd/smoke): the serve, replay
+# and fleet scenarios boot chimerad, chimerafront and chimerareplay on
+# random ports, drive them over the wire, and require every process to
+# drain gracefully on one SIGTERM. See docs/server.md.
+smoke:
+	$(GO) build -o bin/ ./cmd/chimerad ./cmd/chimerafront ./cmd/chimerareplay
+	$(GO) run ./cmd/smoke -bin bin
 
 # Fuzz the kernel-IR parser for 30 seconds.
 fuzz:

@@ -11,8 +11,8 @@
 // digest — is byte-identical across replays of the same trace against
 // the same server configuration, including configurations whose fault
 // plane only perturbs timing (slowdowns, stalls below the violation
-// threshold). The replay-determinism tests and the replay-smoke CI leg
-// pin exactly that.
+// threshold). The replay-determinism tests and the replay scenario of
+// the end-to-end smoke (cmd/smoke) pin exactly that.
 package replay
 
 import (
