@@ -17,11 +17,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static-analysis gate (see docs/static-analysis.md): go vet, the
-# project's own chimeravet suite (determinism, sim-clock, context-flow
-# and schema invariants), the negative selftest that proves the fixture
-# corpus still fails, and a pinned staticcheck when installed.
+# Static-analysis gate (see docs/static-analysis.md): gofmt (any file
+# `gofmt -l` prints fails), go vet, the project's own chimeravet suite
+# (determinism, sim-clock, context-flow and schema invariants), the
+# negative selftest that proves the fixture corpus still fails, and a
+# pinned staticcheck when installed.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/chimeravet ./...
 	$(GO) run ./cmd/chimeravet -selftest

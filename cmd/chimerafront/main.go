@@ -20,7 +20,6 @@
 //	                  listening on ADDR")
 //	-replicas LIST    comma-separated replica base URLs (required),
 //	                  e.g. http://127.0.0.1:8080,http://127.0.0.1:8081
-//	-vnodes N         virtual nodes per replica on the ring (default 64)
 //	-max-inflight N   fleet-wide concurrent-admission cap; beyond it
 //	                  submissions shed with 429 + Retry-After
 //	                  (default 256)
@@ -52,7 +51,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8090", "listen address (use :0 for a random free port)")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs (required)")
-	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per replica on the ring")
 	maxInflight := flag.Int("max-inflight", 256, "fleet-wide concurrent-admission cap")
 	probe := flag.Duration("probe", time.Second, "health-probe cadence (0 disables probing)")
 	flag.Parse()
@@ -62,7 +60,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "chimerafront: -replicas is required")
 		os.Exit(2)
 	}
-	if err := run(*addr, list, *vnodes, *maxInflight, *probe); err != nil {
+	if err := run(*addr, list, *maxInflight, *probe); err != nil {
 		fmt.Fprintf(os.Stderr, "chimerafront: %v\n", err)
 		os.Exit(1)
 	}
@@ -80,10 +78,9 @@ func splitList(s string) []string {
 }
 
 // run boots the proxy and blocks until a shutdown signal has drained.
-func run(addr string, replicas []string, vnodes, maxInflight int, probe time.Duration) error {
+func run(addr string, replicas []string, maxInflight int, probe time.Duration) error {
 	front := cluster.NewFront(cluster.FrontConfig{
 		Replicas:    replicas,
-		VNodes:      vnodes,
 		MaxInflight: maxInflight,
 	})
 

@@ -7,15 +7,19 @@
 //	chimerasim [flags] all
 //	chimerasim list
 //
-// Experiments: table1 table2 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11
-// allpairs ablation.
+// Experiments, in the order list prints and all runs them: table1
+// table2 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11 latency allpairs
+// ablation contention scaling estacc calibrated gpusize seeds shootout.
 //
 // Flags:
 //
 //	-quick          use the fast, low-fidelity scale
+//	-json           emit results as JSON instead of text tables
+//	-chart          render results as terminal bar charts where possible
 //	-seed N         RNG seed (default 1)
 //	-periodic-us N  simulated µs per periodic-task run
 //	-pair-us N      simulated µs per pairwise run
+//	-v              print per-experiment timing
 //	-j N            run up to N simulations in parallel (0 = GOMAXPROCS)
 //	-progress       live job/cache/ETA ticker on stderr
 //	-trace FILE     record a fully-traced §4.1 contention scenario and

@@ -26,8 +26,10 @@ func QuickScale() Scale { return experiments.QuickScale() }
 // ResultTable is a printable experiment result.
 type ResultTable = tablefmt.Table
 
-// ExperimentNames lists the regenerable exhibits (table1, table2, fig2,
-// fig3, fig6-fig11, allpairs, ablation) in the paper's order.
+// ExperimentNames lists the regenerable exhibits in the order
+// `chimerasim list` prints them: the paper's table1, table2, fig2, fig3
+// and fig6-fig11, then latency, allpairs, ablation, contention,
+// scaling, estacc, calibrated, gpusize, seeds and shootout.
 func ExperimentNames() []string { return experiments.Names() }
 
 // RunExperiment regenerates one of the paper's tables or figures.

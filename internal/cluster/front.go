@@ -45,26 +45,18 @@ type FrontConfig struct {
 	// ("http://host:port"). Order is irrelevant — the list is
 	// canonicalized exactly like the ring's.
 	Replicas []string
-	// VNodes is the ring's virtual-node count per replica (0 =
-	// DefaultVNodes).
-	VNodes int
 	// MaxInflight caps concurrently-admitted submissions fleet-wide;
 	// beyond it the front sheds with 429 + Retry-After (default 256).
 	MaxInflight int
-	// Transport issues the proxied requests (default
-	// http.DefaultTransport).
-	Transport http.RoundTripper
-	// Registry receives the front/* metrics (default: a fresh registry,
-	// exposed via Registry()).
-	Registry *metrics.Registry
 	// Fetch overrides the peer-cache fetch (default: HTTP over
-	// Transport). Tests inject fakes.
+	// http.DefaultTransport). Tests inject fakes.
 	Fetch FetchFunc
-	// CacheTimeout bounds one peer-cache lookup on the submit path
-	// (default 250 ms); a slow peer must never cost more than this
-	// before the job is simply routed for recompute.
-	CacheTimeout time.Duration
 }
+
+// cacheTimeout bounds one peer-cache lookup on the front's paths: a
+// slow peer must never cost more than this before the job is simply
+// routed for recompute.
+const cacheTimeout = 250 * time.Millisecond
 
 // Front is the fleet's front proxy: it admits jobs fleet-wide (load
 // shedding past MaxInflight), deduplicates finished work through the
@@ -84,7 +76,6 @@ type Front struct {
 	cfg      FrontConfig
 	ring     *Ring
 	mem      *Membership
-	hc       *http.Client
 	fetch    FetchFunc
 	reg      *metrics.Registry
 	inflight atomic.Int64
@@ -97,37 +88,29 @@ type Front struct {
 	cProxyErrs *metrics.Counter
 }
 
-// NewFront builds a front proxy over the replica seed list.
+// NewFront builds a front proxy over the replica seed list, on the
+// DefaultVNodes ring every replica builds from the same list.
 func NewFront(cfg FrontConfig) *Front {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
 	}
-	if cfg.Transport == nil {
-		cfg.Transport = http.DefaultTransport
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = metrics.NewRegistry()
-	}
-	if cfg.CacheTimeout <= 0 {
-		cfg.CacheTimeout = 250 * time.Millisecond
-	}
+	reg := metrics.NewRegistry()
 	f := &Front{
 		cfg:  cfg,
-		ring: NewRing(cfg.Replicas, cfg.VNodes),
+		ring: NewRing(cfg.Replicas, 0),
 		mem:  NewMembership(cfg.Replicas),
-		hc:   &http.Client{Transport: cfg.Transport},
-		reg:  cfg.Registry,
+		reg:  reg,
 
-		cRouted:    cfg.Registry.Counter(MetricFrontRouted),
-		cShed:      cfg.Registry.Counter(MetricFrontShed),
-		cFailovers: cfg.Registry.Counter(MetricFrontFailovers),
-		cCacheHits: cfg.Registry.Counter(MetricFrontCacheHits),
-		cNoReplica: cfg.Registry.Counter(MetricFrontNoReplica),
-		cProxyErrs: cfg.Registry.Counter(MetricFrontProxyErrors),
+		cRouted:    reg.Counter(MetricFrontRouted),
+		cShed:      reg.Counter(MetricFrontShed),
+		cFailovers: reg.Counter(MetricFrontFailovers),
+		cCacheHits: reg.Counter(MetricFrontCacheHits),
+		cNoReplica: reg.Counter(MetricFrontNoReplica),
+		cProxyErrs: reg.Counter(MetricFrontProxyErrors),
 	}
 	f.fetch = cfg.Fetch
 	if f.fetch == nil {
-		f.fetch = NewHTTPFetch(f.hc)
+		f.fetch = NewHTTPFetch(http.DefaultClient)
 	}
 	return f
 }
@@ -143,15 +126,14 @@ func (f *Front) Membership() *Membership { return f.mem }
 func (f *Front) Ring() *Ring { return f.ring }
 
 // ProbeOnce runs one health round over the replicas (a GET on each
-// /healthz through the front's transport) and returns the number
-// observed down.
+// /healthz) and returns the number observed down.
 func (f *Front) ProbeOnce(ctx context.Context) int {
 	return f.mem.ProbeOnce(ctx, func(ctx context.Context, member string) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, member+"/healthz", nil)
 		if err != nil {
 			return err
 		}
-		resp, err := f.hc.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return err
 		}
@@ -165,7 +147,7 @@ func (f *Front) ProbeOnce(ctx context.Context) int {
 }
 
 // Handler returns the front's HTTP routes — the same public surface as
-// one chimerad, plus the fleet-level peer-cache route.
+// one chimerad.
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", f.handleSubmit)
@@ -174,7 +156,6 @@ func (f *Front) Handler() http.Handler {
 	mux.HandleFunc("DELETE /api/v1/jobs/{id}", f.handleJob)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", f.handleJob)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/trace", f.handleJob)
-	mux.HandleFunc("GET "+CachePathPrefix+"{hash}", f.handleCache)
 	mux.HandleFunc("GET /metrics", f.handleMetrics)
 	mux.HandleFunc("GET /healthz", f.handleHealthz)
 	return mux
@@ -300,7 +281,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Traced jobs always execute (a trace is a side effect the cache
 	// cannot replay), mirroring the replicas' own dedup rule.
 	if wait && !spec.Trace {
-		cctx, cancel := context.WithTimeout(r.Context(), f.cfg.CacheTimeout)
+		cctx, cancel := context.WithTimeout(r.Context(), cacheTimeout)
 		payload, err := f.fetch(cctx, targets[0], hash)
 		cancel()
 		if err == nil {
@@ -375,7 +356,7 @@ func (f *Front) proxy(ctx context.Context, method, member, pathAndQuery string, 
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	return f.hc.Do(req)
+	return http.DefaultClient.Do(req)
 }
 
 // relayStatus copies a replica's JobStatus response to the client,
@@ -488,7 +469,7 @@ func (f *Front) serveFromCache(w http.ResponseWriter, r *http.Request, hash, suf
 // the result.
 func (f *Front) lookupCache(ctx context.Context, hash string) ([]byte, bool) {
 	for _, t := range f.targets(hash) {
-		cctx, cancel := context.WithTimeout(ctx, f.cfg.CacheTimeout)
+		cctx, cancel := context.WithTimeout(ctx, cacheTimeout)
 		payload, err := f.fetch(cctx, t, hash)
 		cancel()
 		if err == nil {
@@ -496,20 +477,6 @@ func (f *Front) lookupCache(ctx context.Context, hash string) ([]byte, bool) {
 		}
 	}
 	return nil, false
-}
-
-// handleCache serves the fleet-level peer-cache route: the front
-// consults the hash owners on the caller's behalf.
-func (f *Front) handleCache(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	payload, ok := f.lookupCache(r.Context(), hash)
-	if !ok {
-		frontError(w, http.StatusNotFound, "front: no cached result for %s", hash)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(payload)
 }
 
 // streamThrough proxies an SSE status stream verbatim.
@@ -520,7 +487,7 @@ func (f *Front) streamThrough(w http.ResponseWriter, r *http.Request, member, lo
 		return
 	}
 	req.Header.Set("Accept", r.Header.Get("Accept"))
-	resp, err := f.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		f.cProxyErrs.Add(1)
 		frontError(w, http.StatusBadGateway, "front: replica unreachable: %v", err)

@@ -18,9 +18,9 @@ type ProbeFunc func(ctx context.Context, member string) error
 // whatever the last probe round — or the last MarkDown/MarkUp from a
 // failed or recovered request — observed. Staleness is bounded by the
 // caller's probe cadence plus the demand-driven marks; routing through
-// a stale view is safe because every consumer (front, ring-aware
-// client, peer cache) falls over to the next member or to a local
-// recompute when a listed member turns out to be dead.
+// a stale view is safe because every consumer (front, peer cache)
+// falls over to the next member or to a local recompute when a listed
+// member turns out to be dead.
 type Membership struct {
 	members []string // sorted, immutable
 

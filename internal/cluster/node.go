@@ -71,46 +71,27 @@ type Node struct {
 	Ring *Ring
 	// Fetch retrieves one hash from one member's peer cache.
 	Fetch FetchFunc
-	// MaxPeers bounds how many members of the hash's failover sequence
-	// are consulted (0 = 1, the owner alone). 2 additionally covers the
-	// owner-died-and-successor-recomputed case at the cost of one more
-	// round trip on a true miss.
-	MaxPeers int
 }
 
-// Lookup asks the hash-owner peers for a finished result. It returns
-// the payload and the member that served it; ErrCacheMiss when every
-// consulted peer missed; and the last transport error when one peer
-// failed and none hit. Self is skipped — a nil error never means
-// "compute anyway", and any error means exactly that.
+// Lookup asks the hash's first non-self member in Ring.Sequence order —
+// the owner, or its successor when this replica owns the hash — for a
+// finished result. It returns the payload and the member that served
+// it; ErrCacheMiss when that peer missed (or there is none); and the
+// fetch error otherwise. A nil error never means "compute anyway", and
+// any error means exactly that.
 func (n *Node) Lookup(ctx context.Context, hash string) (payload []byte, from string, err error) {
 	if n == nil || n.Ring == nil || n.Fetch == nil {
 		return nil, "", ErrCacheMiss
 	}
-	max := n.MaxPeers
-	if max <= 0 {
-		max = 1
-	}
-	err = ErrCacheMiss
-	consulted := 0
 	for _, member := range n.Ring.Sequence(hash) {
 		if member == n.Self {
 			continue
 		}
-		if consulted >= max {
-			break
+		b, err := n.Fetch(ctx, member, hash)
+		if err != nil {
+			return nil, "", err
 		}
-		consulted++
-		b, ferr := n.Fetch(ctx, member, hash)
-		if ferr == nil {
-			return b, member, nil
-		}
-		if !errors.Is(ferr, ErrCacheMiss) {
-			err = ferr
-		}
-		if ctx.Err() != nil {
-			return nil, "", ctx.Err()
-		}
+		return b, member, nil
 	}
-	return nil, "", err
+	return nil, "", ErrCacheMiss
 }

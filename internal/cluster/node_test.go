@@ -24,12 +24,11 @@ func fakeFetch(table map[string][]byte, errs map[string]error, calls *[]string) 
 	}
 }
 
-func testNode(self string, fetch FetchFunc, maxPeers int) *Node {
+func testNode(self string, fetch FetchFunc) *Node {
 	return &Node{
-		Self:     self,
-		Ring:     NewRing([]string{"http://a", "http://b", "http://c"}, 0),
-		Fetch:    fetch,
-		MaxPeers: maxPeers,
+		Self:  self,
+		Ring:  NewRing([]string{"http://a", "http://b", "http://c"}, 0),
+		Fetch: fetch,
 	}
 }
 
@@ -41,7 +40,7 @@ func TestNodeLookupHit(t *testing.T) {
 			"http://a": []byte(`{"a":1}`),
 			"http://b": []byte(`{"b":1}`),
 			"http://c": []byte(`{"c":1}`),
-		}, nil, &calls), 1)
+		}, nil, &calls))
 	payload, from, err := n.Lookup(context.Background(), hash)
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
@@ -67,7 +66,7 @@ func TestNodeLookupSkipsSelf(t *testing.T) {
 	hash := "deadbeef00000001"
 	owner := NewRing([]string{"http://a", "http://b", "http://c"}, 0).Owner(hash)
 	// Self is the owner: Lookup must go to the next member instead.
-	n := testNode(owner, fakeFetch(nil, nil, &calls), 1)
+	n := testNode(owner, fakeFetch(nil, nil, &calls))
 	if _, _, err := n.Lookup(context.Background(), hash); !errors.Is(err, ErrCacheMiss) {
 		t.Fatalf("Lookup err = %v, want ErrCacheMiss", err)
 	}
@@ -76,23 +75,12 @@ func TestNodeLookupSkipsSelf(t *testing.T) {
 	}
 }
 
-func TestNodeLookupMaxPeers(t *testing.T) {
-	var calls []string
-	n := testNode("", fakeFetch(nil, nil, &calls), 2)
-	if _, _, err := n.Lookup(context.Background(), "somehash"); !errors.Is(err, ErrCacheMiss) {
-		t.Fatalf("err = %v, want ErrCacheMiss", err)
-	}
-	if len(calls) != 2 {
-		t.Errorf("consulted %v, want exactly MaxPeers=2", calls)
-	}
-}
-
 func TestNodeLookupTransportError(t *testing.T) {
 	var calls []string
 	boom := errors.New("boom")
 	hash := "deadbeef00000001"
 	owner := NewRing([]string{"http://a", "http://b", "http://c"}, 0).Owner(hash)
-	n := testNode("", fakeFetch(nil, map[string]error{owner: boom}, &calls), 1)
+	n := testNode("", fakeFetch(nil, map[string]error{owner: boom}, &calls))
 	if _, _, err := n.Lookup(context.Background(), hash); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the transport error", err)
 	}

@@ -195,7 +195,7 @@ func (s *Simulation) allocTB() *threadBlock {
 		s.tbFree = s.tbFree[:n-1]
 		return tb
 	}
-	tb := &threadBlock{}                                          //chimera:allow hotalloc pool growth: one struct per high-water mark, recycled forever after
+	tb := &threadBlock{}                                           //chimera:allow hotalloc pool growth: one struct per high-water mark, recycled forever after
 	tb.fireDone = func(now units.Cycles) { s.tbComplete(tb, now) } //chimera:allow hotalloc closure created once per pooled struct, reused across every segment
 	tb.fireBreach = func(units.Cycles) { tb.breached = true }      //chimera:allow hotalloc closure created once per pooled struct, reused across every segment
 	return tb

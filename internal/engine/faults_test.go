@@ -15,7 +15,7 @@ import (
 func stalledPeriodic(t *testing.T, stall func(int, units.Cycles) units.Cycles, k float64, tracer trace.Recorder, reg *metrics.Registry) *Simulation {
 	t.Helper()
 	sim := New(Options{
-		Policy:     FixedPolicy{Technique: preempt.Drain},
+		Policy: FixedPolicy{Technique: preempt.Drain},
 		// BS drains estimate at 120-170µs; 600µs leaves room for a
 		// moderate stall to resolve before the deadline kill.
 		Constraint: units.FromMicroseconds(600),

@@ -165,9 +165,9 @@ func (sm *smUnit) place(tb *threadBlock, now units.Cycles) {
 		if sm.sim.tracing {
 			sm.sim.emit(trace.Event{At: now, Kind: trace.RestoreTB, Kernel: k.params.Label,
 				SM: int(sm.id), TB: tb.index,
-				Lat:   start - now,
-				Dur:   k.params.TBSwitchCycles(sm.sim.cfg),
-				Bytes: k.params.ContextBytesPerTB,
+				Lat:    start - now,
+				Dur:    k.params.TBSwitchCycles(sm.sim.cfg),
+				Bytes:  k.params.ContextBytesPerTB,
 				Detail: fmt.Sprintf("resume@%v", start)}) //chimera:allow hotalloc tracing-only: guarded by sm.sim.tracing, off on the measured path
 		}
 	}

@@ -178,8 +178,9 @@ func RunFixture(t TB, dir, pkgPath string, analyzers ...*Analyzer) {
 	}
 }
 
-// collectWants parses `// want `+"`regex`"+`` comments. The expectation
-// applies to diagnostics reported on the comment's own line.
+// collectWants parses expectation comments: "// want" followed by a
+// regular expression in backquotes. The expectation applies to
+// diagnostics reported on the comment's own line.
 func collectWants(fset *token.FileSet, files []*ast.File) []*want {
 	var wants []*want
 	for _, f := range files {

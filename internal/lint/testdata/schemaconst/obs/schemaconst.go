@@ -16,7 +16,7 @@ const (
 
 // badInline registers metrics under inline literal names.
 func badInline(reg *metrics.Registry) {
-	reg.Counter("fixture/bad_counter") // want `metric name "fixture/bad_counter" is an inline literal`
+	reg.Counter("fixture/bad_counter")                       // want `metric name "fixture/bad_counter" is an inline literal`
 	reg.Histogram("fixture/bad_hist", "µs", []float64{1, 2}) // want `metric name "fixture/bad_hist" is an inline literal`
 }
 

@@ -122,35 +122,17 @@ type JobStatus struct {
 }
 
 // JobResult is the deterministic result payload served at
-// /jobs/{id}/result: exactly one of the kind-specific fields is set.
-// Two submissions of the same scenario marshal to byte-identical
-// payloads — the dedup guarantee the server's tests pin down.
-type JobResult struct {
-	// Kind echoes the scenario kind.
-	Kind string `json:"kind"`
-	// SoloRate is the stand-alone progress rate (solo jobs).
-	SoloRate float64 `json:"solo_rate,omitempty"`
-	// Periodic is the §4.1 outcome (periodic jobs).
-	Periodic *workloads.PeriodicResult `json:"periodic,omitempty"`
-	// Pair is the §4.4 outcome (pair jobs).
-	Pair *workloads.PairResult `json:"pair,omitempty"`
-	// Trace summarizes a traced run (periodic jobs with trace: true).
-	Trace *TraceInfo `json:"trace,omitempty"`
-}
+// /jobs/{id}/result: the executor's workloads.SpecResult, whose JSON
+// encoding is the wire format. Exactly one of the kind-specific fields
+// is set. Two submissions of the same scenario marshal to
+// byte-identical payloads — the dedup guarantee the server's tests pin
+// down.
+type JobResult = workloads.SpecResult
 
-// TraceInfo summarizes the recording of a traced periodic job; the full
-// Perfetto export streams from /jobs/{id}/trace.
-type TraceInfo struct {
-	// Events is the number of recorded trace events.
-	Events int `json:"events"`
-	// Periods and Violations count real-time task instances and their
-	// deadline misses.
-	Periods int `json:"periods"`
-	// Violations is the number of missed deadlines (see Periods).
-	Violations int `json:"violations"`
-	// Requests counts preemption requests issued.
-	Requests int `json:"requests"`
-}
+// TraceInfo summarizes the recording of a traced periodic job (the
+// Trace field of JobResult); the full Perfetto export streams from
+// /jobs/{id}/trace.
+type TraceInfo = workloads.TraceInfo
 
 // errorBody is the JSON error envelope every non-2xx response carries.
 type errorBody struct {

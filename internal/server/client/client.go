@@ -6,29 +6,23 @@
 // Retry policy: idempotent requests (GET, DELETE) are retried on
 // transport errors and on 429/503 responses. POST submissions are
 // retried only on 429/503 — responses that prove the server did NOT
-// admit the job — or on a connect error (the request never reached a
-// server), and never after any other response or transport error,
-// where the submission may already have committed. Backoff is
+// admit the job — and never after any other response or transport
+// error, where the submission may already have committed. Backoff is
 // exponential with full jitter and honors Retry-After; an unparseable
 // Retry-After surfaces as a typed *RetryAfterError instead of being
 // silently replaced by backoff.
 //
-// Ring awareness: a client built with NewRing (or WithFallbacks) holds
-// several replica base URLs and fails over to the next one on exactly
-// the conditions above — connect errors and 429/503 — so a chimerad
-// fleet (docs/cluster.md) stays reachable through replica deaths
-// without weakening the POST-commit safety rule.
+// A client talks to one base URL: a chimerad, or a chimerafront whose
+// ring walk is the fleet's failover path (docs/cluster.md).
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -73,12 +67,11 @@ func (e *RetryAfterError) Error() string {
 // Unwrap exposes the response's error envelope.
 func (e *RetryAfterError) Unwrap() error { return e.Response }
 
-// Client talks to one chimerad base URL — or, when built with NewRing
-// or WithFallbacks, to a replica fleet with failover. The zero value is
-// not usable; construct with New or NewRing. A Client is safe for
+// Client talks to one chimerad (or chimerafront) base URL. The zero
+// value is not usable; construct with New. A Client is safe for
 // concurrent use.
 type Client struct {
-	bases []string
+	base  string
 	hc    *http.Client
 	max   int
 	delay time.Duration
@@ -124,16 +117,10 @@ func WithRand(fn func() float64) Option {
 	return func(c *Client) { c.rnd = fn }
 }
 
-// WithFallbacks appends additional replica base URLs the client fails
-// over to on a connect error or a 429/503 from the current target.
-func WithFallbacks(bases ...string) Option {
-	return func(c *Client) { c.bases = append(c.bases, bases...) }
-}
-
 // New builds a client for the given base URL ("http://host:port").
 func New(base string, opts ...Option) *Client {
 	c := &Client{
-		bases: []string{base},
+		base:  base,
 		hc:    &http.Client{Timeout: 5 * time.Minute},
 		max:   4,
 		delay: 100 * time.Millisecond,
@@ -153,17 +140,6 @@ func New(base string, opts ...Option) *Client {
 		o(c)
 	}
 	return c
-}
-
-// NewRing builds a ring-aware client over a replica fleet: requests
-// start at the first base URL and fail over to the next (wrapping) on
-// a connect error or 429/503. Equivalent to New(bases[0],
-// WithFallbacks(bases[1:]...)).
-func NewRing(bases []string, opts ...Option) *Client {
-	if len(bases) == 0 {
-		panic("client.NewRing: at least one base URL is required")
-	}
-	return New(bases[0], append([]Option{WithFallbacks(bases[1:]...)}, opts...)...)
 }
 
 // parseRetryAfter interprets a Retry-After header: -1 for an absent
@@ -198,14 +174,6 @@ func (c *Client) backoff(attempt, retryAfterSecs int) time.Duration {
 	return half + time.Duration(c.rnd()*float64(half))
 }
 
-// isConnectError reports whether a transport error happened while
-// dialing — before any byte of the request reached a server — making
-// it safe to fail the request over to another replica even for a POST.
-func isConnectError(err error) bool {
-	var op *net.OpError
-	return errors.As(err, &op) && op.Op == "dial"
-}
-
 // retriableStatus reports whether a response status signals a transient
 // condition that is safe to retry for any method: the server refused to
 // take the request at all.
@@ -215,20 +183,15 @@ func retriableStatus(code int) bool {
 
 // do issues one request, retrying per the package policy.
 // retryTransport additionally retries transport-level failures — set
-// only for idempotent methods. Each retriable failure also advances to
-// the next base URL (a no-op for single-base clients), so a ring-aware
-// client walks the replica list: connect errors and 429/503 provably
-// left no job behind on the refusing replica, which is exactly when
-// moving the request elsewhere is safe.
+// only for idempotent methods.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, retryTransport bool) (*http.Response, error) {
 	var lastErr error
-	target := 0
 	for attempt := 0; attempt < c.max; attempt++ {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
-		req, err := http.NewRequestWithContext(ctx, method, c.bases[target%len(c.bases)]+path, rd)
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 		if err != nil {
 			return nil, err
 		}
@@ -238,16 +201,11 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, retry
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			lastErr = err
-			if ctx.Err() != nil {
+			// A cancelled request stops; a non-idempotent one may
+			// already have committed.
+			if ctx.Err() != nil || !retryTransport {
 				return nil, err
 			}
-			// A non-idempotent request may already have committed after
-			// any transport error except a failed dial; only a connect
-			// error with somewhere else to go is safe to move.
-			if !retryTransport && !(isConnectError(err) && len(c.bases) > 1) {
-				return nil, err
-			}
-			target++
 			if err := c.sleep(ctx, c.backoff(attempt, -1)); err != nil {
 				return nil, err
 			}
@@ -263,7 +221,6 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, retry
 				}
 			}
 			lastErr = decodeError(resp)
-			target++
 			if err := c.sleep(ctx, c.backoff(attempt, retryAfterSecs)); err != nil {
 				return nil, err
 			}

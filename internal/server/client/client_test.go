@@ -184,6 +184,31 @@ func TestPostNotRetriedOnTransportError(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("transport called %d times, want 1", calls.Load())
 	}
+
+	// A refused dial is no different: a listener bound and immediately
+	// closed yields an address that refuses connections, and the POST
+	// surfaces the dial error after one attempt.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadURL := "http://" + ln.Addr().String()
+	ln.Close()
+	var dials atomic.Int64
+	dead := New(deadURL, WithMaxAttempts(4),
+		WithHTTPClient(&http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			dials.Add(1)
+			return http.DefaultTransport.RoundTrip(r)
+		})}))
+	sleeps := recordedSleeps(dead)
+	_, err = dead.Submit(context.Background(), server.JobSpec{Kind: server.KindSolo, Bench: "SAD"})
+	var opErr *net.OpError
+	if !errors.As(err, &opErr) || opErr.Op != "dial" {
+		t.Fatalf("err = %v, want the dial error", err)
+	}
+	if dials.Load() != 1 || len(*sleeps) != 0 {
+		t.Fatalf("POST to a closed port tried %d times and slept %v, want one try and no backoff", dials.Load(), *sleeps)
+	}
 }
 
 func TestPostNotRetriedAfterCommit(t *testing.T) {
@@ -376,74 +401,5 @@ func TestRetryAfterUnparseableSurfacesTyped(t *testing.T) {
 	}
 	if secs, err := parseRetryAfter(""); err != nil || secs != -1 {
 		t.Errorf("parseRetryAfter(\"\") = %d, %v", secs, err)
-	}
-}
-
-// TestRingFailoverOn503 proves a ring client walks to the next replica
-// when the first sheds, without re-posting to the refusing one.
-func TestRingFailoverOn503(t *testing.T) {
-	var refusals atomic.Int64
-	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		refusals.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
-	defer refusing.Close()
-	var accepts atomic.Int64
-	accepting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		accepts.Add(1)
-		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(server.JobStatus{ID: "j9", State: server.StateQueued})
-	}))
-	defer accepting.Close()
-
-	c := NewRing([]string{refusing.URL, accepting.URL}, WithRand(func() float64 { return 0 }))
-	recordedSleeps(c)
-	st, err := c.Submit(context.Background(), server.JobSpec{Kind: server.KindSolo, Bench: "SAD"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ID != "j9" {
-		t.Fatalf("status %+v", st)
-	}
-	if refusals.Load() != 1 || accepts.Load() != 1 {
-		t.Errorf("refusing hit %d times, accepting %d — want 1 and 1", refusals.Load(), accepts.Load())
-	}
-}
-
-// TestRingFailoverOnConnectError proves the POST-commit safety carve-
-// out: a failed dial provably never delivered the request, so even a
-// POST may move to the next replica — but only when there is one.
-func TestRingFailoverOnConnectError(t *testing.T) {
-	// A listener bound and immediately closed yields an address that
-	// refuses connections.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadURL := "http://" + ln.Addr().String()
-	ln.Close()
-
-	accepting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-		_ = json.NewEncoder(w).Encode(server.JobStatus{ID: "j2", State: server.StateQueued})
-	}))
-	defer accepting.Close()
-
-	c := NewRing([]string{deadURL, accepting.URL}, WithRand(func() float64 { return 0 }))
-	recordedSleeps(c)
-	st, err := c.Submit(context.Background(), server.JobSpec{Kind: server.KindSolo, Bench: "SAD"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ID != "j2" {
-		t.Fatalf("status %+v", st)
-	}
-
-	// A single-base client must NOT retry the POST: with nowhere safe to
-	// go, the connect error surfaces.
-	solo := New(deadURL, WithRand(func() float64 { return 0 }))
-	recordedSleeps(solo)
-	if _, err := solo.Submit(context.Background(), server.JobSpec{Kind: server.KindSolo, Bench: "SAD"}); err == nil {
-		t.Fatal("single-base POST to a dead replica did not surface the connect error")
 	}
 }

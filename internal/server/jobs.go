@@ -193,10 +193,11 @@ func (s *Server) list() []JobStatus {
 }
 
 // cancelJob requests cancellation. A queued job transitions to
-// canceled immediately (the worker that later pops it skips it); a
-// running job has its context cancelled and reaches the canceled state
-// when the engine aborts. Terminal jobs are left untouched. It reports
-// whether the call changed anything.
+// canceled immediately and gives up its admission-queue slot (a worker
+// that popped it first skips it); a running job has its context
+// cancelled and reaches the canceled state when the engine aborts.
+// Terminal jobs are left untouched. It reports whether the call changed
+// anything.
 func (s *Server) cancelJob(j *job) bool {
 	j.mu.Lock()
 	switch j.state {
@@ -205,6 +206,12 @@ func (s *Server) cancelJob(j *job) bool {
 		j.errMsg = context.Canceled.Error()
 		j.finished = time.Now()
 		j.mu.Unlock()
+		// s.mu only after j.mu is released: trimHistoryLocked takes
+		// j.mu under s.mu.
+		s.mu.Lock()
+		s.queue.Cancel(j.id)
+		s.gQueueDepth.Set(int64(s.queue.Len()))
+		s.mu.Unlock()
 		j.cancel()
 		s.cCanceled.Add(1)
 		// This terminal transition bypasses finish(), so the trace
@@ -251,8 +258,8 @@ func (s *Server) worker() {
 		j.started = time.Now()
 		j.mu.Unlock()
 
-		res, raw, executed, events, err := s.executeWithRetry(j.ctx, j.spec)
-		s.finish(j, res, raw, executed, events, err)
+		payload, executed, events, err := s.executeWithRetry(j.ctx, j.spec)
+		s.finish(j, payload, executed, events, err)
 	}
 }
 
@@ -261,42 +268,40 @@ func (s *Server) worker() {
 // surface as typed *simjob.JobError values — never cached, so a retry
 // genuinely re-runs the simulation, and the fault plan's per-attempt
 // hashing means a retried job draws fresh fault decisions.
-func (s *Server) executeWithRetry(ctx context.Context, spec JobSpec) (res *JobResult, raw []byte, executed bool, events []trace.Event, err error) {
+func (s *Server) executeWithRetry(ctx context.Context, spec JobSpec) (payload []byte, executed bool, events []trace.Event, err error) {
 	for attempt := 0; ; attempt++ {
-		res, raw, executed, events, err = s.execute(ctx, spec)
+		payload, executed, events, err = s.execute(ctx, spec)
 		if err == nil || !simjob.IsPanic(err) {
-			return res, raw, executed, events, err
+			return payload, executed, events, err
 		}
 		if attempt >= s.cfg.RetryBudget || ctx.Err() != nil {
-			return res, raw, executed, events, err
+			return payload, executed, events, err
 		}
 		s.cRetries.Add(1)
 	}
 }
 
 // execute runs one spec to completion (or cancellation) and returns
-// the result, the raw peer-served payload when the fleet already held
-// it (nil for locally-computed results), whether a simulation actually
+// the result payload (the executor's JobResult marshalled, or the
+// exact bytes a fleet peer served), whether a simulation actually
 // executed (false = result cache, singleflight dedup or peer-cache
 // hit), and any recorded trace events. All spec interpretation happens
 // in jobspec/workloads — the server only wires its environment
 // (registry, pool, watchdog, fault plane, fleet) into the executor.
-func (s *Server) execute(ctx context.Context, spec JobSpec) (res *JobResult, raw []byte, executed bool, events []trace.Event, err error) {
+func (s *Server) execute(ctx context.Context, spec JobSpec) (payload []byte, executed bool, events []trace.Event, err error) {
 	// Fleet short-circuit: if the hash owner already finished this
-	// spec, serve its payload byte-for-byte instead of recomputing.
+	// spec, serve its payload byte-for-byte instead of recomputing, so
+	// fleet-served and locally-computed results stay byte-identical.
 	// A payload that fails to decode is treated as a miss — the local
 	// compute below is always a correct fallback.
-	if payload, ok := s.peerLookup(ctx, spec); ok {
-		var peerRes JobResult
-		if jerr := json.Unmarshal(payload, &peerRes); jerr == nil {
-			return &peerRes, payload, false, nil, nil
-		}
+	if payload, ok := s.peerLookup(ctx, spec); ok && json.Unmarshal(payload, new(JobResult)) == nil {
+		return payload, false, nil, nil
 	}
 
 	runner, err := workloads.NewRunnerWith(s.catalog,
 		units.FromMicroseconds(spec.WindowUs), units.FromMicroseconds(spec.ConstraintUs), spec.Seed)
 	if err != nil {
-		return nil, nil, false, nil, err
+		return nil, false, nil, err
 	}
 	runner.Metrics = s.reg
 	runner.UsePool(s.pool)
@@ -313,43 +318,24 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (res *JobResult, raw
 	}
 	ex := workloads.NewExecutor(runner)
 
+	var res JobResult
 	if spec.Trace {
-		rec, err := ex.Record(ctx, spec)
-		if err != nil {
-			return nil, nil, true, nil, err
-		}
-		return &JobResult{
-			Kind: spec.Kind,
-			Trace: &TraceInfo{
-				Events:     len(rec.Events),
-				Periods:    rec.Periods,
-				Violations: rec.Violations,
-				Requests:   rec.Requests,
-			},
-		}, nil, true, rec.Events, nil
+		res, events, err = ex.Record(ctx, spec)
+		executed = true
+	} else {
+		res, executed, err = ex.Run(ctx, spec)
 	}
-	out, ran, err := ex.Run(ctx, spec)
 	if err != nil {
-		return nil, nil, ran, nil, err
+		return nil, executed, nil, err
 	}
-	return &JobResult{
-		Kind:     out.Kind,
-		SoloRate: out.SoloRate,
-		Periodic: out.Periodic,
-		Pair:     out.Pair,
-	}, nil, ran, nil, nil
+	payload, err = json.Marshal(res)
+	return payload, executed, events, err
 }
 
-// finish records a job's outcome, updates the server counters, releases
-// the deadline timer, and wakes every waiter. raw, when non-nil, is the
-// byte-exact payload a fleet peer served — it is stored verbatim so
-// fleet-served and locally-computed results stay byte-identical.
-func (s *Server) finish(j *job, res *JobResult, raw []byte, executed bool, events []trace.Event, err error) {
-	payload := raw
-	if err == nil && payload == nil {
-		payload, err = json.Marshal(res)
-	}
-
+// finish records a job's outcome (payload is its result bytes, stored
+// verbatim), updates the server counters, releases the deadline timer,
+// and wakes every waiter.
+func (s *Server) finish(j *job, payload []byte, executed bool, events []trace.Event, err error) {
 	now := time.Now()
 	j.mu.Lock()
 	if j.state.Terminal() {

@@ -31,8 +31,9 @@ import (
 )
 
 // Config parameterizes a Server. The zero value is usable: it yields
-// two workers, a 64-deep admission queue, an uncapped result cache, a
-// 60 s default job deadline and the shared Table 2 catalog.
+// two workers, a 64-deep admission queue, an uncapped result cache and
+// a 60 s default job deadline. Jobs run against the shared Table 2
+// catalog (kernels.Load()).
 type Config struct {
 	// Workers is the number of concurrent job executors (default 2).
 	Workers int
@@ -46,8 +47,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// SSEInterval spaces SSE progress frames (default 250 ms).
 	SSEInterval time.Duration
-	// Catalog overrides the kernel catalog (default kernels.Load()).
-	Catalog *kernels.Catalog
 	// Registry receives the server's and the engines' metrics (default:
 	// a fresh registry, exposed via Registry()).
 	Registry *metrics.Registry
@@ -71,21 +70,24 @@ type Config struct {
 	// the output format of chimeraload -record (docs/jobs.md).
 	Record io.Writer
 	// Cluster, when set, makes this server one replica of a fleet
-	// (docs/cluster.md): before executing a job whose consistent-hash
-	// owner is another replica, the server asks the owner's peer cache
-	// (GET /internal/cache/{hash}) for the finished result, and serves
-	// its own finished results to peers on the same route. Correctness
-	// never depends on it — every miss or fetch error falls through to
-	// a local compute.
+	// (docs/cluster.md): before executing a job, the server asks the
+	// first other replica in the hash's ring sequence (Node.Lookup) for
+	// the finished result over GET /internal/cache/{hash}, the route
+	// every server serves its finished results on. Correctness never
+	// depends on it — every miss or fetch error falls through to a
+	// local compute.
 	Cluster *cluster.Node
-	// PeerTimeout bounds one peer-cache lookup on the job path
-	// (default 250 ms): a slow or dead peer costs at most this before
-	// the job is recomputed locally.
-	PeerTimeout time.Duration
-	// ResultIndexCap bounds the finished-result index the peer-cache
-	// route serves from, in entries (FIFO eviction; default 4096).
-	ResultIndexCap int
 }
+
+const (
+	// peerTimeout bounds one peer-cache lookup on the job path: a slow
+	// or dead peer costs at most this before the job is recomputed
+	// locally.
+	peerTimeout = 250 * time.Millisecond
+	// resultIndexCap bounds the finished-result index the peer-cache
+	// route serves from, in entries (FIFO eviction).
+	resultIndexCap = 4096
+)
 
 // Server is the chimerad service core: admission queue, workers, job
 // table and HTTP handlers. Create with New, mount Handler on an
@@ -114,7 +116,7 @@ type Server struct {
 
 	// The finished-result index behind GET /internal/cache/{hash}:
 	// spec hash → terminal JobResult payload, FIFO-bounded by
-	// Config.ResultIndexCap. Peers (and the front) read it through the
+	// resultIndexCap. Peers (and the front) read it through the
 	// cluster peer-cache protocol instead of recomputing.
 	idxMu    sync.Mutex
 	resIdx   map[string][]byte
@@ -197,15 +199,6 @@ func New(cfg Config) *Server {
 	if cfg.SSEInterval <= 0 {
 		cfg.SSEInterval = 250 * time.Millisecond
 	}
-	if cfg.Catalog == nil {
-		cfg.Catalog = kernels.Load()
-	}
-	if cfg.PeerTimeout <= 0 {
-		cfg.PeerTimeout = 250 * time.Millisecond
-	}
-	if cfg.ResultIndexCap <= 0 {
-		cfg.ResultIndexCap = 4096
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
@@ -216,7 +209,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		catalog: cfg.Catalog,
+		catalog: kernels.Load(),
 		reg:     cfg.Registry,
 		cache:   cache,
 		// The simjob pool bounds engine parallelism independently of the
@@ -324,7 +317,7 @@ func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
 }
 
 // storeResult indexes one finished result payload under its spec hash,
-// evicting the oldest entries past ResultIndexCap.
+// evicting the oldest entries past resultIndexCap.
 func (s *Server) storeResult(hash string, payload []byte) {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
@@ -332,7 +325,7 @@ func (s *Server) storeResult(hash string, payload []byte) {
 		s.resOrder = append(s.resOrder, hash)
 	}
 	s.resIdx[hash] = payload
-	for len(s.resOrder) > s.cfg.ResultIndexCap {
+	for len(s.resOrder) > resultIndexCap {
 		delete(s.resIdx, s.resOrder[0])
 		s.resOrder = s.resOrder[1:]
 	}
@@ -356,7 +349,7 @@ func (s *Server) peerLookup(ctx context.Context, spec JobSpec) ([]byte, bool) {
 	if n == nil || spec.Trace {
 		return nil, false
 	}
-	pctx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
+	pctx, cancel := context.WithTimeout(ctx, peerTimeout)
 	defer cancel()
 	payload, _, err := n.Lookup(pctx, spec.Hash())
 	switch {

@@ -13,8 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"chimera/internal/jobspec"
 	"chimera/internal/preempt"
+	"chimera/internal/simjob"
 	"chimera/internal/trace"
+	"chimera/internal/units"
+	"chimera/internal/workloads"
 )
 
 // newTestServer boots a server with small limits and an httptest
@@ -79,6 +83,46 @@ func await(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	return JobStatus{}
 }
 
+// awaitRunning polls a job until a worker has picked it up.
+func awaitRunning(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&cur)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.State == StateRunning {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started (state %s)", id, cur.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// deleteJob cancels a job over the API and returns the response status.
+func deleteJob(t *testing.T, ts *httptest.Server, id string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // fetchResult reads /result's raw payload.
 func fetchResult(t *testing.T, ts *httptest.Server, id string) ([]byte, int) {
 	t.Helper()
@@ -125,6 +169,44 @@ func TestSubmitAndResult(t *testing.T) {
 	}
 	if !bytes.Equal(bytes.TrimSpace(body), []byte(fin.Result)) {
 		t.Fatalf("result body %q != status result %q", body, fin.Result)
+	}
+}
+
+// TestResultBytesMatchExecutor: for every job kind, the result payload
+// is byte-for-byte the in-process executor's result, run on a fresh
+// cache and marshalled as a JobResult.
+func TestResultBytesMatchExecutor(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	r, err := workloads.NewRunner(units.FromMicroseconds(1000), units.FromMicroseconds(15), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.UsePool(simjob.NewPool(2, simjob.NewCache()))
+	ex := workloads.NewExecutor(r)
+	for _, spec := range []JobSpec{
+		jobspec.Solo("SAD").WithWindowUs(100),
+		jobspec.Periodic("SAD", "").WithWindowUs(2000),
+		jobspec.Pair("SAD", "MUM", jobspec.PolicyFCFS).WithWindowUs(100),
+	} {
+		st, code := postJob(t, ts, spec, "?wait=1")
+		if code != http.StatusOK || st.State != StateDone {
+			t.Fatalf("%s: submit = %d, state %s (%s)", spec.Kind, code, st.State, st.Error)
+		}
+		got, code := fetchResult(t, ts, st.ID)
+		if code != http.StatusOK {
+			t.Fatalf("%s: result = %d", spec.Kind, code)
+		}
+		var res JobResult
+		if res, _, err = ex.Run(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: served payload differs from the executor's\n got  %s\n want %s", spec.Kind, got, want)
+		}
 	}
 }
 
@@ -192,26 +274,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: got %d", code)
 	}
-	// Wait until it is actually running.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cur JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&cur); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if cur.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started (state %s)", cur.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitRunning(t, ts, st.ID)
 
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+st.ID, nil)
 	if err != nil {
@@ -263,25 +326,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		t.Fatalf("submit 1: got %d", code)
 	}
 	// Wait for the worker to pick up the first job so the queue is empty.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + first.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cur JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&cur); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if cur.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first job never started")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	awaitRunning(t, ts, first.ID)
 	second, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "MUM", WindowUs: 60e6}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit 2: got %d", code)
@@ -312,6 +357,40 @@ func TestQueueFullBackpressure(t *testing.T) {
 		}
 		resp.Body.Close()
 		await(t, ts, id)
+	}
+}
+
+// TestCancelQueuedJobFreesSlot: cancelling a queued job gives its
+// admission-queue slot back at once, not when a worker later pops it,
+// so a full queue of cancelled jobs neither refuses new work nor
+// inflates server/queue_depth.
+func TestCancelQueuedJobFreesSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1})
+	long, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit long: got %d", code)
+	}
+	awaitRunning(t, ts, long.ID)
+	queued, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "MUM", WindowUs: 60e6}, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit queued: got %d", code)
+	}
+	if code := deleteJob(t, ts, queued.ID); code != http.StatusAccepted {
+		t.Fatalf("cancel queued: got %d", code)
+	}
+	if d := s.gQueueDepth.Value(); d != 0 {
+		t.Errorf("%s = %d after cancelling the only queued job, want 0", MetricQueueDepth, d)
+	}
+	third, code := postJob(t, ts, shortSpec(), "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after cancelling the queued job: got %d, want 202", code)
+	}
+
+	if code := deleteJob(t, ts, long.ID); code != http.StatusAccepted {
+		t.Fatalf("cancel long: got %d", code)
+	}
+	if fin := await(t, ts, third.ID); fin.State != StateDone {
+		t.Fatalf("third job finished %s (%s)", fin.State, fin.Error)
 	}
 }
 

@@ -11,16 +11,34 @@ import (
 )
 
 // SpecResult is the outcome of executing one jobspec.Spec: exactly one
-// of the kind-specific payloads is populated, tagged by Kind.
+// of the kind-specific payloads is populated, tagged by Kind. Its JSON
+// encoding is chimerad's result payload (server.JobResult); two runs of
+// the same spec marshal to byte-identical payloads.
 type SpecResult struct {
 	// Kind echoes the spec's scenario kind.
-	Kind string
+	Kind string `json:"kind"`
 	// SoloRate is the stand-alone progress rate (solo specs).
-	SoloRate float64
+	SoloRate float64 `json:"solo_rate,omitempty"`
 	// Periodic is the §4.1 periodic-task outcome (periodic specs).
-	Periodic *PeriodicResult
+	Periodic *PeriodicResult `json:"periodic,omitempty"`
 	// Pair is the §4.4 ANTT/STP outcome (pair specs).
-	Pair *PairResult
+	Pair *PairResult `json:"pair,omitempty"`
+	// Trace summarizes a traced run (periodic specs with trace: true).
+	Trace *TraceInfo `json:"trace,omitempty"`
+}
+
+// TraceInfo summarizes the recording of a traced periodic spec; chimerad
+// streams the full Perfetto export from /jobs/{id}/trace.
+type TraceInfo struct {
+	// Events is the number of recorded trace events.
+	Events int `json:"events"`
+	// Periods and Violations count real-time task instances and their
+	// deadline misses.
+	Periods int `json:"periods"`
+	// Violations is the number of missed deadlines (see Periods).
+	Violations int `json:"violations"`
+	// Requests counts preemption requests issued.
+	Requests int `json:"requests"`
 }
 
 // Executor runs canonical jobspec.Specs against the simulation engine.

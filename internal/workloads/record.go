@@ -68,15 +68,26 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 
 // Record executes one periodic spec with its full event stream kept, on
 // the per-spec Runner Run would use, so the recording is of exactly the
-// simulation the untraced spec computes. A trace is a side effect the
-// result cache cannot replay, so Record always simulates.
-func (e *Executor) Record(ctx context.Context, spec jobspec.Spec) (*Recording, error) {
+// simulation the untraced spec computes. It returns the spec's result,
+// which carries only the Trace summary, and the recorded events. A trace
+// is a side effect the result cache cannot replay, so Record always
+// simulates.
+func (e *Executor) Record(ctx context.Context, spec jobspec.Spec) (SpecResult, []trace.Event, error) {
 	spec.Trace = true // validation then admits periodic specs only
 	r, policy, _, err := e.prepare(&spec)
 	if err != nil {
-		return nil, err
+		return SpecResult{}, nil, err
 	}
-	return r.record(ctx, spec.Bench, policy)
+	rec, err := r.record(ctx, spec.Bench, policy)
+	if err != nil {
+		return SpecResult{}, nil, err
+	}
+	return SpecResult{Kind: spec.Kind, Trace: &TraceInfo{
+		Events:     len(rec.Events),
+		Periods:    rec.Periods,
+		Violations: rec.Violations,
+		Requests:   rec.Requests,
+	}}, rec.Events, nil
 }
 
 // record runs the periodic scenario once, uncached, keeping every event.
