@@ -10,6 +10,7 @@ package chimera_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -202,12 +203,31 @@ func BenchmarkEngineHot(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(window)), "ns/sim-cycle")
 }
 
-// TestEngineHotAllocBudget pins the allocation count of the hot-loop
-// scenario. The pooling work (eventq arenas, TB free lists, scratch
-// buffers, batched emission) brought a 1ms saturated window from ~144k
-// allocations down to ~2k; the budget has ~2× headroom so it catches a
-// reintroduced per-event or per-block allocation (which costs tens of
-// thousands) without flaking on incidental drift.
+// allocsPerRun is testing.AllocsPerRun reporting bytes as well: the
+// average objects and bytes one call of f allocates, measured after a
+// warm-up call with GOMAXPROCS at 1.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestEngineHotAllocBudget pins the allocation count and volume of the
+// hot-loop scenario. The pooling work (TB free lists, scratch buffers,
+// batched emission) brought a 1ms saturated window from ~144k
+// allocations down to ~2k, and recycling event-queue slots cut its
+// bytes from ~1.6 MB (the old queue carved a fresh 24-byte event per
+// schedule from never-reused arena chunks) to ~150 KB. Both budgets
+// have ~2× headroom: they catch a reintroduced per-event or per-block
+// allocation, whether it costs tens of thousands of objects or a few
+// large chunks, without flaking on incidental drift.
 func TestEngineHotAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting run is ~100ms")
@@ -215,7 +235,7 @@ func TestEngineHotAllocBudget(t *testing.T) {
 	cat := chimera.Catalog()
 	spec := cat.MustKernel("BP.0")
 	window := chimera.Microseconds(1000)
-	allocs := testing.AllocsPerRun(3, func() {
+	allocs, bytes := allocsPerRun(3, func() {
 		sim := chimera.NewSimulation(chimera.SimOptions{Seed: 1, WarmStats: true})
 		sim.AddProcess(chimera.ProcessSpec{
 			Name:     "bench",
@@ -230,9 +250,12 @@ func TestEngineHotAllocBudget(t *testing.T) {
 		})
 		sim.Run(window)
 	})
-	const budget = 6000
+	const budget, bytesBudget = 6000, 320_000
 	if allocs > budget {
 		t.Errorf("hot-loop scenario allocates %.0f objects per 1ms window, budget %d", allocs, budget)
+	}
+	if bytes > bytesBudget {
+		t.Errorf("hot-loop scenario allocates %.0f bytes per 1ms window, budget %d", bytes, bytesBudget)
 	}
 }
 

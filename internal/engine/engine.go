@@ -365,6 +365,7 @@ func (s *Simulation) launchKernel(p *process, l LaunchSpec, priority int, now un
 		smSet:       make([]*smUnit, s.cfg.NumSMs),
 		stats:       s.statsFor(l.Params.Label),
 		rng:         s.rnd.Split(),
+		cpiMu:       rng.LogNormalMu(l.Params.BaseCPI, l.Params.CPISigma),
 	}
 	s.nextKID++
 	s.arrival++
@@ -403,9 +404,9 @@ func (s *Simulation) tbComplete(tb *threadBlock, now units.Cycles) {
 	sm := tb.sm
 	tb.sync(now)
 	tb.phase = tbDone
-	tb.doneEv = nil
+	tb.doneEv = eventq.Handle{}
 	s.q.Cancel(tb.breachEv)
-	tb.breachEv = nil
+	tb.breachEv = eventq.Handle{}
 	k.stats.RecordCompletion(tb.insts, tb.runCycles)
 	if e := s.opts.Estimator; e != nil {
 		e.Observe(k.params.Label, tb.insts, tb.runCycles)

@@ -50,6 +50,9 @@ type kernelInstance struct {
 	stats *gpu.KernelStats
 
 	rng *rng.Source
+	// cpiMu is the lognormal location of the block CPI distribution
+	// (rng.LogNormalMu of BaseCPI and CPISigma), computed once per launch.
+	cpiMu float64
 }
 
 // addSM records ownership of an SM.
@@ -130,7 +133,10 @@ func (k *kernelInstance) sampleCPI() float64 {
 	if k.params.CPISigma == 0 {
 		return k.params.BaseCPI
 	}
-	cpi := k.rng.LogNormalMean(k.params.BaseCPI, k.params.CPISigma)
+	cpi := 0.0 // rng.LogNormalMean's result for a non-positive mean
+	if k.params.BaseCPI > 0 {
+		cpi = k.rng.LogNormal(k.cpiMu, k.params.CPISigma)
+	}
 	// Guard the tail: a CPI below issue rate is unphysical and a huge
 	// tail sample would make single events dominate a whole run.
 	if min := k.params.BaseCPI * 0.25; cpi < min {

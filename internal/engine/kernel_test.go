@@ -19,6 +19,7 @@ func testInstance(params gpu.KernelParams, grid int) *kernelInstance {
 		smSet:       make([]*smUnit, sim.cfg.NumSMs),
 		stats:       &gpu.KernelStats{},
 		rng:         rng.New(1),
+		cpiMu:       rng.LogNormalMu(params.BaseCPI, params.CPISigma),
 	}
 }
 
@@ -96,6 +97,25 @@ func TestSampleCPIStatistics(t *testing.T) {
 	kd := testInstance(p, 1)
 	if cpi := kd.sampleCPI(); cpi != 4 {
 		t.Errorf("sigma=0 CPI = %v", cpi)
+	}
+}
+
+// TestSampleCPIMatchesLogNormalMean: sampling with the launch-time mu is
+// bit-identical to drawing rng.LogNormalMean per block, including its
+// results for a non-positive mean and a zero sigma.
+func TestSampleCPIMatchesLogNormalMean(t *testing.T) {
+	for _, c := range []struct{ base, sigma float64 }{{4, 0.3}, {1.7, 0.05}, {4, 0}, {0, 0.3}, {-2, 0.3}} {
+		p := testParams()
+		p.BaseCPI, p.CPISigma = c.base, c.sigma
+		k := testInstance(p, 1)
+		ref := rng.New(1)
+		for i := 0; i < 1000; i++ {
+			want := math.Min(math.Max(ref.LogNormalMean(c.base, c.sigma), c.base*0.25), c.base*8)
+			if got := k.sampleCPI(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("BaseCPI %v sigma %v draw %d: sampleCPI = %v, LogNormalMean clamped = %v",
+					c.base, c.sigma, i, got, want)
+			}
+		}
 	}
 }
 

@@ -85,9 +85,9 @@ type handoverState struct {
 	// frozen are the blocks being context-switched, still resident until
 	// their save batch completes.
 	frozen []*threadBlock
-	// stallEv is the pending injected-stall constituent, nil once it
-	// expires or the watchdog escalates past it.
-	stallEv *eventq.Event
+	// stallEv is the pending injected-stall constituent, the zero Handle
+	// once it expires or the watchdog escalates past it.
+	stallEv eventq.Handle
 	// cancelled marks an aborted preemption (the requesting task was
 	// killed); late events must become no-ops.
 	cancelled bool
@@ -306,12 +306,12 @@ func (sm *smUnit) executePlan(plan preempt.SMPlan, req *RequestRecord, stall, no
 
 // stallExpired retires the injected-stall constituent: the hung
 // technique "recovers" on its own, unless the watchdog already
-// escalated past it (stallEv nil) or the preemption was cancelled.
+// escalated past it (stallEv zero) or the preemption was cancelled.
 func (sm *smUnit) stallExpired(h *handoverState, now units.Cycles) {
-	if h.cancelled || sm.handover != h || h.stallEv == nil {
+	if h.cancelled || sm.handover != h || h.stallEv == (eventq.Handle{}) {
 		return
 	}
-	h.stallEv = nil
+	h.stallEv = eventq.Handle{}
 	h.outstanding--
 	if h.outstanding == 0 {
 		sm.completeHandover(now)
@@ -329,9 +329,9 @@ func (sm *smUnit) escalate(now units.Cycles) bool {
 		return false
 	}
 	changed := false
-	if h.stallEv != nil {
+	if h.stallEv != (eventq.Handle{}) {
 		sm.sim.q.Cancel(h.stallEv)
-		h.stallEv = nil
+		h.stallEv = eventq.Handle{}
 		h.outstanding--
 		changed = true
 	}
@@ -485,7 +485,7 @@ func (sm *smUnit) cancelHandover(now units.Cycles) {
 	h.req.Killed = true
 	sm.handover = nil
 	sm.sim.q.Cancel(h.stallEv)
-	h.stallEv = nil
+	h.stallEv = eventq.Handle{}
 	for _, tb := range h.frozen {
 		tb.frozen = false
 		tb.startAt = now

@@ -54,8 +54,11 @@ type threadBlock struct {
 	// feeding the measured-CPI statistics.
 	runCycles units.Cycles
 
-	doneEv   *eventq.Event
-	breachEv *eventq.Event
+	// doneEv/breachEv are the pending completion and breach events; the
+	// zero Handle when none is armed. A fired breach event's Handle is
+	// left in place and goes stale, so cancelling it later is a no-op.
+	doneEv   eventq.Handle
+	breachEv eventq.Handle
 
 	// fireDone/fireBreach are the block's event callbacks, created once
 	// when the struct is first allocated and kept across free-list
@@ -120,5 +123,5 @@ func (tb *threadBlock) sync(now units.Cycles) {
 func (tb *threadBlock) cancelEvents(q *eventQueue) {
 	q.Cancel(tb.doneEv)
 	q.Cancel(tb.breachEv)
-	tb.doneEv, tb.breachEv = nil, nil
+	tb.doneEv, tb.breachEv = eventq.Handle{}, eventq.Handle{}
 }

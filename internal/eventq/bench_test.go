@@ -51,7 +51,7 @@ func BenchmarkEventQSpread(b *testing.B) {
 func BenchmarkEventQCancel(b *testing.B) {
 	var q Queue
 	b.ReportAllocs()
-	handles := make([]*Event, 64)
+	handles := make([]Handle, 64)
 	for i := 0; i < b.N; i++ {
 		base := q.Now()
 		for j := range handles {
@@ -70,7 +70,7 @@ func BenchmarkEventQCancel(b *testing.B) {
 // the cancellation-drain access pattern.
 func BenchmarkEventQLen(b *testing.B) {
 	var q Queue
-	handles := make([]*Event, 4096)
+	handles := make([]Handle, 4096)
 	for j := range handles {
 		handles[j] = q.Schedule(units.Cycles(j%512), nop)
 	}
@@ -111,10 +111,7 @@ func TestLenIsLiveCounter(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("Len after step = %d, want 1", q.Len())
 	}
-	q.Cancel(bb) // cancel-after-fire: Cancelled() flips, Len must not
-	if !bb.Cancelled() {
-		t.Error("cancel-after-fire did not mark the event cancelled")
-	}
+	q.Cancel(bb) // cancel-after-fire: a stale handle, Len must not move
 	if q.Len() != 1 {
 		t.Fatalf("Len after cancel-after-fire = %d, want 1", q.Len())
 	}
@@ -122,8 +119,8 @@ func TestLenIsLiveCounter(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("Len after last cancel = %d, want 0", q.Len())
 	}
-	if q.Run() != 0 {
-		t.Error("cancelled events fired")
+	if n := q.Run(); n != 0 {
+		t.Errorf("%d cancelled events fired", n)
 	}
 	// Refill and Clear.
 	for i := 0; i < 10; i++ {
@@ -139,13 +136,13 @@ func TestLenIsLiveCounter(t *testing.T) {
 }
 
 // TestScheduleSteadyStateAllocs pins the allocation budget of the hot
-// path: once the queue's arena and bucket free list are warm, a
-// schedule+dispatch cycle must allocate (amortized) well under one
-// object per event — the pooled design's whole point.
+// path: once the slot slab, the bucket free list and the heap slice
+// have grown to the run's peak occupancy, a schedule+dispatch cycle
+// allocates nothing at all — fired slots and drained buckets are reused.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	var q Queue
-	// Warm the arena, the bucket free list and the heap slice.
-	for i := 0; i < 4*arenaChunk; i++ {
+	// Warm the slabs past the measured loop's peak occupancy.
+	for i := 0; i < 64; i++ {
 		q.Schedule(q.Now()+units.Cycles(i%16), nop)
 	}
 	q.Run()
@@ -156,9 +153,7 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 		}
 		q.RunUntil(base + 2)
 	})
-	// 8 events per run; one arenaChunk allocation per 256 events plus
-	// occasional slice growth amortizes far below 1 alloc per run.
-	if avg > 0.5 {
-		t.Fatalf("steady-state allocations = %.3f per 8-event run, want <= 0.5", avg)
+	if avg != 0 {
+		t.Fatalf("steady-state allocations = %.3f per 8-event run, want 0", avg)
 	}
 }

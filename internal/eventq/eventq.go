@@ -7,42 +7,56 @@
 // dominant access pattern — bursts of events landing on the same cycle
 // (a preemption plan freezes several blocks at once, a rebalance
 // schedules a batch of completions). Consecutive same-cycle schedules
-// share a bucket (an append-only FIFO slice), so a burst of B events
-// costs one heap operation instead of B. Scheduling a cycle other than
-// the most recent one opens a fresh bucket even if that cycle already
-// has one: buckets carry a creation sequence number and the heap orders
-// by (cycle, sequence), which keeps FIFO within a cycle exact — every
-// event in an earlier bucket was scheduled before every event in a
+// share a bucket (an append-only FIFO of slot indexes), so a burst of B
+// events costs one heap operation instead of B. Scheduling a cycle other
+// than the most recent one opens a fresh bucket even if that cycle
+// already has one: buckets carry a creation sequence number and the heap
+// orders by (cycle, sequence), which keeps FIFO within a cycle exact —
+// every event in an earlier bucket was scheduled before every event in a
 // later one — without any cycle-indexed map. Bucket shells live in an
 // index-addressed slab, so the min-heap holds plain value triples with
 // no pointers: comparisons never dereference, swaps never take a write
-// barrier. Event structs are carved from chunked arenas and exhausted
-// bucket shells are recycled on a free list, so steady-state scheduling
-// allocates (amortized) nothing. All pooling is per-queue — and
-// therefore per-simulation — which keeps runs bit-identical and
-// memoizable: no state crosses from one job to the next.
+// barrier.
+//
+// Events live in a per-queue slot slab. Schedule returns a Handle (slot
+// index plus generation); a slot is freed, and its generation bumped,
+// when its event fires or when its cancelled entry is skipped or
+// cleared, and the next Schedule reuses it. A stale Handle therefore
+// names a generation that no longer exists and Cancel ignores it. Slots
+// and exhausted bucket shells both recycle through free lists, so once
+// the slabs have grown to a run's peak occupancy nothing on the
+// schedule/dispatch spine allocates. The slot index never enters the
+// dispatch order. All pooling is per-queue — and therefore
+// per-simulation — which keeps runs bit-identical and memoizable: no
+// state crosses from one job to the next.
 package eventq
 
 import "chimera/internal/units"
 
-// Event is a callback scheduled to run at a simulation time. The cycle at
-// which it fires is passed back to the callback.
-type Event struct {
-	At     units.Cycles
-	Fire   func(now units.Cycles)
-	staled bool
-	fired  bool
+// Handle names one scheduled event for Cancel. The zero Handle names
+// no event, and a Handle whose event has fired, been skipped after
+// cancellation or been cleared is stale: its slot's generation has moved
+// on, so cancelling it is a no-op even after the slot is reused.
+type Handle struct {
+	slot int32
+	gen  uint32
 }
 
-// Cancelled reports whether the event was cancelled before firing.
-func (e *Event) Cancelled() bool { return e.staled }
+// slot is one event's storage. gen counts the slot's reuses; it starts
+// at 1 so the zero Handle never matches a live event.
+type slot struct {
+	fire      func(now units.Cycles)
+	gen       uint32
+	cancelled bool
+}
 
 // bucket holds a run of consecutively scheduled events of one cycle in
-// insertion (FIFO) order. head is the next dispatch position; entries
-// before it have already been delivered or skipped as stale.
+// insertion (FIFO) order, as slot indexes. head is the next dispatch
+// position; entries before it have already been delivered or skipped as
+// cancelled, and their slots freed.
 type bucket struct {
-	events []*Event
-	head   int
+	slots []int32
+	head  int
 }
 
 // heapEntry is one occupied bucket in the min-heap: its cycle, its
@@ -54,17 +68,13 @@ type heapEntry struct {
 	idx int32
 }
 
-// arenaChunk is the number of Event structs allocated at once. One
-// chunk allocation amortizes over this many Schedule calls.
-const arenaChunk = 256
-
 // Queue is a time-ordered event queue. The zero value is ready to use.
 type Queue struct {
 	// heap is a min-heap over the occupied buckets, ordered by cycle
 	// then creation sequence.
 	heap []heapEntry
 	// buckets is the slab the heap indexes into; freeIdx recycles
-	// exhausted shells (and their event slices).
+	// exhausted shells (and their slot-index slices).
 	buckets []bucket
 	freeIdx []int32
 	// lastIdx/lastAt cache the most recently opened bucket (index+1; 0
@@ -74,16 +84,15 @@ type Queue struct {
 	// seq numbers buckets in creation order for the FIFO tie-break.
 	seq uint64
 
+	// slots is the event slab buckets index into; freeSlots recycles
+	// the slots of fired, skipped and cleared events.
+	slots     []slot
+	freeSlots []int32
+
 	// live counts pending (scheduled, not yet fired, not cancelled)
 	// events so Len is O(1) — it is called on cancellation drain paths.
 	live int
 	now  units.Cycles
-
-	// arena is the current Event chunk; arenaUsed its fill level.
-	// Handles returned by Schedule stay valid forever (chunks are never
-	// reused), they just stop costing one allocation each.
-	arena     []Event
-	arenaUsed int
 }
 
 // Now returns the current simulation time: the fire time of the most
@@ -94,18 +103,34 @@ func (q *Queue) Now() units.Cycles { return q.now }
 // the queue keeps a live counter instead of scanning for stale entries.
 func (q *Queue) Len() int { return q.live }
 
-// allocEvent carves one Event from the chunked arena.
+// allocSlot takes a free slot (or grows the slab) and arms it with fire.
 //
 //chimera:hot
-func (q *Queue) allocEvent(at units.Cycles, fire func(now units.Cycles)) *Event {
-	if q.arenaUsed == len(q.arena) {
-		q.arena = make([]Event, arenaChunk) //chimera:allow hotalloc arena refill: one allocation amortized over arenaChunk Schedule calls
-		q.arenaUsed = 0
+func (q *Queue) allocSlot(fire func(now units.Cycles)) int32 {
+	var s int32
+	if n := len(q.freeSlots); n > 0 {
+		s = q.freeSlots[n-1]
+		q.freeSlots = q.freeSlots[:n-1]
+	} else {
+		q.slots = append(q.slots, slot{gen: 1})
+		s = int32(len(q.slots) - 1)
 	}
-	e := &q.arena[q.arenaUsed]
-	q.arenaUsed++
-	*e = Event{At: at, Fire: fire}
-	return e
+	q.slots[s].fire = fire
+	return s
+}
+
+// freeSlot retires a slot whose event fired, was skipped as cancelled
+// or was cleared: bumping the generation makes every Handle to it stale.
+//
+//chimera:hot
+func (q *Queue) freeSlot(s int32) {
+	sl := &q.slots[s]
+	sl.fire = nil
+	sl.cancelled = false
+	if sl.gen++; sl.gen == 0 {
+		sl.gen = 1 // wrapped: keep the zero Handle matching nothing
+	}
+	q.freeSlots = append(q.freeSlots, s)
 }
 
 // openBucket recycles (or creates) an empty bucket shell and returns
@@ -135,8 +160,7 @@ func (q *Queue) releaseMin() {
 		q.down(0)
 	}
 	b := &q.buckets[idx]
-	clear(b.events)
-	b.events = b.events[:0]
+	b.slots = b.slots[:0]
 	b.head = 0
 	if q.lastIdx == idx+1 {
 		q.lastIdx = 0
@@ -144,23 +168,24 @@ func (q *Queue) releaseMin() {
 	q.freeIdx = append(q.freeIdx, idx)
 }
 
-// Schedule enqueues fire to run at cycle at. Scheduling in the past (at <
-// Now) is a programming error and panics: a discrete-event simulation
-// that silently reorders time produces corrupt results.
+// Schedule enqueues fire to run at cycle at and returns its Handle.
+// Scheduling in the past (at < Now) is a programming error and panics: a
+// discrete-event simulation that silently reorders time produces
+// corrupt results.
 //
 //chimera:hot
-func (q *Queue) Schedule(at units.Cycles, fire func(now units.Cycles)) *Event {
+func (q *Queue) Schedule(at units.Cycles, fire func(now units.Cycles)) Handle {
 	if at < q.now {
 		panic("eventq: scheduling into the past")
 	}
-	e := q.allocEvent(at, fire)
+	s := q.allocSlot(fire)
 	if li := q.lastIdx; li != 0 && q.lastAt == at {
 		b := &q.buckets[li-1]
-		b.events = append(b.events, e)
+		b.slots = append(b.slots, s)
 	} else {
 		idx := q.openBucket()
 		b := &q.buckets[idx]
-		b.events = append(b.events, e)
+		b.slots = append(b.slots, s)
 		q.seq++
 		q.heap = append(q.heap, heapEntry{at: at, seq: q.seq, idx: idx})
 		q.up(len(q.heap) - 1)
@@ -168,46 +193,73 @@ func (q *Queue) Schedule(at units.Cycles, fire func(now units.Cycles)) *Event {
 		q.lastAt = at
 	}
 	q.live++
-	return e
+	return Handle{slot: s, gen: q.slots[s].gen}
 }
 
 // ScheduleAfter enqueues fire to run delay cycles after the current time.
 //
 //chimera:hot
-func (q *Queue) ScheduleAfter(delay units.Cycles, fire func(now units.Cycles)) *Event {
+func (q *Queue) ScheduleAfter(delay units.Cycles, fire func(now units.Cycles)) Handle {
 	return q.Schedule(q.now+delay, fire)
 }
 
 // Cancel removes an event from the queue if it has not fired. Cancelling
-// is O(1): the event is marked stale and skipped when its bucket drains.
+// is O(1): the event is marked cancelled and its slot freed when its
+// bucket drains past it. The zero Handle, a stale Handle (the event
+// already fired or was cleared) and a repeated Cancel are all no-ops.
 //
 //chimera:hot
-func (q *Queue) Cancel(e *Event) {
-	if e == nil || e.staled {
+func (q *Queue) Cancel(h Handle) {
+	if int(h.slot) >= len(q.slots) {
 		return
 	}
-	e.staled = true
-	if !e.fired {
-		q.live--
+	sl := &q.slots[h.slot]
+	if sl.gen != h.gen || sl.cancelled {
+		return
 	}
+	sl.cancelled = true
+	q.live--
 }
 
-// peek returns the next pending event without dispatching it, skipping
-// (and discarding) stale entries and exhausted buckets along the way.
+// peek returns the slot of the next pending event without dispatching
+// it, or -1 when none is pending. Cancelled entries it passes are freed
+// and exhausted buckets released; the returned event sits at the head
+// of the minimum bucket, at cycle q.heap[0].at.
 //
 //chimera:hot
-func (q *Queue) peek() *Event {
+func (q *Queue) peek() int32 {
 	for len(q.heap) > 0 {
 		b := &q.buckets[q.heap[0].idx]
-		for b.head < len(b.events) {
-			if e := b.events[b.head]; !e.staled {
-				return e
+		for b.head < len(b.slots) {
+			s := b.slots[b.head]
+			if !q.slots[s].cancelled {
+				return s
 			}
+			q.freeSlot(s)
 			b.head++
 		}
 		q.releaseMin()
 	}
-	return nil
+	return -1
+}
+
+// dispatch fires the event peek just returned: it leaves the minimum
+// bucket, its slot is freed (its Handle going stale) before the
+// callback runs, and the clock moves to its cycle.
+//
+//chimera:hot
+func (q *Queue) dispatch(s int32) {
+	at := q.heap[0].at
+	b := &q.buckets[q.heap[0].idx]
+	b.head++
+	if b.head == len(b.slots) {
+		q.releaseMin()
+	}
+	fire := q.slots[s].fire
+	q.freeSlot(s)
+	q.live--
+	q.now = at
+	fire(at)
 }
 
 // Step dispatches the next pending event and returns true, or returns
@@ -215,20 +267,11 @@ func (q *Queue) peek() *Event {
 //
 //chimera:hot
 func (q *Queue) Step() bool {
-	e := q.peek()
-	if e == nil {
+	s := q.peek()
+	if s < 0 {
 		return false
 	}
-	// peek left the event at the minimum bucket's head.
-	b := &q.buckets[q.heap[0].idx]
-	b.head++
-	if b.head == len(b.events) {
-		q.releaseMin()
-	}
-	e.fired = true
-	q.live--
-	q.now = e.At
-	e.Fire(e.At)
+	q.dispatch(s)
 	return true
 }
 
@@ -259,11 +302,11 @@ func (q *Queue) RunUntilDone(limit units.Cycles, done <-chan struct{}) (n int, c
 			default:
 			}
 		}
-		e := q.peek()
-		if e == nil || e.At > limit {
+		s := q.peek()
+		if s < 0 || q.heap[0].at > limit {
 			break
 		}
-		q.Step()
+		q.dispatch(s)
 		n++
 	}
 	if q.now < limit {
@@ -274,15 +317,15 @@ func (q *Queue) RunUntilDone(limit units.Cycles, done <-chan struct{}) (n int, c
 
 // Clear cancels and discards every pending event, leaving the queue
 // empty at the current time. It is the cleanup step of an abandoned
-// (cancelled) simulation: no callback fires, no event survives.
+// (cancelled) simulation: no callback fires, no event survives, and
+// every outstanding Handle goes stale.
 func (q *Queue) Clear() {
 	for _, he := range q.heap {
 		b := &q.buckets[he.idx]
-		for _, e := range b.events[b.head:] {
-			e.staled = true
+		for _, s := range b.slots[b.head:] {
+			q.freeSlot(s)
 		}
-		clear(b.events)
-		b.events = b.events[:0]
+		b.slots = b.slots[:0]
 		b.head = 0
 		q.freeIdx = append(q.freeIdx, he.idx)
 	}

@@ -67,18 +67,59 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := q.Schedule(10, func(units.Cycles) { fired = true })
 	q.Cancel(e)
-	if !e.Cancelled() {
-		t.Error("event not marked cancelled")
+	if q.Len() != 0 {
+		t.Errorf("Len() = %d after cancelling the only event, want 0", q.Len())
 	}
-	q.Run()
-	if fired {
-		t.Error("cancelled event fired")
+	if n := q.Run(); n != 0 || fired {
+		t.Errorf("cancelled event fired (Run dispatched %d)", n)
 	}
 }
 
+// TestCancelNil: the zero Handle names no event, on an empty queue and
+// on one whose slot 0 holds a live event.
 func TestCancelNil(t *testing.T) {
 	var q Queue
-	q.Cancel(nil) // must not panic
+	q.Cancel(Handle{}) // must not panic
+	fired := false
+	q.Schedule(1, func(units.Cycles) { fired = true })
+	q.Cancel(Handle{})
+	if q.Len() != 1 {
+		t.Fatalf("Len() = %d after cancelling the zero Handle, want 1", q.Len())
+	}
+	if q.Run(); !fired {
+		t.Error("cancelling the zero Handle cancelled a live event")
+	}
+}
+
+// TestStaleHandleIsNoOp pins the generation check: one event fires, one
+// is cancelled and drained past, new events reuse both slots, and
+// cancelling the old handles must leave the new events pending. The
+// engine relies on this: it cancels breach events that may already have
+// fired.
+func TestStaleHandleIsNoOp(t *testing.T) {
+	var q Queue
+	fired := q.Schedule(1, nop)
+	cancelled := q.Schedule(1, nop)
+	q.Cancel(cancelled)
+	if n := q.Run(); n != 1 {
+		t.Fatalf("Run dispatched %d events, want 1", n)
+	}
+	var got []int
+	for i := 0; i < 2; i++ {
+		i := i
+		q.Schedule(q.Now()+1, func(units.Cycles) { got = append(got, i) })
+	}
+	if len(q.slots) != 2 {
+		t.Fatalf("slab holds %d slots, want the 2 freed ones reused", len(q.slots))
+	}
+	q.Cancel(fired)
+	q.Cancel(cancelled)
+	if q.Len() != 2 {
+		t.Fatalf("Len() = %d after cancelling stale handles, want 2", q.Len())
+	}
+	if n := q.Run(); n != 2 || len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("Run dispatched %d events %v, want both new events [0 1]", n, got)
+	}
 }
 
 func TestLenExcludesCancelled(t *testing.T) {
@@ -188,7 +229,7 @@ func TestCancelProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		var q Queue
 		const n = 60
-		events := make([]*Event, n)
+		events := make([]Handle, n)
 		cancelled := make([]bool, n)
 		var fired []int
 		for i := 0; i < n; i++ {

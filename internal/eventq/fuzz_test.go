@@ -68,6 +68,7 @@ func FuzzEventQ(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 0, 0, 3, 2, 0, 3, 3})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 4, 10, 5, 6})
 	f.Add([]byte{1, 7, 1, 7, 2, 1, 4, 200})
+	f.Add([]byte{0, 0, 3, 0, 1, 2, 0}) // fire, reuse the slot, cancel the stale handle
 	f.Fuzz(func(t *testing.T, program []byte) {
 		var q Queue
 		var m model
@@ -84,7 +85,10 @@ func FuzzEventQ(f *testing.F) {
 			i++
 			return b
 		}
-		handles := make(map[int]*Event)
+		// handles keeps every Handle ever issued, so the cancel op also
+		// cancels fired, skipped and cleared events through stale
+		// handles whose slots may since have been reused.
+		handles := make(map[int]Handle)
 
 		schedule := func(delay units.Cycles) {
 			id := nextID
@@ -103,7 +107,7 @@ func FuzzEventQ(f *testing.F) {
 			switch op := arg(); op % 6 {
 			case 0, 1: // schedule at now + small delay (two ops: bias toward collisions)
 				schedule(units.Cycles(arg() % 8))
-			case 2: // cancel one prior event (stale-entry path)
+			case 2: // cancel one prior event (pending, cancelled, fired or cleared)
 				if nextID > 0 {
 					id := int(arg()) % nextID
 					q.Cancel(handles[id])
@@ -197,10 +201,12 @@ func TestFIFOWithinTimestampProperty(t *testing.T) {
 			at units.Cycles
 		}
 		var want []rec
-		handles := make([]*Event, n)
+		var got []int
+		handles := make([]Handle, n)
 		for id := 0; id < n; id++ {
+			id := id
 			at := units.Cycles(rng.Intn(5)) // heavy collisions
-			handles[id] = q.Schedule(at, nil)
+			handles[id] = q.Schedule(at, func(units.Cycles) { got = append(got, id) })
 			want = append(want, rec{id: id, at: at})
 		}
 		cancelled := make(map[int]bool)
@@ -217,13 +223,6 @@ func TestFIFOWithinTimestampProperty(t *testing.T) {
 				if r.at == at && !cancelled[r.id] {
 					expect = append(expect, r)
 				}
-			}
-		}
-		var got []int
-		for id := range handles {
-			id := id
-			if !cancelled[id] {
-				handles[id].Fire = func(units.Cycles) { got = append(got, id) }
 			}
 		}
 		if ran := q.Run(); ran != len(expect) {

@@ -21,8 +21,8 @@ import (
 // 1.75× / 88×-fewer-allocs hot-loop win with arenas, free lists and
 // scratch buffers; the annotation pins each of those functions so a
 // regression is a build failure, not a benchmark surprise. Amortized
-// allocations that are part of the design — an arena refill, a pool
-// grow path — stay, annotated //chimera:allow hotalloc <reason>.
+// allocations that are part of the design — a pool grow path, a
+// once-per-struct closure — stay, annotated //chimera:allow hotalloc <reason>.
 const HotDirective = "//chimera:hot"
 
 // HotAlloc flags constructs that always heap-allocate inside functions

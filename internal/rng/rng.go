@@ -90,8 +90,7 @@ func (r *Source) LogNormal(mu, sigma float64) float64 {
 
 // LogNormalMean returns a lognormal sample with the requested mean and a
 // shape parameter sigma (the standard deviation of the underlying
-// normal). The mean of exp(N(mu, sigma²)) is exp(mu + sigma²/2), so mu is
-// back-solved from the requested mean.
+// normal), with mu back-solved by LogNormalMu.
 func (r *Source) LogNormalMean(mean, sigma float64) float64 {
 	if mean <= 0 {
 		return 0
@@ -99,8 +98,15 @@ func (r *Source) LogNormalMean(mean, sigma float64) float64 {
 	if sigma == 0 {
 		return mean // exp(log(mean)) would round; the identity is exact
 	}
-	mu := math.Log(mean) - sigma*sigma/2
-	return r.LogNormal(mu, sigma)
+	return r.LogNormal(LogNormalMu(mean, sigma), sigma)
+}
+
+// LogNormalMu returns the location mu for which exp(N(mu, sigma²)) has
+// the requested (positive) mean: that mean is exp(mu + sigma²/2). Callers
+// drawing many samples of one distribution compute it once and sample
+// with LogNormal.
+func LogNormalMu(mean, sigma float64) float64 {
+	return math.Log(mean) - sigma*sigma/2
 }
 
 // Split returns a new independent Source derived from this one. It is

@@ -143,14 +143,26 @@ func shortSpec() JobSpec {
 	return JobSpec{Kind: KindSolo, Bench: "SAD", WindowUs: 100}
 }
 
+// TestSubmitAndResult: a 202 carries the job's status, then the job runs
+// to done and its result is served. A long job holds the only worker so
+// the fresh job's state is deterministically queued — a tiny job on an
+// idle worker can already be done when its 202 is rendered.
 func TestSubmitAndResult(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{Workers: 1})
+	long, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit long: got %d", code)
+	}
+	awaitRunning(t, ts, long.ID)
 	st, code := postJob(t, ts, shortSpec(), "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: got %d, want 202", code)
 	}
-	if st.State != StateQueued && st.State != StateRunning {
-		t.Fatalf("fresh job state = %s", st.State)
+	if st.State != StateQueued {
+		t.Fatalf("fresh job state = %s behind a running job, want %s", st.State, StateQueued)
+	}
+	if code := deleteJob(t, ts, long.ID); code != http.StatusAccepted {
+		t.Fatalf("cancel long: got %d", code)
 	}
 	fin := await(t, ts, st.ID)
 	if fin.State != StateDone {
