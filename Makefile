@@ -84,17 +84,20 @@ benchdiff:
 
 # Metamorphic identity gate: the quick exhibit sweep must be
 # bit-reproducible (two runs byte-identical) and must still match the
-# checked-in canonical trace — the proof that perf work (pooling,
-# batching, queue swaps) changed no observable behavior.
+# checked-in quick tables (results_quick.txt, every exhibit) and
+# canonical trace (one traced scenario) — the proof that perf work
+# (pooling, batching, queue swaps) changed no observable behavior.
+# Tables are stdout only; the trace summary line goes to stderr.
 VERIFY_DIR ?= /tmp/chimera-verify
 verify-identical:
 	mkdir -p $(VERIFY_DIR)/a $(VERIFY_DIR)/b
-	$(GO) run ./cmd/chimerasim -quick -trace trace.json all > $(VERIFY_DIR)/a/results.txt 2>&1 && mv trace.json $(VERIFY_DIR)/a/trace.json
-	$(GO) run ./cmd/chimerasim -quick -trace trace.json all > $(VERIFY_DIR)/b/results.txt 2>&1 && mv trace.json $(VERIFY_DIR)/b/trace.json
+	$(GO) run ./cmd/chimerasim -quick -trace trace.json all > $(VERIFY_DIR)/a/results.txt && mv trace.json $(VERIFY_DIR)/a/trace.json
+	$(GO) run ./cmd/chimerasim -quick -trace trace.json all > $(VERIFY_DIR)/b/results.txt && mv trace.json $(VERIFY_DIR)/b/trace.json
 	cmp $(VERIFY_DIR)/a/results.txt $(VERIFY_DIR)/b/results.txt
 	cmp $(VERIFY_DIR)/a/trace.json $(VERIFY_DIR)/b/trace.json
+	cmp $(VERIFY_DIR)/a/results.txt results_quick.txt
 	cmp $(VERIFY_DIR)/a/trace.json trace_canonical.json
-	@echo "verify-identical: two quick sweeps byte-identical and equal to trace_canonical.json"
+	@echo "verify-identical: two quick sweeps byte-identical and equal to results_quick.txt and trace_canonical.json"
 
 # Every benchmark in the repository (slow; exhibits log their tables).
 bench-all:
@@ -109,10 +112,12 @@ race:
 results:
 	$(GO) run ./cmd/chimerasim -v all | tee results_full.txt
 
-# Quick pass over every exhibit, also refreshing the canonical trace
-# artifact referenced from EXPERIMENTS.md and docs/observability.md.
+# Quick pass over every exhibit, refreshing the quick tables
+# (results_quick.txt) and the canonical trace artifact referenced from
+# EXPERIMENTS.md and docs/observability.md — the two files
+# verify-identical pins. Run it only for a deliberate behaviour change.
 quick-results:
-	$(GO) run ./cmd/chimerasim -quick -trace trace_canonical.json all
+	$(GO) run ./cmd/chimerasim -quick -trace trace_canonical.json all > results_quick.txt
 
 # Documentation gates: every example must build, the observability,
 # server and lint packages (whose APIs docs/observability.md,

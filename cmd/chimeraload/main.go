@@ -16,6 +16,10 @@
 //     5× -rate with 20-job lulls at ⅓ -rate — same mean load, spiky
 //     shape.
 //
+// Each open-loop job is dispatched at its absolute due time, so timer
+// overshoot never accumulates; the report prints how late the
+// generator ran (median and max).
+//
 // With -record FILE, the generator appends every job's terminal
 // outcome to a versioned JSONL workload trace (jobspec.TraceRecord,
 // docs/jobs.md) whose arrival offsets are the scheduled (deterministic)
@@ -74,6 +78,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -237,6 +242,9 @@ type loadStats struct {
 	missed atomic.Int64
 	errMu  sync.Mutex
 	err    error
+	// late is each open-loop dispatch's delay past its due time,
+	// appended by the dispatching goroutine only.
+	late []time.Duration
 }
 
 func newLoadStats(targets int) *loadStats {
@@ -275,6 +283,19 @@ func (s *loadStats) note(i int64, target int, st server.JobStatus, lat time.Dura
 		s.failed.Add(1)
 		s.setErr(fmt.Errorf("job %d finished %s: %s", i, st.State, st.Error))
 	}
+}
+
+// lateness returns the median and maximum open-loop dispatch lateness
+// in milliseconds, or ok=false for a closed-loop run.
+func (s *loadStats) lateness() (p50, worst float64, ok bool) {
+	n := len(s.late)
+	if n == 0 {
+		return 0, 0, false
+	}
+	l := slices.Clone(s.late)
+	slices.Sort(l)
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return (ms(l[(n-1)/2]) + ms(l[n/2])) / 2, ms(l[n-1]), true
 }
 
 func (s *loadStats) setErr(err error) {
@@ -346,7 +367,7 @@ func campaign(o options, clients []*client.Client, rec *jobspec.TraceWriter) (*l
 	if o.arrival == "closed" {
 		err = runClosed(o, clients, stats, rec, start)
 	} else {
-		err = runOpen(o, clients, stats, rec)
+		err = runOpen(o, clients, stats, rec, start)
 	}
 	if err != nil {
 		return nil, 0, err
@@ -362,7 +383,7 @@ func shootout(o options, clients []*client.Client, rec *jobspec.TraceWriter) err
 	policies := strings.Split(o.policies, ",")
 	fmt.Printf("chimeraload: policy shootout: %d jobs/policy (%s %s, %gµs window, %s arrivals, deadline %dms)\n",
 		o.n, o.kind, o.bench, o.windowUs, o.arrival, o.deadlineMs)
-	fmt.Println("  policy    done   shed   missed  failed  miss-rate  p50(ms)    p99(ms)")
+	fmt.Println("  policy    done   shed   missed  failed  miss-rate  p50(ms)    p99(ms)    late p50/max(ms)")
 	var firstErr error
 	for _, p := range policies {
 		po := o
@@ -373,9 +394,13 @@ func shootout(o options, clients []*client.Client, rec *jobspec.TraceWriter) err
 		}
 		shed, missed := stats.shed.Load(), stats.missed.Load()
 		missRate := float64(shed+missed) / float64(o.n)
-		fmt.Printf("  %-8s %6d %6d %8d %7d %9.1f%% %-10.3f %-10.3f\n",
+		late := "-"
+		if p50, worst, ok := stats.lateness(); ok {
+			late = fmt.Sprintf("%.3f/%.3f", p50, worst)
+		}
+		fmt.Printf("  %-8s %6d %6d %8d %7d %9.1f%% %-10.3f %-10.3f %s\n",
 			po.policy, stats.hist.Count(), shed, missed, stats.failed.Load(),
-			100*missRate, stats.hist.Quantile(0.50), stats.hist.Quantile(0.99))
+			100*missRate, stats.hist.Quantile(0.50), stats.hist.Quantile(0.99), late)
 		if firstErr == nil && stats.err != nil {
 			firstErr = fmt.Errorf("policy %s: %w", po.policy, stats.err)
 		}
@@ -395,6 +420,9 @@ func report(o options, stats *loadStats, elapsed time.Duration, rec *jobspec.Tra
 		completed, stats.failed.Load(), stats.deduped.Load(), float64(completed)/elapsed.Seconds())
 	if o.deadlineMs > 0 {
 		fmt.Printf("  shed: %d   deadline-missed: %d\n", stats.shed.Load(), stats.missed.Load())
+	}
+	if p50, worst, ok := stats.lateness(); ok {
+		fmt.Printf("  generator: late p50 %.3f ms, max %.3f ms\n", p50, worst)
 	}
 	if completed > 0 {
 		fmt.Println("  latency(ms)  p50        p95        p99        mean       max")
@@ -479,8 +507,10 @@ func runClosed(o options, clients []*client.Client, stats *loadStats, rec *jobsp
 
 // runOpen fires jobs on the precomputed deterministic arrival schedule
 // regardless of how fast the server keeps up, and waits for the
-// stragglers at the end.
-func runOpen(o options, clients []*client.Client, stats *loadStats, rec *jobspec.TraceWriter) error {
+// stragglers at the end. Sleeping to each job's absolute due time,
+// rather than for each gap after the previous dispatch, keeps timer
+// overshoot from accumulating.
+func runOpen(o options, clients []*client.Client, stats *loadStats, rec *jobspec.TraceWriter, start time.Time) error {
 	gaps, err := arrivalGaps(o.arrival, o.n, o.rate, o.seed)
 	if err != nil {
 		return err
@@ -490,7 +520,9 @@ func runOpen(o options, clients []*client.Client, stats *loadStats, rec *jobspec
 	var arrival time.Duration
 	for i := 0; i < o.n; i++ {
 		arrival += gaps[i]
-		time.Sleep(gaps[i])
+		due := start.Add(arrival)
+		time.Sleep(time.Until(due))
+		stats.late = append(stats.late, time.Since(due))
 		wg.Add(1)
 		go func(i int64, arrival time.Duration) {
 			defer wg.Done()

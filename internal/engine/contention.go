@@ -67,8 +67,8 @@ func (s *Simulation) applyContention(now units.Cycles) {
 				tb.sync(now)
 			}
 			tb.cpi = newCPI
-			tb.cancelEvents(&s.q)
-			sm.scheduleEvents(tb, start)
+			tb.cancelDone(&s.q)
+			sm.scheduleDone(tb, start)
 			tb.startAt = start
 		}
 	}

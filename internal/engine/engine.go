@@ -182,9 +182,9 @@ type Simulation struct {
 	planScratch []*threadBlock
 }
 
-// allocTB returns a recycled (or new) thread-block struct. The fire
-// closures are created once per struct and survive recycling: they
-// close over the struct pointer, which stays stable for the
+// allocTB returns a recycled (or new) thread-block struct. The
+// completion closure is created once per struct and survives recycling:
+// it closes over the struct pointer, which stays stable for the
 // simulation's lifetime.
 //
 //chimera:hot
@@ -197,20 +197,18 @@ func (s *Simulation) allocTB() *threadBlock {
 	}
 	tb := &threadBlock{}                                           //chimera:allow hotalloc pool growth: one struct per high-water mark, recycled forever after
 	tb.fireDone = func(now units.Cycles) { s.tbComplete(tb, now) } //chimera:allow hotalloc closure created once per pooled struct, reused across every segment
-	tb.fireBreach = func(units.Cycles) { tb.breached = true }      //chimera:allow hotalloc closure created once per pooled struct, reused across every segment
 	return tb
 }
 
 // freeTB resets a terminal (completed or killed) block and returns it
 // to the pool. Callers must guarantee no pending event can still act on
-// the block: its done/breach events are fired or cancelled, and any
+// the block: its completion event is fired or cancelled, and any
 // lingering save-batch callback belongs to a cancelled handover (a
 // no-op before it touches blocks).
 //
 //chimera:hot
 func (s *Simulation) freeTB(tb *threadBlock) {
-	fd, fb := tb.fireDone, tb.fireBreach
-	*tb = threadBlock{fireDone: fd, fireBreach: fb}
+	*tb = threadBlock{fireDone: tb.fireDone}
 	s.tbFree = append(s.tbFree, tb)
 }
 
@@ -405,8 +403,6 @@ func (s *Simulation) tbComplete(tb *threadBlock, now units.Cycles) {
 	tb.sync(now)
 	tb.phase = tbDone
 	tb.doneEv = eventq.Handle{}
-	s.q.Cancel(tb.breachEv)
-	tb.breachEv = eventq.Handle{}
 	k.stats.RecordCompletion(tb.insts, tb.runCycles)
 	if e := s.opts.Estimator; e != nil {
 		e.Observe(k.params.Label, tb.insts, tb.runCycles)
@@ -486,7 +482,7 @@ func (s *Simulation) killKernel(k *kernelInstance, now units.Cycles) {
 		for len(sm.resident) > 0 {
 			tb := sm.resident[len(sm.resident)-1]
 			tb.sync(now)
-			tb.cancelEvents(&s.q)
+			tb.cancelDone(&s.q)
 			tb.phase = tbDone
 			sm.removeResident(tb, now)
 			tb.sm = nil

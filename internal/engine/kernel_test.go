@@ -147,7 +147,7 @@ func TestEstimateVisibility(t *testing.T) {
 }
 
 func TestThreadBlockProgressMath(t *testing.T) {
-	tb := &threadBlock{insts: 1000, breachInst: 800, cpi: 4, phase: tbRunning, startAt: 100}
+	tb := &threadBlock{kernel: testInstance(testParams(), 1), insts: 1000, breachInst: 800, cpi: 4, phase: tbRunning, startAt: 100}
 	if got := tb.executedAt(100); got != 0 {
 		t.Errorf("executedAt(start) = %d", got)
 	}
@@ -163,8 +163,57 @@ func TestThreadBlockProgressMath(t *testing.T) {
 	if !tb.breachedAt(100 + 800*4) {
 		t.Error("not breached at the breach instruction")
 	}
+	if tb.breachedAt(100 + 800*4 - 1) {
+		t.Error("breached one cycle before the breach instruction")
+	}
 	if got := tb.remainingCycles(500); got != 3600 {
 		t.Errorf("remainingCycles = %d, want 3600", got)
+	}
+	// A block frozen past its breach point (its context being saved)
+	// stays breached: sync committed the progress that implies it.
+	tb.sync(100 + 900*4)
+	tb.frozen = true
+	if !tb.breachedAt(1_000_000) {
+		t.Error("frozen block past its breach point is not breached")
+	}
+	// A flush discards all progress, so the block is flushable again,
+	// queued and at the start of its re-execution alike.
+	tb.executed, tb.phase, tb.frozen = 0, tbQueued, false
+	if tb.breachedAt(1_000_000) {
+		t.Error("flushed block (executed = 0) is breached")
+	}
+	tb.phase, tb.startAt = tbRunning, 5000
+	if tb.breachedAt(5000) {
+		t.Error("flushed block breached at the start of its re-execution")
+	}
+}
+
+// TestOneEventPerRunningBlock: a running block's only pending event is
+// its completion. The breach follows from progress (breachedAt) and is
+// never scheduled, so right after Start the queue holds exactly one
+// event per resident block even though every block's breach point lies
+// inside it.
+func TestOneEventPerRunningBlock(t *testing.T) {
+	cfg := gpu.DefaultConfig()
+	cfg.NumSMs = 2
+	sim := New(Options{Config: cfg, Policy: ChimeraPolicy{}, Constraint: units.FromMicroseconds(15), Seed: 1})
+	// Non-idempotent, breaching halfway through each 1000-instruction block.
+	sim.AddProcess(ProcessSpec{Name: "P", Launches: []LaunchSpec{tinyKernel("K", 1000, 4, 0.3, 4, 100, 0.5)}})
+	sim.Start()
+	resident := 0
+	for _, sm := range sim.sms {
+		for _, tb := range sm.resident {
+			if tb.breachInst <= 0 || tb.breachInst >= tb.insts {
+				t.Fatalf("block %d breaches at %d of %d, want inside the block", tb.index, tb.breachInst, tb.insts)
+			}
+		}
+		resident += len(sm.resident)
+	}
+	if resident != 2*4 {
+		t.Fatalf("%d resident blocks after Start, want 8 (2 SMs × 4)", resident)
+	}
+	if got := sim.Pending(); got != resident {
+		t.Errorf("Pending() = %d with %d resident blocks, want one completion event each", got, resident)
 	}
 }
 

@@ -175,7 +175,6 @@ func (sm *smUnit) place(tb *threadBlock, now units.Cycles) {
 		// Fresh run (first dispatch or re-execution after a flush).
 		tb.baseCPI = k.sampleCPI()
 		tb.runCycles = 0
-		tb.breached = false
 	}
 	tb.cpi = tb.baseCPI * sm.sim.contentionFactor()
 	tb.phase = tbRunning
@@ -186,23 +185,17 @@ func (sm *smUnit) place(tb *threadBlock, now units.Cycles) {
 	before := len(sm.resident)
 	sm.resident = append(sm.resident, tb)
 	sm.noteResidentChange(before, now)
-	sm.scheduleEvents(tb, start)
+	sm.scheduleDone(tb, start)
 }
 
-// scheduleEvents arms the completion and breach events of a running
-// block whose segment begins at start. The callbacks are the block's
-// pooled closures — no allocation per segment.
+// scheduleDone arms the completion event of a running block whose
+// segment begins at start. The callback is the block's pooled closure —
+// no allocation per segment.
 //
 //chimera:hot
-func (sm *smUnit) scheduleEvents(tb *threadBlock, start units.Cycles) {
-	q := &sm.sim.q
+func (sm *smUnit) scheduleDone(tb *threadBlock, start units.Cycles) {
 	rem := tb.insts - tb.executed
-	doneAt := start + cyclesCeil(float64(rem)*tb.cpi)
-	tb.doneEv = q.Schedule(doneAt, tb.fireDone)
-	if !tb.breached && tb.executed < tb.breachInst && tb.breachInst < tb.insts {
-		breachAt := start + cyclesCeil(float64(tb.breachInst-tb.executed)*tb.cpi)
-		tb.breachEv = q.Schedule(breachAt, tb.fireBreach)
-	}
+	tb.doneEv = sm.sim.q.Schedule(start+cyclesCeil(float64(rem)*tb.cpi), tb.fireDone)
 }
 
 // removeResident detaches a block from the SM's resident list at cycle
@@ -284,7 +277,7 @@ func (sm *smUnit) executePlan(plan preempt.SMPlan, req *RequestRecord, stall, no
 		case preempt.Switch:
 			tb.sync(now)
 			tb.frozen = true
-			tb.cancelEvents(&sm.sim.q)
+			tb.cancelDone(&sm.sim.q)
 			h.frozen = append(h.frozen, tb)
 			saveCycles += k.params.TBSwitchCycles(sm.sim.cfg)
 			k.stats.Preemptions[preempt.Switch]++
@@ -359,7 +352,7 @@ func (sm *smUnit) escalate(now units.Cycles) bool {
 		tb.sync(now)
 		tb.draining = false
 		tb.frozen = true
-		tb.cancelEvents(&sm.sim.q)
+		tb.cancelDone(&sm.sim.q)
 		h.frozen = append(h.frozen, tb)
 		batch = append(batch, tb)
 		saveCycles += k.params.TBSwitchCycles(sm.sim.cfg)
@@ -392,11 +385,10 @@ func (sm *smUnit) flushTB(tb *threadBlock, now units.Cycles, req *RequestRecord)
 	}
 	sm.sim.emit(trace.Event{At: now, Kind: trace.FlushTB, Kernel: k.params.Label, SM: int(sm.id), TB: tb.index,
 		Insts: tb.executed})
-	tb.cancelEvents(&sm.sim.q)
+	tb.cancelDone(&sm.sim.q)
 	sm.removeResident(tb, now)
 	tb.executed = 0
 	tb.runCycles = 0
-	tb.breached = false
 	tb.needsRestore = false
 	k.requeue(tb)
 }
@@ -489,7 +481,7 @@ func (sm *smUnit) cancelHandover(now units.Cycles) {
 	for _, tb := range h.frozen {
 		tb.frozen = false
 		tb.startAt = now
-		sm.scheduleEvents(tb, now)
+		sm.scheduleDone(tb, now)
 	}
 	h.frozen = nil
 	for _, tb := range sm.resident {

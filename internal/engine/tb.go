@@ -17,23 +17,27 @@ const (
 // threadBlock is the runtime state of one thread block. Progress is
 // linear in time between events: a running block advances one warp
 // instruction every cpi cycles from its segment start. All observable
-// state (executed counters, the breach flag) is what real scheduling
-// hardware sees per §3.2/§3.4.
+// state (the executed counter, and the breach it implies) is what real
+// scheduling hardware sees per §3.2/§3.4.
 type threadBlock struct {
 	kernel *kernelInstance
 	index  int
 
-	insts      int64 // total warp instructions (== params.InstsPerTB)
-	breachInst int64 // instruction index of the idempotence breach
+	insts int64 // total warp instructions (== params.InstsPerTB)
+	// breachInst is the instruction index of the idempotence breach: the
+	// block is unflushable once executedAt reaches it (breachedAt).
+	breachInst int64
 	// baseCPI is the block's sampled intrinsic CPI; cpi is the effective
 	// rate currently in force (baseCPI inflated by memory-bandwidth
 	// contention when the contention model is enabled).
 	baseCPI float64
 	cpi     float64
 
-	phase    tbPhase
-	executed int64 // committed progress at the last sync point
-	breached bool  // breach notification fired during the current run
+	phase tbPhase
+	// executed is the committed progress at the last sync point. A
+	// context switch keeps it across save and restore; a flush resets it
+	// to 0.
+	executed int64
 
 	// needsRestore marks a context-switched block whose saved context
 	// must be reloaded before it can resume.
@@ -54,20 +58,16 @@ type threadBlock struct {
 	// feeding the measured-CPI statistics.
 	runCycles units.Cycles
 
-	// doneEv/breachEv are the pending completion and breach events; the
-	// zero Handle when none is armed. A fired breach event's Handle is
-	// left in place and goes stale, so cancelling it later is a no-op.
-	doneEv   eventq.Handle
-	breachEv eventq.Handle
+	// doneEv is the pending completion event; the zero Handle when none
+	// is armed. It is the block's only event: the breach needs none.
+	doneEv eventq.Handle
 
-	// fireDone/fireBreach are the block's event callbacks, created once
-	// when the struct is first allocated and kept across free-list
-	// recycling (they close over the struct pointer, whose identity
-	// persists). Re-arming a block's events this way costs zero closure
-	// allocations per execution segment — the engine's hottest
-	// allocation site before pooling.
-	fireDone   func(now units.Cycles)
-	fireBreach func(now units.Cycles)
+	// fireDone is the completion callback, created once when the struct
+	// is first allocated and kept across free-list recycling (it closes
+	// over the struct pointer, whose identity persists). Re-arming the
+	// event this way costs zero closure allocations per execution
+	// segment — the engine's hottest allocation site before pooling.
+	fireDone func(now units.Cycles)
 }
 
 // executedAt returns the block's warp-instruction counter at cycle now.
@@ -84,9 +84,10 @@ func (tb *threadBlock) executedAt(now units.Cycles) int64 {
 
 // breachedAt reports whether the block is past its non-idempotent point
 // at cycle now — the condition the notification store makes visible to
-// the scheduler.
+// the scheduler. The breach is a function of progress, so no event
+// marks it.
 func (tb *threadBlock) breachedAt(now units.Cycles) bool {
-	return tb.breached || tb.executedAt(now) >= tb.breachInst
+	return tb.executedAt(now) >= tb.breachInst
 }
 
 // remainingCycles returns the wall time left until completion if the
@@ -119,9 +120,8 @@ func (tb *threadBlock) sync(now units.Cycles) {
 	tb.startAt = now
 }
 
-// cancelEvents drops any pending completion/breach events.
-func (tb *threadBlock) cancelEvents(q *eventQueue) {
+// cancelDone drops the pending completion event, if any.
+func (tb *threadBlock) cancelDone(q *eventQueue) {
 	q.Cancel(tb.doneEv)
-	q.Cancel(tb.breachEv)
-	tb.doneEv, tb.breachEv = eventq.Handle{}, eventq.Handle{}
+	tb.doneEv = eventq.Handle{}
 }

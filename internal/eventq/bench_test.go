@@ -10,11 +10,13 @@ import (
 // callbacks.
 func nop(units.Cycles) {}
 
-// BenchmarkEventQSameCycleBurst is the engine's dominant pattern: bursts
-// of events landing on the same cycle (a preemption plan freezing
-// several blocks, a rebalance arming a batch of completions), drained in
-// FIFO order. One iteration schedules and dispatches 64 events spread
-// over 8 distinct cycles.
+// BenchmarkEventQSameCycleBurst measures the pattern the bucket layer
+// was built for: bursts of events landing on the same cycle (a
+// preemption plan freezing several blocks, a rebalance arming a batch of
+// completions), drained in FIFO order. The engine itself rarely bursts:
+// a quick exhibit sweep averages 1.003 events per bucket
+// (docs/performance.md). One iteration schedules and dispatches 64
+// events spread over 8 distinct cycles.
 func BenchmarkEventQSameCycleBurst(b *testing.B) {
 	var q Queue
 	b.ReportAllocs()
@@ -47,7 +49,7 @@ func BenchmarkEventQSpread(b *testing.B) {
 
 // BenchmarkEventQCancel measures the cancel-heavy path: half the
 // scheduled events are cancelled before dispatch (the engine cancels a
-// completion/breach event pair on every preemption).
+// block's completion event on every preemption).
 func BenchmarkEventQCancel(b *testing.B) {
 	var q Queue
 	b.ReportAllocs()
@@ -90,8 +92,8 @@ func BenchmarkEventQLen(b *testing.B) {
 
 // TestLenIsLiveCounter is the regression test for the O(1) Len rewrite:
 // the count must stay exact through fires, cancels, cancel-after-fire
-// (the engine cancels breach events that may already have fired),
-// double-cancel and Clear — none of which may scan the queue.
+// (a stale handle), double-cancel and Clear — none of which may scan
+// the queue.
 func TestLenIsLiveCounter(t *testing.T) {
 	var q Queue
 	a := q.Schedule(1, nop)

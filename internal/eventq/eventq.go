@@ -3,12 +3,14 @@
 // same cycle are delivered in insertion order (FIFO) so that simulation
 // outcomes do not depend on queue internals.
 //
-// The queue is a bucketed calendar queue tuned for the simulation's
-// dominant access pattern — bursts of events landing on the same cycle
-// (a preemption plan freezes several blocks at once, a rebalance
-// schedules a batch of completions). Consecutive same-cycle schedules
-// share a bucket (an append-only FIFO of slot indexes), so a burst of B
-// events costs one heap operation instead of B. Scheduling a cycle other
+// The queue is a bucketed calendar queue built for bursts of events
+// landing on the same cycle (a preemption plan freezes several blocks
+// at once, a rebalance schedules a batch of completions). Consecutive
+// same-cycle schedules share a bucket (an append-only FIFO of slot
+// indexes), so a burst of B events costs one heap operation instead of
+// B. Such bursts are rare in the engine: a quick exhibit sweep
+// (chimerasim -quick all) schedules 24.6 M events into 24.5 M buckets,
+// 1.003 events per bucket (docs/performance.md). Scheduling a cycle other
 // than the most recent one opens a fresh bucket even if that cycle
 // already has one: buckets carry a creation sequence number and the heap
 // orders by (cycle, sequence), which keeps FIFO within a cycle exact —

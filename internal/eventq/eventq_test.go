@@ -93,9 +93,9 @@ func TestCancelNil(t *testing.T) {
 
 // TestStaleHandleIsNoOp pins the generation check: one event fires, one
 // is cancelled and drained past, new events reuse both slots, and
-// cancelling the old handles must leave the new events pending. The
-// engine relies on this: it cancels breach events that may already have
-// fired.
+// cancelling the old handles must leave the new events pending: a
+// holder that cancels after its event fired must not hit whichever
+// event reused the slot.
 func TestStaleHandleIsNoOp(t *testing.T) {
 	var q Queue
 	fired := q.Schedule(1, nop)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"chimera/internal/kernels"
+	"chimera/internal/units"
 )
 
 // SchemaVersion is the current Spec schema version. Specs marshal
@@ -154,6 +155,14 @@ func (s *Spec) Validate(cat *kernels.Catalog) error {
 	}
 	if s.WindowUs < 0 || s.ConstraintUs < 0 {
 		return fmt.Errorf("window_us and constraint_us must be positive")
+	}
+	// The simulation runs in whole cycles: a positive duration below half
+	// a cycle rounds to zero, which no scenario can run with.
+	if s.WindowUs > 0 && units.FromMicroseconds(s.WindowUs) == 0 {
+		return fmt.Errorf("window_us %g rounds to zero cycles", s.WindowUs)
+	}
+	if s.ConstraintUs > 0 && units.FromMicroseconds(s.ConstraintUs) == 0 {
+		return fmt.Errorf("constraint_us %g rounds to zero cycles", s.ConstraintUs)
 	}
 	if s.HeadroomUs < 0 {
 		return fmt.Errorf("headroom_us must not be negative")

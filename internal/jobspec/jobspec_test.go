@@ -154,6 +154,11 @@ func TestValidate(t *testing.T) {
 	bad(Solo("SAD").WithTimeoutMs(-1), "timeout_ms")
 	bad(Solo("SAD").WithHeadroomUs(-1), "headroom_us")
 	bad(Solo("SAD").WithTrace(), "trace is only supported")
+	// Positive durations below half a cycle (1/2800 µs) round to zero;
+	// 0.001 µs rounds to one cycle.
+	ok(Solo("SAD").WithWindowUs(0.001).WithConstraintUs(0.001))
+	bad(Solo("SAD").WithWindowUs(0.0001), "window_us 0.0001 rounds to zero cycles")
+	bad(Solo("SAD").WithConstraintUs(0.0001), "constraint_us 0.0001 rounds to zero cycles")
 }
 
 // TestHashIdentity pins the hash semantics: scheduling metadata does
