@@ -175,6 +175,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEventQ -fuzztime $(FUZZTIME) ./internal/eventq/
 	$(GO) test -run '^$$' -fuzz FuzzPlanIO -fuzztime $(FUZZTIME) ./internal/planio/
 	$(GO) test -run '^$$' -fuzz FuzzAdmissionOrder -fuzztime $(FUZZTIME) ./internal/sched/
+	$(GO) test -run '^$$' -fuzz FuzzSpec -fuzztime $(FUZZTIME) ./internal/jobspec/
 
 examples:
 	$(GO) run ./examples/quickstart

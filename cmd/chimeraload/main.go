@@ -41,7 +41,7 @@
 //	                 (direct replicas, or several fronts) — the report
 //	                 then includes a per-target latency table
 //	                 (at least one required)
-//	-n N             total jobs to run (default 200)
+//	-n N             total jobs to run, at least 1 (default 200)
 //	-c N             closed loop: concurrent clients (default 8)
 //	-arrival A       arrival process: closed, poisson or bursty
 //	                 (default closed)
@@ -158,6 +158,10 @@ func main() {
 
 	if len(o.addrs) == 0 {
 		fmt.Fprintln(os.Stderr, "chimeraload: at least one -addr is required")
+		os.Exit(2)
+	}
+	if o.n < 1 {
+		fmt.Fprintf(os.Stderr, "chimeraload: -n must be at least 1, got %d\n", o.n)
 		os.Exit(2)
 	}
 	if err := run(o); err != nil {

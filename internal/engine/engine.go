@@ -24,8 +24,6 @@ import (
 	"chimera/internal/units"
 )
 
-type eventQueue = eventq.Queue
-
 // LaunchSpec is one kernel launch within a process's command stream.
 type LaunchSpec struct {
 	Params gpu.KernelParams

@@ -121,7 +121,7 @@ func (tb *threadBlock) sync(now units.Cycles) {
 }
 
 // cancelDone drops the pending completion event, if any.
-func (tb *threadBlock) cancelDone(q *eventQueue) {
+func (tb *threadBlock) cancelDone(q *eventq.Queue) {
 	q.Cancel(tb.doneEv)
 	tb.doneEv = eventq.Handle{}
 }

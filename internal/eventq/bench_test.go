@@ -10,13 +10,13 @@ import (
 // callbacks.
 func nop(units.Cycles) {}
 
-// BenchmarkEventQSameCycleBurst measures the pattern the bucket layer
-// was built for: bursts of events landing on the same cycle (a
-// preemption plan freezing several blocks, a rebalance arming a batch of
-// completions), drained in FIFO order. The engine itself rarely bursts:
-// a quick exhibit sweep averages 1.003 events per bucket
-// (docs/performance.md). One iteration schedules and dispatches 64
-// events spread over 8 distinct cycles.
+// BenchmarkEventQSameCycleBurst measures bursts of events landing on the
+// same cycle (a preemption plan freezing several blocks, a rebalance
+// arming a batch of completions), drained in FIFO order. Every event
+// costs its own heap push and pop; the sequence tie-break keeps each
+// push O(1), since a new entry never rises above an equal-cycle one.
+// The engine itself rarely bursts (docs/performance.md). One iteration
+// schedules and dispatches 64 events spread over 8 distinct cycles.
 func BenchmarkEventQSameCycleBurst(b *testing.B) {
 	var q Queue
 	b.ReportAllocs()
@@ -32,8 +32,8 @@ func BenchmarkEventQSameCycleBurst(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*64), "ns/event")
 }
 
-// BenchmarkEventQSpread schedules each event on its own cycle — the
-// worst case for bucket sharing, exercising the occupied-cycle heap.
+// BenchmarkEventQSpread schedules each event on its own cycle, the
+// engine's common case: every push and pop sifts through the heap.
 func BenchmarkEventQSpread(b *testing.B) {
 	var q Queue
 	b.ReportAllocs()
@@ -138,9 +138,9 @@ func TestLenIsLiveCounter(t *testing.T) {
 }
 
 // TestScheduleSteadyStateAllocs pins the allocation budget of the hot
-// path: once the slot slab, the bucket free list and the heap slice
-// have grown to the run's peak occupancy, a schedule+dispatch cycle
-// allocates nothing at all — fired slots and drained buckets are reused.
+// path: once the slot slab, its free list and the heap slice have grown
+// to the run's peak occupancy, a schedule+dispatch cycle allocates
+// nothing at all — fired slots and heap capacity are reused.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	var q Queue
 	// Warm the slabs past the measured loop's peak occupancy.

@@ -3,40 +3,36 @@
 // same cycle are delivered in insertion order (FIFO) so that simulation
 // outcomes do not depend on queue internals.
 //
-// The queue is a bucketed calendar queue built for bursts of events
-// landing on the same cycle (a preemption plan freezes several blocks
-// at once, a rebalance schedules a batch of completions). Consecutive
-// same-cycle schedules share a bucket (an append-only FIFO of slot
-// indexes), so a burst of B events costs one heap operation instead of
-// B. Such bursts are rare in the engine: a quick exhibit sweep
-// (chimerasim -quick all) schedules 24.6 M events into 24.5 M buckets,
-// 1.003 events per bucket (docs/performance.md). Scheduling a cycle other
-// than the most recent one opens a fresh bucket even if that cycle
-// already has one: buckets carry a creation sequence number and the heap
-// orders by (cycle, sequence), which keeps FIFO within a cycle exact —
-// every event in an earlier bucket was scheduled before every event in a
-// later one — without any cycle-indexed map. Bucket shells live in an
-// index-addressed slab, so the min-heap holds plain value triples with
-// no pointers: comparisons never dereference, swaps never take a write
-// barrier.
+// The queue is one flat binary min-heap with an entry per scheduled
+// event: a (cycle, sequence, slot) value triple. The sequence is a
+// per-queue schedule counter, so ordering by (cycle, sequence) keeps
+// FIFO within a cycle exact, and since no two entries share a key the
+// dispatch order depends on nothing but the schedule order. The heap
+// holds no pointers: comparisons never dereference, swaps never take a
+// write barrier.
 //
 // Events live in a per-queue slot slab. Schedule returns a Handle (slot
 // index plus generation); a slot is freed, and its generation bumped,
-// when its event fires or when its cancelled entry is skipped or
-// cleared, and the next Schedule reuses it. A stale Handle therefore
-// names a generation that no longer exists and Cancel ignores it. Slots
-// and exhausted bucket shells both recycle through free lists, so once
-// the slabs have grown to a run's peak occupancy nothing on the
-// schedule/dispatch spine allocates. The slot index never enters the
-// dispatch order. All pooling is per-queue — and therefore
-// per-simulation — which keeps runs bit-identical and memoizable: no
-// state crosses from one job to the next.
+// when its entry leaves the heap — its event fires, its cancelled entry
+// is popped or compacted away, or Clear drops it — and the next
+// Schedule reuses it. A stale Handle therefore names a generation that
+// no longer exists and Cancel ignores it. Cancel only marks its event,
+// so the engine's cancel-heavy runs (the contention model re-arms every
+// running block at each transfer edge) leave cancelled entries behind;
+// when they outnumber the live ones, Cancel drops them all and
+// re-heapifies, which keeps the heap sized to the live events without
+// changing the dispatch order. Slots recycle through a free list, so
+// once the slab and the heap have grown to a run's peak occupancy
+// nothing on the schedule/dispatch spine allocates. The slot index
+// never enters the dispatch order. All pooling is per-queue — and
+// therefore per-simulation — which keeps runs bit-identical and
+// memoizable: no state crosses from one job to the next.
 package eventq
 
 import "chimera/internal/units"
 
 // Handle names one scheduled event for Cancel. The zero Handle names
-// no event, and a Handle whose event has fired, been skipped after
+// no event, and a Handle whose event has fired, been dropped after
 // cancellation or been cleared is stale: its slot's generation has moved
 // on, so cancelling it is a no-op even after the slot is reused.
 type Handle struct {
@@ -52,42 +48,26 @@ type slot struct {
 	cancelled bool
 }
 
-// bucket holds a run of consecutively scheduled events of one cycle in
-// insertion (FIFO) order, as slot indexes. head is the next dispatch
-// position; entries before it have already been delivered or skipped as
-// cancelled, and their slots freed.
-type bucket struct {
-	slots []int32
-	head  int
-}
-
-// heapEntry is one occupied bucket in the min-heap: its cycle, its
-// creation sequence (the within-cycle FIFO tie-break) and its slab
-// index. Pure values — heap operations touch no pointers.
+// heapEntry is one scheduled event in the min-heap: its cycle, its
+// schedule sequence (the within-cycle FIFO tie-break) and its slot.
+// Pure values — heap operations touch no pointers.
 type heapEntry struct {
-	at  units.Cycles
-	seq uint64
-	idx int32
+	at   units.Cycles
+	seq  uint64
+	slot int32
 }
 
 // Queue is a time-ordered event queue. The zero value is ready to use.
 type Queue struct {
-	// heap is a min-heap over the occupied buckets, ordered by cycle
-	// then creation sequence.
+	// heap is a min-heap with one entry per queued event, cancelled
+	// ones included until popped or compacted away, ordered by cycle
+	// then schedule sequence.
 	heap []heapEntry
-	// buckets is the slab the heap indexes into; freeIdx recycles
-	// exhausted shells (and their slot-index slices).
-	buckets []bucket
-	freeIdx []int32
-	// lastIdx/lastAt cache the most recently opened bucket (index+1; 0
-	// means none): a same-cycle burst appends without a heap operation.
-	lastIdx int32
-	lastAt  units.Cycles
-	// seq numbers buckets in creation order for the FIFO tie-break.
+	// seq numbers schedules for the FIFO tie-break.
 	seq uint64
 
-	// slots is the event slab buckets index into; freeSlots recycles
-	// the slots of fired, skipped and cleared events.
+	// slots is the event slab heap entries index into; freeSlots
+	// recycles the slots of fired, dropped and cleared events.
 	slots     []slot
 	freeSlots []int32
 
@@ -121,8 +101,8 @@ func (q *Queue) allocSlot(fire func(now units.Cycles)) int32 {
 	return s
 }
 
-// freeSlot retires a slot whose event fired, was skipped as cancelled
-// or was cleared: bumping the generation makes every Handle to it stale.
+// freeSlot retires a slot whose entry left the heap: bumping the
+// generation makes every Handle to it stale.
 //
 //chimera:hot
 func (q *Queue) freeSlot(s int32) {
@@ -133,41 +113,6 @@ func (q *Queue) freeSlot(s int32) {
 		sl.gen = 1 // wrapped: keep the zero Handle matching nothing
 	}
 	q.freeSlots = append(q.freeSlots, s)
-}
-
-// openBucket recycles (or creates) an empty bucket shell and returns
-// its slab index.
-//
-//chimera:hot
-func (q *Queue) openBucket() int32 {
-	if n := len(q.freeIdx); n > 0 {
-		idx := q.freeIdx[n-1]
-		q.freeIdx = q.freeIdx[:n-1]
-		return idx
-	}
-	q.buckets = append(q.buckets, bucket{})
-	return int32(len(q.buckets) - 1)
-}
-
-// releaseMin retires the exhausted minimum bucket: its heap entry pops
-// and its shell goes back on the free list.
-//
-//chimera:hot
-func (q *Queue) releaseMin() {
-	idx := q.heap[0].idx
-	n := len(q.heap) - 1
-	q.heap[0] = q.heap[n]
-	q.heap = q.heap[:n]
-	if n > 0 {
-		q.down(0)
-	}
-	b := &q.buckets[idx]
-	b.slots = b.slots[:0]
-	b.head = 0
-	if q.lastIdx == idx+1 {
-		q.lastIdx = 0
-	}
-	q.freeIdx = append(q.freeIdx, idx)
 }
 
 // Schedule enqueues fire to run at cycle at and returns its Handle.
@@ -181,34 +126,19 @@ func (q *Queue) Schedule(at units.Cycles, fire func(now units.Cycles)) Handle {
 		panic("eventq: scheduling into the past")
 	}
 	s := q.allocSlot(fire)
-	if li := q.lastIdx; li != 0 && q.lastAt == at {
-		b := &q.buckets[li-1]
-		b.slots = append(b.slots, s)
-	} else {
-		idx := q.openBucket()
-		b := &q.buckets[idx]
-		b.slots = append(b.slots, s)
-		q.seq++
-		q.heap = append(q.heap, heapEntry{at: at, seq: q.seq, idx: idx})
-		q.up(len(q.heap) - 1)
-		q.lastIdx = idx + 1
-		q.lastAt = at
-	}
+	q.seq++
+	q.heap = append(q.heap, heapEntry{at: at, seq: q.seq, slot: s})
+	q.up(len(q.heap) - 1)
 	q.live++
 	return Handle{slot: s, gen: q.slots[s].gen}
 }
 
-// ScheduleAfter enqueues fire to run delay cycles after the current time.
-//
-//chimera:hot
-func (q *Queue) ScheduleAfter(delay units.Cycles, fire func(now units.Cycles)) Handle {
-	return q.Schedule(q.now+delay, fire)
-}
-
-// Cancel removes an event from the queue if it has not fired. Cancelling
-// is O(1): the event is marked cancelled and its slot freed when its
-// bucket drains past it. The zero Handle, a stale Handle (the event
-// already fired or was cleared) and a repeated Cancel are all no-ops.
+// Cancel removes an event from the queue if it has not fired. The event
+// is marked cancelled; its entry stays in the heap, and its slot held,
+// until the entry reaches the top or until a Cancel leaves more
+// cancelled entries than live ones and compacts the heap (amortized
+// O(1) per Cancel). The zero Handle, a stale Handle (the event already
+// fired or was cleared) and a repeated Cancel are all no-ops.
 //
 //chimera:hot
 func (q *Queue) Cancel(h Handle) {
@@ -221,47 +151,62 @@ func (q *Queue) Cancel(h Handle) {
 	}
 	sl.cancelled = true
 	q.live--
+	if len(q.heap) > 2*q.live {
+		q.compact()
+	}
 }
 
-// peek returns the slot of the next pending event without dispatching
-// it, or -1 when none is pending. Cancelled entries it passes are freed
-// and exhausted buckets released; the returned event sits at the head
-// of the minimum bucket, at cycle q.heap[0].at.
+// compact drops every cancelled entry, freeing its slot, and rebuilds
+// the heap from the survivors. Heap keys are unique, so the rebuilt
+// heap pops in exactly the order the old one would have.
 //
 //chimera:hot
-func (q *Queue) peek() int32 {
-	for len(q.heap) > 0 {
-		b := &q.buckets[q.heap[0].idx]
-		for b.head < len(b.slots) {
-			s := b.slots[b.head]
-			if !q.slots[s].cancelled {
-				return s
-			}
-			q.freeSlot(s)
-			b.head++
+func (q *Queue) compact() {
+	n := 0
+	for _, e := range q.heap {
+		if q.slots[e.slot].cancelled {
+			q.freeSlot(e.slot)
+			continue
 		}
-		q.releaseMin()
+		q.heap[n] = e
+		n++
 	}
-	return -1
+	q.heap = q.heap[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
 }
 
-// dispatch fires the event peek just returned: it leaves the minimum
-// bucket, its slot is freed (its Handle going stale) before the
-// callback runs, and the clock moves to its cycle.
+// peek pops the cancelled entries off the top of the heap, freeing their
+// slots, and reports whether a pending event remains: it is then
+// q.heap[0].
 //
 //chimera:hot
-func (q *Queue) dispatch(s int32) {
-	at := q.heap[0].at
-	b := &q.buckets[q.heap[0].idx]
-	b.head++
-	if b.head == len(b.slots) {
-		q.releaseMin()
+func (q *Queue) peek() bool {
+	for len(q.heap) > 0 {
+		s := q.heap[0].slot
+		if !q.slots[s].cancelled {
+			return true
+		}
+		q.pop()
+		q.freeSlot(s)
 	}
-	fire := q.slots[s].fire
-	q.freeSlot(s)
+	return false
+}
+
+// dispatch fires the pending event peek just found: its entry pops, its
+// slot is freed (its Handle going stale) before the callback runs, and
+// the clock moves to its cycle.
+//
+//chimera:hot
+func (q *Queue) dispatch() {
+	e := q.heap[0]
+	q.pop()
+	fire := q.slots[e.slot].fire
+	q.freeSlot(e.slot)
 	q.live--
-	q.now = at
-	fire(at)
+	q.now = e.at
+	fire(e.at)
 }
 
 // Step dispatches the next pending event and returns true, or returns
@@ -269,11 +214,10 @@ func (q *Queue) dispatch(s int32) {
 //
 //chimera:hot
 func (q *Queue) Step() bool {
-	s := q.peek()
-	if s < 0 {
+	if !q.peek() {
 		return false
 	}
-	q.dispatch(s)
+	q.dispatch()
 	return true
 }
 
@@ -304,11 +248,10 @@ func (q *Queue) RunUntilDone(limit units.Cycles, done <-chan struct{}) (n int, c
 			default:
 			}
 		}
-		s := q.peek()
-		if s < 0 || q.heap[0].at > limit {
+		if !q.peek() || q.heap[0].at > limit {
 			break
 		}
-		q.dispatch(s)
+		q.dispatch()
 		n++
 	}
 	if q.now < limit {
@@ -322,17 +265,10 @@ func (q *Queue) RunUntilDone(limit units.Cycles, done <-chan struct{}) (n int, c
 // (cancelled) simulation: no callback fires, no event survives, and
 // every outstanding Handle goes stale.
 func (q *Queue) Clear() {
-	for _, he := range q.heap {
-		b := &q.buckets[he.idx]
-		for _, s := range b.slots[b.head:] {
-			q.freeSlot(s)
-		}
-		b.slots = b.slots[:0]
-		b.head = 0
-		q.freeIdx = append(q.freeIdx, he.idx)
+	for _, e := range q.heap {
+		q.freeSlot(e.slot)
 	}
 	q.heap = q.heap[:0]
-	q.lastIdx = 0
 	q.live = 0
 }
 
@@ -346,14 +282,24 @@ func (q *Queue) Run() int {
 	return n
 }
 
-// less orders heap entries by cycle, then by bucket creation sequence:
-// a bucket opened earlier holds only events scheduled before every
-// event of a later bucket at the same cycle, so (cycle, sequence) plus
-// in-bucket append order is exactly global FIFO within a cycle.
+// less orders heap entries by cycle, then by schedule sequence, which
+// is exactly FIFO within a cycle.
 //
 //chimera:hot
 func (q *Queue) less(a, b heapEntry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// pop removes the minimum entry.
+//
+//chimera:hot
+func (q *Queue) pop() {
+	n := len(q.heap) - 1
+	q.heap[0] = q.heap[n]
+	q.heap = q.heap[:n]
+	if n > 0 {
+		q.down(0)
+	}
 }
 
 //chimera:hot

@@ -152,15 +152,56 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestScheduleAfter(t *testing.T) {
+// TestHeapTracksLiveEvents pins the compaction bound under cancel-heavy
+// churn: 1,000 events on distinct cycles are cancelled in random order,
+// with a Step after every 10th cancel that must fire the earliest
+// surviving event. A Cancel that leaves more cancelled entries than live
+// ones compacts the heap, so after a Cancel it holds at most twice the
+// live events, and the one Step since the last Cancel can leave it one
+// entry over.
+func TestHeapTracksLiveEvents(t *testing.T) {
 	var q Queue
-	var at units.Cycles
-	q.Schedule(100, func(now units.Cycles) {
-		q.ScheduleAfter(50, func(now units.Cycles) { at = now })
-	})
-	q.Run()
-	if at != 150 {
-		t.Errorf("ScheduleAfter fired at %d, want 150", at)
+	const n = 1000
+	handles := make([]Handle, n)
+	var fired []int
+	for i := range handles {
+		i := i
+		handles[i] = q.Schedule(units.Cycles(i), func(units.Cycles) { fired = append(fired, i) })
+	}
+	check := func(op string, k int) {
+		t.Helper()
+		if len(q.heap) > 2*q.Len()+1 {
+			t.Fatalf("after %s %d: heap holds %d entries for %d live events", op, k, len(q.heap), q.Len())
+		}
+	}
+	gone := make([]bool, n) // cancelled or fired
+	for k, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		q.Cancel(handles[i])
+		gone[i] = true
+		check("cancel", k)
+		if k%10 == 9 {
+			next := -1
+			for j, g := range gone {
+				if !g {
+					next = j
+					break
+				}
+			}
+			if q.Step() != (next >= 0) {
+				t.Fatalf("step %d: Step() disagrees with %d pending events", k, q.Len())
+			}
+			if next >= 0 {
+				if last := fired[len(fired)-1]; last != next {
+					t.Fatalf("step %d fired event %d, want the earliest pending %d", k, last, next)
+				}
+				gone[next] = true
+			}
+			check("step", k)
+		}
+	}
+	if q.Len() != 0 || len(q.heap) != 0 || len(q.freeSlots) != len(q.slots) {
+		t.Fatalf("after cancelling everything: Len %d, heap %d, %d of %d slots free",
+			q.Len(), len(q.heap), len(q.freeSlots), len(q.slots))
 	}
 }
 

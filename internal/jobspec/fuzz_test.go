@@ -1,0 +1,74 @@
+package jobspec
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"chimera/internal/kernels"
+)
+
+// decodeStrict decodes one spec the way chimerad's submit handler does:
+// unknown fields are an error.
+func decodeStrict(body []byte) (Spec, error) {
+	var s Spec
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&s)
+	return s, err
+}
+
+// FuzzSpec feeds arbitrary bodies through the submit path — strict JSON
+// decode, Normalize, Validate, Hash — and checks the identity rules the
+// cache, the wire format and replay rely on: Normalize is idempotent;
+// Hash survives a second Normalize and any change to the scheduling
+// fields it excludes (Priority, TimeoutMs, DeadlineMs, Trace); an
+// accepted spec re-marshals and decodes to the same Hash; and an
+// accepted spec's timeout and deadline convert to non-negative
+// time.Durations, as the server converts them.
+func FuzzSpec(f *testing.F) {
+	f.Add([]byte(`{"kind":"solo","bench":"SAD"}`), 1, int64(500), int64(0), false)
+	f.Add([]byte(`{"kind":"periodic","bench":"SAD","policy":"Drain","window_us":2000,"seed":7,"trace":true}`), -3, int64(0), int64(40), true)
+	f.Add([]byte(`{"kind":"pair","bench":"SAD","bench_b":"MUM","policy":"fcfs","estimator":"Structural","headroom_us":1.5,"variant":"faults:x"}`), 0, int64(1), int64(2), false)
+	cat := kernels.Load()
+	f.Fuzz(func(t *testing.T, body []byte, priority int, timeoutMs, deadlineMs int64, trace bool) {
+		s, err := decodeStrict(body)
+		if err != nil {
+			return
+		}
+		s.Normalize()
+		once := s
+		s.Normalize()
+		if s != once {
+			t.Fatalf("Normalize is not idempotent: %+v, then %+v", once, s)
+		}
+		h := s.Hash()
+		if h != once.Hash() {
+			t.Fatalf("Hash moved under a second Normalize: %s != %s", h, once.Hash())
+		}
+		sched := s
+		sched.Priority, sched.TimeoutMs, sched.DeadlineMs, sched.Trace = priority, timeoutMs, deadlineMs, trace
+		if got := sched.Hash(); got != h {
+			t.Fatalf("Hash moved with scheduling fields only: %s for %+v, %s for %+v", got, sched, h, s)
+		}
+		if s.Validate(cat) != nil {
+			return
+		}
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal accepted spec %+v: %v", s, err)
+		}
+		back, err := decodeStrict(raw)
+		if err != nil {
+			t.Fatalf("decode re-marshaled spec %s: %v", raw, err)
+		}
+		back.Normalize()
+		if got := back.Hash(); got != h {
+			t.Fatalf("round trip moved Hash: %s for %+v, %s for %s", h, s, got, raw)
+		}
+		if time.Duration(s.TimeoutMs)*time.Millisecond < 0 || time.Duration(s.DeadlineMs)*time.Millisecond < 0 {
+			t.Fatalf("accepted timeout_ms %d / deadline_ms %d wrap as a time.Duration", s.TimeoutMs, s.DeadlineMs)
+		}
+	})
+}

@@ -21,6 +21,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"time"
 
 	"chimera/internal/kernels"
 	"chimera/internal/units"
@@ -120,7 +122,14 @@ func (s *Spec) Normalize() {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
+	if s.HeadroomUs == 0 {
+		s.HeadroomUs = 0 // -0 hashes as "-0" but marshals as omitted
+	}
 }
+
+// maxMs is the largest millisecond count a time.Duration holds
+// (about 292 years); TimeoutMs and DeadlineMs above it would wrap.
+const maxMs = math.MaxInt64 / int64(time.Millisecond)
 
 // Validate checks a normalized spec against the catalog and the
 // schema's structural rules. It returns a client-facing error.
@@ -170,8 +179,14 @@ func (s *Spec) Validate(cat *kernels.Catalog) error {
 	if s.TimeoutMs < 0 {
 		return fmt.Errorf("timeout_ms must not be negative")
 	}
+	if s.TimeoutMs > maxMs {
+		return fmt.Errorf("timeout_ms must be at most %d", maxMs)
+	}
 	if s.DeadlineMs < 0 {
 		return fmt.Errorf("deadline_ms must not be negative")
+	}
+	if s.DeadlineMs > maxMs {
+		return fmt.Errorf("deadline_ms must be at most %d", maxMs)
 	}
 	if _, err := CanonicalEstimator(s.Estimator); err != nil {
 		return err

@@ -3,6 +3,7 @@ package jobspec
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -152,6 +153,12 @@ func TestValidate(t *testing.T) {
 	bad(Periodic("SAD", "vaporware"), "unknown policy")
 	bad(Periodic("SAD", PolicyFCFS), "only valid for pair jobs")
 	bad(Solo("SAD").WithTimeoutMs(-1), "timeout_ms")
+	// Millisecond counts above math.MaxInt64/1e6 wrap as a time.Duration.
+	ok(Solo("SAD").WithTimeoutMs(9223372036854).WithDeadlineMs(9223372036854))
+	bad(Solo("SAD").WithTimeoutMs(9223372036855), "timeout_ms must be at most 9223372036854")
+	bad(Solo("SAD").WithTimeoutMs(10000000000000), "timeout_ms must be at most")
+	bad(Solo("SAD").WithDeadlineMs(9223372036855), "deadline_ms must be at most 9223372036854")
+	bad(Solo("SAD").WithDeadlineMs(math.MaxInt64), "deadline_ms must be at most")
 	bad(Solo("SAD").WithHeadroomUs(-1), "headroom_us")
 	bad(Solo("SAD").WithTrace(), "trace is only supported")
 	// Positive durations below half a cycle (1/2800 µs) round to zero;

@@ -432,6 +432,10 @@ func TestValidationErrors(t *testing.T) {
 		`{"kind":"solo","bench":"SAD","timeout_ms":-1}`,    // negative timeout
 		`{"kind":"solo","bench":"SAD","policy":"mystery"}`, // unknown policy
 		`{"kind":"periodic","bench":"SAD","window_us":-1}`, // negative window
+
+		// Millisecond counts that would wrap as a time.Duration.
+		`{"kind":"solo","bench":"SAD","window_us":100,"timeout_ms":10000000000000}`,
+		`{"kind":"solo","bench":"SAD","deadline_ms":9223372036854775807}`,
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
