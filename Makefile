@@ -7,7 +7,7 @@ GO ?= go
 # when not, since offline containers cannot fetch it.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test short cover bench bench-all benchdiff verify-identical race results quick-results fuzz fuzz-smoke examples vet lint docs-check smoke clean
+.PHONY: all build test short cover bench bench-all benchdiff verify-identical chaos race results quick-results fuzz fuzz-smoke examples vet lint docs-check smoke clean
 
 all: build test
 
@@ -98,6 +98,22 @@ verify-identical:
 	cmp $(VERIFY_DIR)/a/results.txt results_quick.txt
 	cmp $(VERIFY_DIR)/a/trace.json trace_canonical.json
 	@echo "verify-identical: two quick sweeps byte-identical and equal to results_quick.txt and trace_canonical.json"
+
+# Fault-plane invariant gate (cmd/chimerachaos, docs/faults.md): two
+# seeded chaos campaigns against an in-process chimerad must each hold
+# every invariant (exit 0), print byte-identical reports, and match the
+# checked-in chaos_report.txt. Never re-record that file to make this
+# pass; a deliberate change to the fault plane or the campaign is the
+# only reason to.
+CHAOS_DIR ?= /tmp/chimera-chaos
+chaos:
+	mkdir -p $(CHAOS_DIR)
+	$(GO) build -o $(CHAOS_DIR)/chimerachaos ./cmd/chimerachaos
+	$(CHAOS_DIR)/chimerachaos -seed 1 -jobs 200 > $(CHAOS_DIR)/a.txt || { cat $(CHAOS_DIR)/a.txt; exit 1; }
+	$(CHAOS_DIR)/chimerachaos -seed 1 -jobs 200 > $(CHAOS_DIR)/b.txt || { cat $(CHAOS_DIR)/b.txt; exit 1; }
+	cmp $(CHAOS_DIR)/a.txt $(CHAOS_DIR)/b.txt
+	cmp $(CHAOS_DIR)/a.txt chaos_report.txt
+	@echo "chaos: two campaigns held every invariant, byte-identical to each other and to chaos_report.txt"
 
 # Every benchmark in the repository (slow; exhibits log their tables).
 bench-all:

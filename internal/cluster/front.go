@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"chimera/internal/jobspec"
+	"chimera/internal/kernels"
 	"chimera/internal/metrics"
 )
 
@@ -79,6 +80,9 @@ type Front struct {
 	fetch    FetchFunc
 	reg      *metrics.Registry
 	inflight atomic.Int64
+	// catalog is the one chimerad validates submissions against, so the
+	// front rejects exactly the specs a replica would.
+	catalog *kernels.Catalog
 
 	cRouted    *metrics.Counter
 	cShed      *metrics.Counter
@@ -96,10 +100,11 @@ func NewFront(cfg FrontConfig) *Front {
 	}
 	reg := metrics.NewRegistry()
 	f := &Front{
-		cfg:  cfg,
-		ring: NewRing(cfg.Replicas, 0),
-		mem:  NewMembership(cfg.Replicas),
-		reg:  reg,
+		cfg:     cfg,
+		ring:    NewRing(cfg.Replicas, 0),
+		mem:     NewMembership(cfg.Replicas),
+		reg:     reg,
+		catalog: kernels.Load(),
 
 		cRouted:    reg.Counter(MetricFrontRouted),
 		cShed:      reg.Counter(MetricFrontShed),
@@ -240,7 +245,8 @@ func rewriteID(raw []byte, idx int) []byte {
 }
 
 // handleSubmit admits one job fleet-wide and routes it by jobspec
-// content hash: shed past MaxInflight, peer-cache short-circuit for
+// content hash: shed past MaxInflight, reject what chimerad would
+// reject (jobspec.Decode, Spec.Validate), peer-cache short-circuit for
 // wait=1 submissions, then proxy along the hash's failover sequence.
 // A connect error or 503 from a replica provably did not admit the
 // job, so moving to the next replica preserves at-most-once admission.
@@ -259,12 +265,16 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		frontError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	var spec jobspec.Spec
-	if err := json.Unmarshal(body, &spec); err != nil {
+	spec, err := jobspec.Decode(bytes.NewReader(body))
+	if err != nil {
 		frontError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}
 	spec.Normalize()
+	if err := spec.Validate(f.catalog); err != nil {
+		frontError(w, http.StatusBadRequest, "invalid job spec: %v", err)
+		return
+	}
 	hash := spec.Hash()
 	wait := r.URL.Query().Get("wait") == "1"
 

@@ -208,4 +208,22 @@ func TestFrontCacheHitSubmit(t *testing.T) {
 	if strings.Contains(rr.Body.String(), "error") {
 		t.Errorf("unexpected error body: %s", rr.Body)
 	}
+
+	// A misspelled field or an invalid value is rejected as a replica
+	// rejects it, even though the spec it names is cached (the hash
+	// leaves out timeout_ms).
+	for name, body := range map[string]string{
+		"misspelled field": `{"kind":"solo","bench":"SAD","seed":42,"windw_us":50}`,
+		"negative timeout": `{"kind":"solo","bench":"SAD","seed":42,"timeout_ms":-1}`,
+	} {
+		rr = httptest.NewRecorder()
+		f.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/api/v1/jobs?wait=1",
+			strings.NewReader(body)))
+		if rr.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400 (body %s)", name, rr.Code, rr.Body)
+		}
+		if got := f.reg.Counter(MetricFrontCacheHits).Value(); got != 1 || proxied != 0 {
+			t.Errorf("%s reached the cache or a replica: cache hits %d, proxied %d", name, got, proxied)
+		}
+	}
 }

@@ -140,10 +140,13 @@ type Simulation struct {
 	rebalancing    bool
 	rebalanceAgain bool
 	started        bool
-	finished       bool
 
 	// m holds the resolved metric handles when Options.Metrics is set.
 	m *simMetrics
+	// predictObs counts this run's estimator observations; RunContext
+	// adds it to the predict/observations counter once, when the event
+	// loop stops (docs/performance.md, "Direct emission").
+	predictObs int64
 
 	// activeTransfers counts in-flight context save/restore streams for
 	// the contention model.
@@ -153,11 +156,6 @@ type Simulation struct {
 	// trace.Event construction (including its fmt.Sprintf detail
 	// strings) without touching opts.
 	tracing bool
-	// traceBuf stages trace events out of the inner event loop; it is
-	// flushed to the recorder in FIFO order at AdvanceTo/Finish
-	// boundaries and whenever it reaches traceBatch entries, so the
-	// recorder sees the exact sequence unbatched emission produced.
-	traceBuf []trace.Event
 
 	// tbFree recycles threadBlock structs within this simulation. The
 	// pool is per-run (never shared across simulations), so results stay
@@ -287,50 +285,13 @@ func (s *Simulation) AddProcess(spec ProcessSpec) {
 	s.processes = append(s.processes, &process{sim: s, name: spec.Name, spec: spec})
 }
 
-// traceBatch is the staging-buffer capacity: events accumulate locally
-// and reach the recorder in batches, keeping sink dispatch (interface
-// calls, sink-side locking or formatting) out of the inner event loop.
-const traceBatch = 256
-
-// emit stages a trace event when tracing is enabled. Events reach the
-// recorder in emission order; AdvanceTo and Finish flush the staging
-// buffer, so the recorder is fully up to date whenever control returns
-// to the caller — the engine's documented observation boundary.
+// emit hands a trace event to the recorder when tracing is enabled, at
+// the moment it happens.
 //
 //chimera:hot
 func (s *Simulation) emit(e trace.Event) {
-	if !s.tracing {
-		return
-	}
-	s.traceBuf = append(s.traceBuf, e)
-	if len(s.traceBuf) >= traceBatch {
-		s.flushTrace()
-	}
-}
-
-// flushTrace forwards every staged trace event to the recorder in FIFO
-// order and empties the staging buffer.
-//
-//chimera:hot
-func (s *Simulation) flushTrace() {
-	for i := range s.traceBuf {
-		s.opts.Tracer.Record(s.traceBuf[i])
-	}
-	s.traceBuf = s.traceBuf[:0]
-}
-
-// flushObs drains both staging layers — trace events and metric
-// observations — to their backends. Called at the AdvanceTo/Finish
-// boundaries so external observers (collectors, registries, scrapes)
-// see complete state whenever the engine yields control.
-//
-//chimera:hot
-func (s *Simulation) flushObs() {
 	if s.tracing {
-		s.flushTrace()
-	}
-	if s.m != nil {
-		s.m.flush()
+		s.opts.Tracer.Record(e)
 	}
 }
 
@@ -404,9 +365,7 @@ func (s *Simulation) tbComplete(tb *threadBlock, now units.Cycles) {
 	k.stats.RecordCompletion(tb.insts, tb.runCycles)
 	if e := s.opts.Estimator; e != nil {
 		e.Observe(k.params.Label, tb.insts, tb.runCycles)
-		if s.m != nil {
-			s.m.stPredictObs++
-		}
+		s.predictObs++
 	}
 	sm.removeResident(tb, now)
 	tb.sm = nil
@@ -571,7 +530,7 @@ func (s *Simulation) rebalance(now units.Cycles) {
 	}
 	s.rebalancing = true
 	if s.m != nil {
-		s.m.stRebalances++
+		s.m.rebalances.Add(1)
 	}
 	for iter := 0; ; iter++ {
 		if iter > 1000 {
@@ -764,7 +723,7 @@ func (s *Simulation) issuePreemption(requester, victim *kernelInstance, n int, n
 			offered = n
 		}
 		if shed := offered - len(sel.Plans); shed > 0 {
-			s.m.stPolicySheds += int64(shed)
+			s.m.policySheds.Add(int64(shed))
 		}
 	}
 	if len(sel.Plans) == 0 {
@@ -800,7 +759,7 @@ func (s *Simulation) issuePreemption(requester, victim *kernelInstance, n int, n
 		stall = f(len(s.requests)-1, estLat)
 		if stall > 0 {
 			if s.m != nil {
-				s.m.stStallsInjected++
+				s.m.stallsInjected.Add(1)
 			}
 			s.emit(trace.Event{At: now, Kind: trace.Stall, Kernel: victim.params.Label, SM: -1, TB: -1,
 				Other: requester.params.Label, Dur: stall})
@@ -835,7 +794,7 @@ func (s *Simulation) watchdogCheck(rec *RequestRecord, now units.Cycles) {
 	}
 	rec.Escalations++
 	if s.m != nil {
-		s.m.stEscalations++
+		s.m.escalations.Add(1)
 	}
 	if s.tracing {
 		s.emit(trace.Event{At: now, Kind: trace.Escalate, Kernel: rec.Victim, SM: -1, TB: -1,
@@ -860,22 +819,6 @@ func (s *Simulation) Run(window units.Cycles) {
 // cancellation increments the sim/canceled_runs counter when
 // Options.Metrics is set. It may be called once.
 func (s *Simulation) RunContext(ctx context.Context, window units.Cycles) error {
-	s.Start()
-	if err := s.AdvanceTo(ctx, window); err != nil {
-		return err
-	}
-	s.Finish(window)
-	return nil
-}
-
-// Start launches every process at cycle 0 and arms the periodic task
-// without executing any events. Together with AdvanceTo and Finish it
-// is the segmented form of RunContext: because the event queue runs
-// every event with At <= limit before AdvanceTo returns, splitting a
-// window across any sequence of AdvanceTo calls executes the identical
-// event sequence as one uninterrupted run — the property the
-// save/restore metamorphic tests pin down. May be called once.
-func (s *Simulation) Start() {
 	if s.started {
 		panic("engine: Run called twice")
 	}
@@ -886,49 +829,19 @@ func (s *Simulation) Start() {
 	if s.periodic != nil {
 		s.periodic.arm()
 	}
-}
-
-// AdvanceTo executes events up to and including cycle `to`, leaving
-// later events queued for the next call. Cancellation matches
-// RunContext: a cancelled advance clears the queue (the run cannot be
-// resumed), counts into sim/canceled_runs and returns ctx.Err(). A
-// `to` at or before the current cycle is a no-op. Must be called
-// between Start and Finish.
-func (s *Simulation) AdvanceTo(ctx context.Context, to units.Cycles) error {
-	if !s.started {
-		panic("engine: AdvanceTo before Start")
+	_, cancelled := s.q.RunUntilDone(window, ctx.Done())
+	if s.m != nil && s.predictObs > 0 {
+		s.m.predictObs.Add(s.predictObs)
 	}
-	if s.finished {
-		panic("engine: AdvanceTo after Finish")
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	if _, cancelled := s.q.RunUntilDone(to, done); cancelled {
+	if cancelled {
 		s.q.Clear()
 		if s.m != nil {
-			s.m.stCanceled++
+			s.m.canceled.Add(1)
 		}
-		s.flushObs()
 		return ctx.Err()
 	}
-	s.flushObs()
-	return nil
-}
-
-// Finish closes the run at the end of the window: in-flight thread
-// block progress is committed so throughput accounting covers the
-// whole window, and the periodic task's records are finalized. window
-// must not precede the last AdvanceTo limit. May be called once.
-func (s *Simulation) Finish(window units.Cycles) {
-	if !s.started {
-		panic("engine: Finish before Start")
-	}
-	if s.finished {
-		panic("engine: Finish called twice")
-	}
-	s.finished = true
+	// Commit in-flight block progress so throughput accounting covers
+	// the whole window, and finalize the periodic task's records.
 	for _, sm := range s.sms {
 		for _, tb := range sm.resident {
 			tb.sync(window)
@@ -937,7 +850,7 @@ func (s *Simulation) Finish(window units.Cycles) {
 	if s.periodic != nil {
 		s.periodic.finalize(window)
 	}
-	s.flushObs()
+	return nil
 }
 
 // Pending reports how many simulation events are still queued. After a

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"chimera/internal/metrics"
 	"chimera/internal/sched/predict"
+	"chimera/internal/trace"
 	"chimera/internal/units"
 )
 
@@ -126,5 +129,59 @@ func TestOnlineEstimatorObserves(t *testing.T) {
 	}
 	if len(sim.Requests()) == 0 {
 		t.Fatal("online run issued no preemption requests")
+	}
+}
+
+// countingEstimator counts the observations fed to the estimator it
+// wraps.
+type countingEstimator struct {
+	predict.Estimator
+	n int64
+}
+
+func (c *countingEstimator) Observe(label string, insts int64, cycles units.Cycles) {
+	c.n++
+	c.Estimator.Observe(label, insts, cycles)
+}
+
+// TestPredictObservationsPublished pins predict/observations to the
+// number of completions the engine fed the estimator. The engine counts
+// them per run and adds the total when its event loop stops, so the
+// counter must match both for a run that reaches the end of its window
+// and for one cancelled at its first kernel finish.
+func TestPredictObservationsPublished(t *testing.T) {
+	for _, cancelled := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		reg := metrics.NewRegistry()
+		est := &countingEstimator{Estimator: predict.NewStructural(predict.DefaultK)}
+		sim := New(Options{
+			Policy:     ChimeraPolicy{},
+			Constraint: units.FromMicroseconds(15),
+			Seed:       1,
+			Estimator:  est,
+			Metrics:    reg,
+			Tracer: recorderFunc(func(e trace.Event) {
+				if cancelled && e.Kind == trace.KernelFinish {
+					cancel()
+				}
+			}),
+		})
+		sim.AddProcess(ProcessSpec{Name: "SAD", Launches: launchesFor(t, "SAD"), Loop: true})
+		sim.AddPeriodicTask(PeriodicSpec{
+			Period: units.FromMicroseconds(1000),
+			Exec:   units.FromMicroseconds(200),
+			SMs:    15,
+		})
+		err := sim.RunContext(ctx, units.FromMicroseconds(5000))
+		cancel()
+		if cancelled != errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled=%v: RunContext error = %v", cancelled, err)
+		}
+		if est.n == 0 {
+			t.Fatalf("cancelled=%v: the estimator saw no observation", cancelled)
+		}
+		if got := reg.Counter(MetricPredictObservations).Value(); got != est.n {
+			t.Errorf("cancelled=%v: predict/observations = %d, estimator saw %d", cancelled, got, est.n)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"chimera/internal/gpu"
@@ -352,16 +353,31 @@ func TestAddProcessAfterRunPanics(t *testing.T) {
 	sim.AddProcess(ProcessSpec{Name: "Q", Launches: []LaunchSpec{tinyKernel("B", 1000, 1, 0, 1, 1, 1)}})
 }
 
+// TestRunTwicePanics: a simulation runs once, whether its first run
+// completed or was cancelled (a cancelled run cannot be resumed).
 func TestRunTwicePanics(t *testing.T) {
-	sim := New(Options{Seed: 14})
-	sim.AddProcess(ProcessSpec{Name: "P", Launches: []LaunchSpec{tinyKernel("A", 1000, 1, 0, 1, 1, 1)}})
-	sim.Run(units.FromMicroseconds(10))
-	defer func() {
-		if recover() == nil {
-			t.Error("second Run did not panic")
-		}
-	}()
-	sim.Run(units.FromMicroseconds(20))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	firsts := []struct {
+		name string
+		run  func(*Simulation)
+	}{
+		{"completed", func(sim *Simulation) { sim.Run(units.FromMicroseconds(10)) }},
+		{"cancelled", func(sim *Simulation) { _ = sim.RunContext(ctx, units.FromMicroseconds(10)) }},
+	}
+	for _, first := range firsts {
+		sim := New(Options{Seed: 14})
+		sim.AddProcess(ProcessSpec{Name: "P", Launches: []LaunchSpec{tinyKernel("A", 1000, 1, 0, 1, 1, 1)}})
+		first.run(sim)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("second Run after a %s run did not panic", first.name)
+				}
+			}()
+			sim.Run(units.FromMicroseconds(20))
+		}()
+	}
 }
 
 func TestTracerReceivesEvents(t *testing.T) {

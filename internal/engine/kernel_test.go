@@ -190,16 +190,16 @@ func TestThreadBlockProgressMath(t *testing.T) {
 
 // TestOneEventPerRunningBlock: a running block's only pending event is
 // its completion. The breach follows from progress (breachedAt) and is
-// never scheduled, so right after Start the queue holds exactly one
-// event per resident block even though every block's breach point lies
-// inside it.
+// never scheduled, so after a zero-length Run the queue holds exactly
+// one event per resident block even though every block's breach point
+// lies inside it.
 func TestOneEventPerRunningBlock(t *testing.T) {
 	cfg := gpu.DefaultConfig()
 	cfg.NumSMs = 2
 	sim := New(Options{Config: cfg, Policy: ChimeraPolicy{}, Constraint: units.FromMicroseconds(15), Seed: 1})
 	// Non-idempotent, breaching halfway through each 1000-instruction block.
 	sim.AddProcess(ProcessSpec{Name: "P", Launches: []LaunchSpec{tinyKernel("K", 1000, 4, 0.3, 4, 100, 0.5)}})
-	sim.Start()
+	sim.Run(0)
 	resident := 0
 	for _, sm := range sim.sms {
 		for _, tb := range sm.resident {
@@ -210,7 +210,7 @@ func TestOneEventPerRunningBlock(t *testing.T) {
 		resident += len(sm.resident)
 	}
 	if resident != 2*4 {
-		t.Fatalf("%d resident blocks after Start, want 8 (2 SMs × 4)", resident)
+		t.Fatalf("%d resident blocks after Run(0), want 8 (2 SMs × 4)", resident)
 	}
 	if got := sim.Pending(); got != resident {
 		t.Errorf("Pending() = %d with %d resident blocks, want one completion event each", got, resident)

@@ -46,74 +46,10 @@ type simMetrics struct {
 	// policySheds counts SMs the policy was offered but declined to
 	// take (deadline-aware policies shed demand they cannot serve
 	// within the constraint); predictObs counts thread-block completion
-	// events fed to a pluggable runtime estimator (Options.Estimator).
+	// events fed to a pluggable runtime estimator (Options.Estimator),
+	// added once per run from Simulation.predictObs.
 	policySheds *metrics.Counter
 	predictObs  *metrics.Counter
-
-	// Staged shadows: the single-goroutine engine accumulates counter
-	// increments and histogram observations locally and flushes them in
-	// batches (one lock/atomic per batch instead of per observation).
-	// Flushes happen at the AdvanceTo/Finish boundaries and whenever a
-	// staging slice reaches metricsBatch entries, so registry readers
-	// see complete totals whenever the engine yields control. Per-
-	// histogram observation order is preserved, keeping even the
-	// floating-point sums bit-identical to unbatched recording.
-	stRequests, stForced, stMisses, stRebalances int64
-	stEscalations, stStallsInjected, stCanceled  int64
-	stPolicySheds, stPredictObs                  int64
-	stLatency, stEstErr, stSlack, stIdleGap      []float64
-	stLatencyBy                                  [preempt.NumTechniques][]float64
-}
-
-// metricsBatch caps a staging slice before an inline flush.
-const metricsBatch = 512
-
-// stage appends one histogram observation, flushing the slice when it
-// reaches the batch cap.
-//
-//chimera:hot
-func stage(buf *[]float64, h *metrics.Histogram, v float64) {
-	*buf = append(*buf, v)
-	if len(*buf) >= metricsBatch {
-		h.ObserveBatch(*buf)
-		*buf = (*buf)[:0]
-	}
-}
-
-// flush drains every staged counter increment and histogram
-// observation into the registry handles.
-//
-//chimera:hot
-func (m *simMetrics) flush() {
-	drain := func(c *metrics.Counter, n *int64) {
-		if *n != 0 {
-			c.Add(*n)
-			*n = 0
-		}
-	}
-	drain(m.requests, &m.stRequests)
-	drain(m.forced, &m.stForced)
-	drain(m.misses, &m.stMisses)
-	drain(m.rebalances, &m.stRebalances)
-	drain(m.escalations, &m.stEscalations)
-	drain(m.stallsInjected, &m.stStallsInjected)
-	drain(m.canceled, &m.stCanceled)
-	drain(m.policySheds, &m.stPolicySheds)
-	drain(m.predictObs, &m.stPredictObs)
-
-	hists := func(h *metrics.Histogram, buf *[]float64) {
-		if len(*buf) > 0 {
-			h.ObserveBatch(*buf)
-			*buf = (*buf)[:0]
-		}
-	}
-	hists(m.latency, &m.stLatency)
-	hists(m.estErr, &m.stEstErr)
-	hists(m.slack, &m.stSlack)
-	hists(m.idleGap, &m.stIdleGap)
-	for t := range m.stLatencyBy {
-		hists(m.latencyBy[t], &m.stLatencyBy[t])
-	}
 }
 
 // Metric names are package-level constants (enforced by chimeravet's
@@ -192,9 +128,9 @@ func (s *Simulation) observeRequestIssued(rec *RequestRecord) {
 	if s.m == nil {
 		return
 	}
-	s.m.stRequests++
+	s.m.requests.Add(1)
 	if rec.Forced > 0 {
-		s.m.stForced++
+		s.m.forced.Add(1)
 	}
 }
 
@@ -206,12 +142,12 @@ func (s *Simulation) observeRequestComplete(rec *RequestRecord) {
 		return
 	}
 	lat := rec.LatencyCycles.Microseconds()
-	stage(&s.m.stLatency, s.m.latency, lat)
+	s.m.latency.Observe(lat)
 	if tech, ok := rec.Dominant(); ok {
-		stage(&s.m.stLatencyBy[tech], s.m.latencyBy[tech], lat)
+		s.m.latencyBy[tech].Observe(lat)
 	}
 	if rec.EstLatencyCycles > 0 && rec.EstLatencyCycles < preempt.Infeasible {
-		stage(&s.m.stEstErr, s.m.estErr, rec.EstLatencyCycles/units.CyclesPerMicrosecond-lat)
+		s.m.estErr.Observe(rec.EstLatencyCycles/units.CyclesPerMicrosecond - lat)
 	}
 }
 
@@ -223,9 +159,9 @@ func (s *Simulation) observeDeadline(met bool, slack units.Cycles) {
 		return
 	}
 	if met {
-		stage(&s.m.stSlack, s.m.slack, slack.Microseconds())
+		s.m.slack.Observe(slack.Microseconds())
 	} else {
-		s.m.stMisses++
+		s.m.misses.Add(1)
 	}
 }
 
@@ -237,5 +173,5 @@ func (s *Simulation) observeIdleGap(gap units.Cycles) {
 	if s.m == nil {
 		return
 	}
-	stage(&s.m.stIdleGap, s.m.idleGap, gap.Microseconds())
+	s.m.idleGap.Observe(gap.Microseconds())
 }

@@ -9,18 +9,8 @@ import (
 	"chimera/internal/kernels"
 )
 
-// decodeStrict decodes one spec the way chimerad's submit handler does:
-// unknown fields are an error.
-func decodeStrict(body []byte) (Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&s)
-	return s, err
-}
-
-// FuzzSpec feeds arbitrary bodies through the submit path — strict JSON
-// decode, Normalize, Validate, Hash — and checks the identity rules the
+// FuzzSpec feeds arbitrary bodies through the submit path — Decode,
+// Normalize, Validate, Hash — and checks the identity rules the
 // cache, the wire format and replay rely on: Normalize is idempotent;
 // Hash survives a second Normalize and any change to the scheduling
 // fields it excludes (Priority, TimeoutMs, DeadlineMs, Trace); an
@@ -33,7 +23,7 @@ func FuzzSpec(f *testing.F) {
 	f.Add([]byte(`{"kind":"pair","bench":"SAD","bench_b":"MUM","policy":"fcfs","estimator":"Structural","headroom_us":1.5,"variant":"faults:x"}`), 0, int64(1), int64(2), false)
 	cat := kernels.Load()
 	f.Fuzz(func(t *testing.T, body []byte, priority int, timeoutMs, deadlineMs int64, trace bool) {
-		s, err := decodeStrict(body)
+		s, err := Decode(bytes.NewReader(body))
 		if err != nil {
 			return
 		}
@@ -59,7 +49,7 @@ func FuzzSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal accepted spec %+v: %v", s, err)
 		}
-		back, err := decodeStrict(raw)
+		back, err := Decode(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("decode re-marshaled spec %s: %v", raw, err)
 		}

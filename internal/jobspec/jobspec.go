@@ -20,7 +20,10 @@ package jobspec
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -99,6 +102,25 @@ type Spec struct {
 	// beyond the simulation parameters above — e.g. an active fault
 	// plan's fingerprint ("" for a clean run).
 	Variant string `json:"variant,omitempty"`
+}
+
+// Decode reads one Spec from r strictly: an unknown field is an error,
+// and only whitespace may follow the object. chimerad and chimerafront
+// both decode submissions through it, so they accept the same bodies.
+func Decode(r io.Reader) (Spec, error) {
+	var s Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return Spec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return Spec{}, fmt.Errorf("data after the spec object: %w", err)
+	}
+	return s, nil
 }
 
 // Normalize fills defaulted fields in place and canonicalizes the

@@ -13,6 +13,33 @@ import (
 	"chimera/internal/sched"
 )
 
+// TestDecode: Decode accepts one spec object with surrounding
+// whitespace, a trailing newline included, and rejects stray bytes
+// after it. chimerad's TestValidationErrors covers unknown fields and
+// a second object over HTTP.
+func TestDecode(t *testing.T) {
+	for _, body := range []string{
+		`{"kind":"solo","bench":"SAD","window_us":100}`,
+		`{"kind":"solo","bench":"SAD","window_us":100}` + "\n",
+		" \t{\"kind\":\"solo\",\"bench\":\"SAD\",\"window_us\":100}\r\n ",
+	} {
+		s, err := Decode(strings.NewReader(body))
+		if err != nil || s.Bench != "SAD" || s.WindowUs != 100 {
+			t.Errorf("Decode(%q) = %+v, %v", body, s, err)
+		}
+	}
+	for _, body := range []string{
+		`{"kind":"solo","bench":"SAD","window_us":100}}`,
+		`{"kind":"solo","bench":"SAD","window_us":100} x`,
+		`{"kind":"solo","bench":"SAD","window_us":100} 1`,
+		``,
+	} {
+		if s, err := Decode(strings.NewReader(body)); err == nil {
+			t.Errorf("Decode(%q) accepted %+v", body, s)
+		}
+	}
+}
+
 // TestPolicyAliasRoundTrip pins the full accepted alias set: every
 // alias parses, formats back to a display name, and re-parses to the
 // same policy — the drift class the old duplicated server/workloads

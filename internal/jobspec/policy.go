@@ -64,20 +64,6 @@ func CanonicalEstimator(name string) (string, error) {
 	}
 }
 
-// ParseEstimator constructs a fresh per-run estimator instance for a
-// spec's Estimator field (nil for the default oracle — the engine's
-// built-in measured-statistics path).
-func ParseEstimator(name string) (predict.Estimator, error) {
-	canon, err := CanonicalEstimator(name)
-	if err != nil {
-		return nil, err
-	}
-	return predict.ForName(canon)
-}
-
-// EstimatorNames lists every accepted canonical estimator name.
-func EstimatorNames() []string { return predict.Names() }
-
 // CanonicalPolicy maps any accepted policy alias onto its canonical
 // lowercase name, or errors for unknown names.
 func CanonicalPolicy(name string) (string, error) {

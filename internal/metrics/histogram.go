@@ -78,38 +78,15 @@ func (h *Histogram) Name() string { return h.name }
 // Unit returns the display unit label.
 func (h *Histogram) Unit() string { return h.unit }
 
-// Observe records one value.
+// Observe records one value under the histogram's lock. The simulation
+// engine calls it once per observation, as each happens; in the serve
+// mix that is about one call per 50 engine events (docs/performance.md,
+// "Direct emission").
 //
 //chimera:hot
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.observeLocked(v)
-}
-
-// ObserveBatch records every value of vs, in order, under a single lock
-// acquisition. It is exactly equivalent to calling Observe once per
-// value — same counts, same min/max, and the same floating-point sum
-// (additions happen in the same order) — but amortizes the mutex over
-// the batch. The simulation engine stages observations locally and
-// flushes them through this path to keep locking out of its hot loop.
-//
-//chimera:hot
-func (h *Histogram) ObserveBatch(vs []float64) {
-	if len(vs) == 0 {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, v := range vs {
-		h.observeLocked(v)
-	}
-}
-
-// observeLocked is Observe's body; callers hold h.mu.
-//
-//chimera:hot
-func (h *Histogram) observeLocked(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++

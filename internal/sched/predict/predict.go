@@ -122,9 +122,6 @@ func ForName(name string) (Estimator, error) {
 	}
 }
 
-// Names lists every accepted canonical estimator name.
-func Names() []string { return []string{NameOracle, NameOnline} }
-
 // kernelObs is the per-label accumulator shared by both estimators.
 // Sums are kept in the integer domain (exactly like gpu.KernelStats) so
 // the derived means are bit-identical to the engine's measured path.

@@ -225,9 +225,6 @@ func TestForName(t *testing.T) {
 	if _, err := ForName("bogus"); err == nil {
 		t.Fatal("ForName(bogus) succeeded")
 	}
-	if got := Names(); len(got) != 2 || got[0] != NameOracle || got[1] != NameOnline {
-		t.Fatalf("Names() = %v", got)
-	}
 }
 
 // TestLabelsIndependent verifies per-label isolation: observing one

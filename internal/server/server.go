@@ -381,10 +381,8 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // job is terminal and returns its final status (200); abandoning a
 // waited request cancels the job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := jobspec.Decode(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}

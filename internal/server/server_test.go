@@ -436,6 +436,11 @@ func TestValidationErrors(t *testing.T) {
 		// Millisecond counts that would wrap as a time.Duration.
 		`{"kind":"solo","bench":"SAD","window_us":100,"timeout_ms":10000000000000}`,
 		`{"kind":"solo","bench":"SAD","deadline_ms":9223372036854775807}`,
+
+		// Strict decoding: a misspelled field, and a second value after
+		// the spec object.
+		`{"kind":"solo","bench":"SAD","window_us":100,"windw_us":50}`,
+		`{"kind":"solo","bench":"SAD","window_us":100} {"kind":"pair"}`,
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
