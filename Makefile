@@ -135,12 +135,10 @@ results:
 quick-results:
 	$(GO) run ./cmd/chimerasim -quick -trace trace_canonical.json all > results_quick.txt
 
-# Documentation gates: every example must build, the observability,
-# server and lint packages (whose APIs docs/observability.md,
-# docs/server.md and docs/static-analysis.md document) must not export
-# undocumented symbols, and the pages must stay cross-linked. Each
-# DOC_LINKS entry is FILE=TEXT: FILE must exist and contain TEXT (`=`
-# separates because chimera:hot holds a colon).
+# Documentation gates: every example must build, no package of the
+# module may export an undocumented symbol, and the pages must stay
+# cross-linked. Each DOC_LINKS entry is FILE=TEXT: FILE must exist and
+# contain TEXT (`=` separates because chimera:hot holds a colon).
 DOC_LINKS = \
 	README.md=docs/static-analysis.md \
 	DESIGN.md=static-analysis.md \
@@ -166,7 +164,7 @@ DOC_LINKS = \
 
 docs-check:
 	$(GO) build ./examples/...
-	$(GO) run ./cmd/doccheck ./internal/trace ./internal/metrics ./internal/server ./internal/server/client ./internal/lint ./internal/faults ./internal/jobspec ./internal/replay ./internal/cluster ./internal/sched ./internal/sched/predict
+	$(GO) run ./cmd/doccheck $$($(GO) list -f '{{.Dir}}' ./...)
 	@$(foreach l,$(DOC_LINKS),grep -qF '$(call field,$(l),2,=)' $(call field,$(l),1,=) || { echo "docs-check: $(call field,$(l),1,=) does not mention $(call field,$(l),2,=)"; exit 1; };)
 
 # End-to-end smoke of the real binaries (cmd/smoke): the serve, replay

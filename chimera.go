@@ -234,17 +234,13 @@ func RunWarpLevel(p *KernelProgram, cfg SMConfig) (SMResult, error) {
 // Tracing --------------------------------------------------------------
 
 // TraceEvent is one recorded simulation occurrence; TraceRecorder
-// consumes them (install via SimOptions.Tracer). TraceSink is a
-// Recorder with a Close step (flush-on-close writers). The event schema
-// is documented in docs/observability.md.
+// consumes them (install via SimOptions.Tracer) and TraceCollector is
+// the in-memory recorder. The event schema is documented in
+// docs/observability.md.
 type (
-	TraceEvent      = trace.Event
-	TraceRecorder   = trace.Recorder
-	TraceSink       = trace.Sink
-	TraceRing       = trace.Ring
-	TraceCollector  = trace.Collector
-	TraceWriterSink = trace.WriterSink
-	TraceMulti      = trace.Multi
+	TraceEvent     = trace.Event
+	TraceRecorder  = trace.Recorder
+	TraceCollector = trace.Collector
 )
 
 // Trace event kinds.
@@ -262,15 +258,8 @@ const (
 	TraceDeadlineMiss = trace.DeadlineMiss
 )
 
-// NewTraceRing creates a bounded in-memory trace recorder.
-func NewTraceRing(capacity int) *TraceRing { return trace.NewRing(capacity) }
-
 // NewTraceCollector creates an unbounded in-memory trace recorder.
 func NewTraceCollector() *TraceCollector { return trace.NewCollector() }
-
-// NewTraceWriter creates a sink streaming one formatted event per line
-// to w; Close flushes.
-func NewTraceWriter(w io.Writer) *TraceWriterSink { return trace.NewWriterSink(w) }
 
 // WritePerfettoTrace writes events as Chrome trace-event JSON, openable
 // at ui.perfetto.dev: one track per SM, one per kernel (see

@@ -183,9 +183,9 @@ func TestPublicWarpLevelAndFunctional(t *testing.T) {
 }
 
 func TestPublicTracing(t *testing.T) {
-	ring := chimera.NewTraceRing(64)
-	ring.Record(chimera.TraceEvent{Kind: chimera.TraceRequest, SM: -1, TB: -1})
-	if ring.Counts()[chimera.TraceRequest] != 1 {
-		t.Error("trace ring lost an event")
+	col := chimera.NewTraceCollector()
+	col.Record(chimera.TraceEvent{Kind: chimera.TraceRequest, SM: -1, TB: -1})
+	if ev := col.Events(); len(ev) != 1 || ev[0].Kind != chimera.TraceRequest {
+		t.Error("trace collector lost an event")
 	}
 }

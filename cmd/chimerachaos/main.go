@@ -231,13 +231,13 @@ func run(seed uint64, jobs, budget int, watchdog float64) (violations int, err e
 	}
 
 	counts := plan.Counts()
-	pool := srv.Pool().Stats()
+	cache := srv.Pool().Cache().Stats()
 	retries := reg.Counter(server.MetricJobRetries).Value()
 	stalls := reg.Counter(engine.MetricStallsInjected).Value()
 	escalations := reg.Counter(engine.MetricEscalations).Value()
 
-	if pool.Panics != counts.JobPanics {
-		fail("pool recovered %d panics, plan injected %d", pool.Panics, counts.JobPanics)
+	if cache.Panics != counts.JobPanics {
+		fail("cache recovered %d panics, plan injected %d", cache.Panics, counts.JobPanics)
 	}
 	if retries != counts.JobPanics {
 		fail("%s = %d, want %d (every injected panic retried exactly once)",
@@ -253,8 +253,7 @@ func run(seed uint64, jobs, budget int, watchdog float64) (violations int, err e
 	if got := reg.Counter(server.MetricJobsFailed).Value(); got != 0 {
 		fail("%s = %d, want 0", server.MetricJobsFailed, got)
 	}
-	evictions := srv.Pool().Cache().Stats().Evictions
-	if jobs > 32 && evictions == 0 {
+	if jobs > 32 && cache.Evictions == 0 {
 		fail("cache never evicted under load (%d jobs over a 32-entry cap)", jobs)
 	}
 
@@ -263,7 +262,7 @@ func run(seed uint64, jobs, budget int, watchdog float64) (violations int, err e
 		counts.JobPanics, counts.JobSlowdowns, counts.EngineStalls,
 		counts.HTTPErrors, counts.HTTPResets, counts.HTTPDelays)
 	fmt.Printf("chimerachaos: recovered retries=%d escalations=%d pool_panics=%d evictions=%d\n",
-		retries, escalations, pool.Panics, evictions)
+		retries, escalations, cache.Panics, cache.Evictions)
 	if violations == 0 {
 		fmt.Println("chimerachaos: invariants OK")
 	} else {

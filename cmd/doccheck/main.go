@@ -10,12 +10,9 @@
 // declaration or its enclosing group). Violations are listed one per
 // line as file:line: name, and the exit status is 1 if any were found.
 //
-// The docs-check CI step runs it over the observability packages
-// (internal/trace, internal/metrics — docs/observability.md), the
-// service packages (internal/server and its client — docs/server.md)
-// and the static-analysis framework (internal/lint —
-// docs/static-analysis.md) so no documented surface can drift ahead of
-// the godoc.
+// The docs-check CI step (make docs-check) runs it over every package
+// of the module, as listed by go list ./..., so no documented surface
+// can drift ahead of the godoc.
 package main
 
 import (

@@ -59,16 +59,17 @@ func RenderTablesJSON(w io.Writer, tables []*ResultTable) error {
 
 // Job scheduling -------------------------------------------------------------
 
-// JobStats is a snapshot of simulation-job scheduling activity: batch
-// tasks queued/running/done, simulations executed, cache hits and
-// cumulative simulation wall time. Set Scale.Parallelism to bound how
-// many simulations run at once (0 = GOMAXPROCS); results are identical
-// at any value.
+// JobStats is a snapshot of one result cache's counters: batch tasks
+// queued/running/done, simulations executed, cache hits, errors,
+// panics, evictions and cumulative simulation wall time. Set
+// Scale.Parallelism to bound how many simulations run at once
+// (0 = GOMAXPROCS); results are identical at any value.
 type JobStats = simjob.Stats
 
-// GlobalJobStats aggregates job activity across every experiment run in
-// the process — what drives chimerasim's -progress ticker.
-func GlobalJobStats() JobStats { return simjob.GlobalStats() }
+// GlobalJobStats reports the counters of the process-wide result cache
+// every experiment runs on unless its Scale names another — what drives
+// chimerasim's -progress ticker and -metrics dump.
+func GlobalJobStats() JobStats { return simjob.SharedCache().Stats() }
 
 // Scenario runners -----------------------------------------------------------
 

@@ -381,19 +381,22 @@ func TestRunTwicePanics(t *testing.T) {
 }
 
 func TestTracerReceivesEvents(t *testing.T) {
-	ring := trace.NewRing(4096)
+	col := trace.NewCollector()
 	sim := New(Options{
 		Policy:     ChimeraPolicy{},
 		Constraint: units.FromMicroseconds(15),
 		Seed:       15,
 		WarmStats:  true,
-		Tracer:     ring,
+		Tracer:     col,
 	})
 	sim.AddProcess(ProcessSpec{Name: "P", Launches: launchesFor(t, "BS"), Loop: true})
 	sim.AddPeriodicTask(PeriodicSpec{Period: units.FromMicroseconds(1000), Exec: units.FromMicroseconds(200), SMs: 15})
 	sim.Run(units.FromMicroseconds(5000))
 
-	counts := ring.Counts()
+	counts := make(map[trace.Kind]int)
+	for _, e := range col.Events() {
+		counts[e.Kind]++
+	}
 	if counts[trace.KernelLaunch] == 0 {
 		t.Error("no launch events")
 	}

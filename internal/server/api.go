@@ -94,8 +94,8 @@ func (s JobState) Terminal() bool {
 }
 
 // JobStatus is the API view of one job. Result is populated only on
-// terminal done jobs; Stats snapshots the server's simjob pool when the
-// status was rendered (the payload of SSE progress frames).
+// terminal done jobs; Stats snapshots the server's simjob cache when
+// the status was rendered (the payload of SSE progress frames).
 type JobStatus struct {
 	// ID is the server-assigned job identifier.
 	ID string `json:"id"`
@@ -111,8 +111,8 @@ type JobStatus struct {
 	Error string `json:"error,omitempty"`
 	// Result is the deterministic result payload (state "done" only).
 	Result json.RawMessage `json:"result,omitempty"`
-	// Stats is the server job-pool activity snapshot, included in SSE
-	// progress frames.
+	// Stats is a snapshot of the server's simjob cache counters (its
+	// tasks, runs, hits and evictions), included in SSE progress frames.
 	Stats *simjob.Stats `json:"stats,omitempty"`
 	// SubmittedAt, StartedAt and FinishedAt timestamp the lifecycle
 	// (RFC 3339; zero values omitted).

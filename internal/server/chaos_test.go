@@ -119,8 +119,8 @@ func TestChaosExactlyOnceUnderFaults(t *testing.T) {
 	if counts.JobPanics != jobs {
 		t.Errorf("plan injected %d panics, want %d (one per distinct job)", counts.JobPanics, jobs)
 	}
-	if got := srv.Pool().Stats().Panics; got != counts.JobPanics {
-		t.Errorf("simjob pool recovered %d panics, plan injected %d", got, counts.JobPanics)
+	if got := srv.Pool().Cache().Stats().Panics; got != counts.JobPanics {
+		t.Errorf("simjob cache recovered %d panics, plan injected %d", got, counts.JobPanics)
 	}
 	if got := reg.Counter(server.MetricJobRetries).Value(); got != counts.JobPanics {
 		t.Errorf("%s = %d, want %d (every panic retried exactly once)",

@@ -250,8 +250,9 @@ func New(cfg Config) *Server {
 // Registry exposes the metrics registry the server reports into.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Pool exposes the simjob pool jobs execute on (its Stats feed the SSE
-// progress frames).
+// Pool exposes the simjob pool jobs execute on. Its Cache holds the
+// server's one set of job counters, which feed the SSE progress frames
+// and /metrics.
 func (s *Server) Pool() *simjob.Pool { return s.pool }
 
 // Shutdown stops admission and waits for queued and running jobs to
@@ -448,7 +449,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamStatus serves the SSE progress stream for one job: a "status"
-// event (JobStatus JSON with live pool stats) every SSEInterval and on
+// event (JobStatus JSON with live cache stats) every SSEInterval and on
 // every state change, then a final "done" event with the terminal
 // status.
 func (s *Server) streamStatus(w http.ResponseWriter, r *http.Request, j *job) {
@@ -481,7 +482,7 @@ func (s *Server) streamStatus(w http.ResponseWriter, r *http.Request, j *job) {
 			emit("done", st)
 			return
 		}
-		stats := s.pool.Stats()
+		stats := s.cache.Stats()
 		st.Stats = &stats
 		if !emit("status", st) {
 			return
@@ -558,9 +559,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the registry in Prometheus text exposition
-// format, refreshing the job-pool gauges first.
+// format, refreshing the simjob cache counters first.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.pool.Stats().Publish(s.reg)
+	s.cache.Stats().Publish(s.reg)
 	if s.cfg.Faults != nil {
 		s.cfg.Faults.Publish(s.reg)
 	}

@@ -267,7 +267,7 @@ func TestConcurrentDedup(t *testing.T) {
 
 	// The periodic run (and its solo baseline) must have executed once:
 	// 2 jobs run total, and at least one submission was deduped.
-	stats := s.Pool().Stats()
+	stats := s.Pool().Cache().Stats()
 	if stats.JobsRun != 2 {
 		t.Fatalf("JobsRun = %d, want 2 (solo baseline + periodic)", stats.JobsRun)
 	}
@@ -513,6 +513,60 @@ func TestSSEProgress(t *testing.T) {
 	}
 }
 
+// TestSSEStatsKeys: a status frame's stats object carries the
+// documented snake_case keys. A long job holds the only worker, so the
+// streamed job is queued and its stream opens with a status frame.
+func TestSSEStatsKeys(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	long, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit long: got %d", code)
+	}
+	awaitRunning(t, ts, long.ID)
+	queued, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "MUM", WindowUs: 60e6}, "")
+	if code != http.StatusAccepted {
+		t.Fatalf("submit queued: got %d", code)
+	}
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/jobs/"+queued.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame struct {
+		Stats map[string]json.RawMessage `json:"stats"`
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for event := ""; frame.Stats == nil && sc.Scan(); {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: ") && event == "status":
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &frame); err != nil {
+				t.Fatalf("bad SSE payload: %v", err)
+			}
+		}
+	}
+	resp.Body.Close()
+	if frame.Stats == nil {
+		t.Fatal("SSE stream ended without a status frame carrying stats")
+	}
+	for _, key := range []string{"jobs_run", "evictions"} {
+		if _, ok := frame.Stats[key]; !ok {
+			t.Errorf("status frame stats lack %q: %v", key, frame.Stats)
+		}
+	}
+	for _, id := range []string{queued.ID, long.ID} {
+		if code := deleteJob(t, ts, id); code != http.StatusAccepted {
+			t.Errorf("cancel %s: got %d", id, code)
+		}
+	}
+}
+
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	st, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 3000, Trace: true}, "?wait=1")
@@ -605,11 +659,9 @@ func TestTraceMatchesUntracedSpec(t *testing.T) {
 	}
 }
 
-func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	if _, code := postJob(t, ts, shortSpec(), "?wait=1"); code != http.StatusOK {
-		t.Fatalf("submit: got %d", code)
-	}
+// scrapeMetrics reads /metrics, checking its status and content type.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -625,15 +677,45 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return string(body)
+}
+
+func TestMetricsEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	if _, code := postJob(t, ts, shortSpec(), "?wait=1"); code != http.StatusOK {
+		t.Fatalf("submit: got %d", code)
+	}
+	body := scrapeMetrics(t, ts)
 	for _, want := range []string{
 		"chimera_server_jobs_submitted 1",
 		"chimera_server_jobs_completed 1",
 		"chimera_simjob_jobs_run",
 		"chimera_server_job_latency_ms_bucket",
 	} {
-		if !strings.Contains(string(body), want) {
+		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestMetricsCountEvictions: /metrics publishes the server's cache
+// counters, so results the LRU cap drops count as evictions. Three
+// distinct solo jobs through a one-entry cache evict two results.
+func TestMetricsCountEvictions(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, CacheCap: 1})
+	for _, bench := range []string{"SAD", "MUM", "BS"} {
+		if _, code := postJob(t, ts, JobSpec{Kind: KindSolo, Bench: bench, WindowUs: 100}, "?wait=1"); code != http.StatusOK {
+			t.Fatalf("submit %s: got %d", bench, code)
+		}
+	}
+	var got []string
+	for _, line := range strings.Split(scrapeMetrics(t, ts), "\n") {
+		if strings.HasPrefix(line, "chimera_simjob_evictions ") {
+			got = append(got, line)
+		}
+	}
+	if len(got) != 1 || got[0] != "chimera_simjob_evictions 2" {
+		t.Errorf("eviction samples = %q, want exactly [chimera_simjob_evictions 2]", got)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // from ordinary failures with errors.As — chimerad uses that to retry
 // panicked jobs within a budget.
 type JobError struct {
-	// Job identifies the panicked execution when it unwound a
-	// Cache/Pool Do call (zero value for a bare Map task).
+	// Job identifies the panicked execution when it unwound a Cache
+	// Do call (zero value for a bare Map task).
 	Job Job
 	// Task is the Map task index, or -1 for cache executions.
 	Task int
@@ -109,13 +109,6 @@ func (c *Cache) SetLimit(n int) {
 	c.enforceLimitLocked()
 }
 
-// Limit reports the current cap (0 = unbounded).
-func (c *Cache) Limit() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.limit
-}
-
 // enforceLimitLocked evicts LRU-tail entries until within the cap.
 func (c *Cache) enforceLimitLocked() {
 	if c.limit <= 0 {
@@ -126,7 +119,7 @@ func (c *Cache) enforceLimitLocked() {
 		job := tail.Value.(Job)
 		c.lru.Remove(tail)
 		delete(c.entries, job)
-		c.stats.evicted()
+		c.stats.evictions.Add(1)
 	}
 }
 
@@ -153,8 +146,13 @@ func (c *Cache) execHook() func(Job) {
 // the caller's goroutine (the Pool provides worker-level parallelism);
 // it must not call Do for the same job recursively.
 func (c *Cache) Do(job Job, fn func() (any, error)) (any, error) {
-	v, err, _, _ := c.doJob(context.Background(), job, func(context.Context) (any, error) { return fn() })
-	return v, err
+	return c.DoContext(context.Background(), job, func(context.Context) (any, error) { return fn() })
+}
+
+// isCancellation reports whether err is a context cancellation or
+// deadline error — the class of failures a surviving waiter retries.
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // DoContext is Do with cancellation threaded through: fn receives ctx
@@ -166,20 +164,6 @@ func (c *Cache) Do(job Job, fn func() (any, error)) (any, error) {
 // when the executor was cancelled re-execute the job themselves rather
 // than inheriting the cancellation.
 func (c *Cache) DoContext(ctx context.Context, job Job, fn func(context.Context) (any, error)) (any, error) {
-	v, err, _, _ := c.doJob(ctx, job, fn)
-	return v, err
-}
-
-// isCancellation reports whether err is a context cancellation or
-// deadline error — the class of failures a surviving waiter retries.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// doJob is DoContext plus execution telemetry: executed reports whether
-// this call ran fn (vs. a cache or singleflight hit), and dur its wall
-// time.
-func (c *Cache) doJob(ctx context.Context, job Job, fn func(context.Context) (any, error)) (v any, err error, executed bool, dur time.Duration) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[job]; ok {
@@ -189,12 +173,12 @@ func (c *Cache) doJob(ctx context.Context, job Job, fn func(context.Context) (an
 			c.mu.Unlock()
 			// The hit is counted at arrival — a singleflight wait on an
 			// in-flight duplicate is a hit even before the value lands.
-			c.stats.hit()
+			c.stats.cacheHits.Add(1)
 			select {
 			case <-e.done:
 			case <-ctx.Done():
 				// Abandon the wait; whoever executes keeps going.
-				return nil, ctx.Err(), false, 0
+				return nil, ctx.Err()
 			}
 			if isCancellation(e.err) && ctx.Err() == nil {
 				// The executor was cancelled but this caller is live:
@@ -202,7 +186,7 @@ func (c *Cache) doJob(ctx context.Context, job Job, fn func(context.Context) (an
 				// already dropped by its executor).
 				continue
 			}
-			return e.val, e.err, false, 0
+			return e.val, e.err
 		}
 		e := &entry{done: make(chan struct{})}
 		c.entries[job] = e
@@ -211,8 +195,7 @@ func (c *Cache) doJob(ctx context.Context, job Job, fn func(context.Context) (an
 		//chimera:allow wallclock measures host compute time for progress stats, never simulated time
 		start := time.Now()
 		e.val, e.err = c.runJob(ctx, job, fn)
-		dur = time.Since(start) //chimera:allow wallclock host-side duration for Stats.JobTime, not sim state
-		c.stats.ran(dur, e.err != nil)
+		c.stats.ran(time.Since(start), e.err != nil) //chimera:allow wallclock host-side duration for Stats.JobTime, not sim state
 		c.mu.Lock()
 		if e.err != nil {
 			// Errors are not cached: drop the entry before waking waiters
@@ -224,7 +207,7 @@ func (c *Cache) doJob(ctx context.Context, job Job, fn func(context.Context) (an
 		}
 		c.mu.Unlock()
 		close(e.done)
-		return e.val, e.err, true, dur
+		return e.val, e.err
 	}
 }
 
@@ -235,7 +218,7 @@ func (c *Cache) doJob(ctx context.Context, job Job, fn func(context.Context) (an
 func (c *Cache) runJob(ctx context.Context, job Job, fn func(context.Context) (any, error)) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			c.stats.panicked()
+			c.stats.panics.Add(1)
 			v = nil
 			err = &JobError{Job: job, Task: -1, Value: r, Stack: debug.Stack()}
 		}
@@ -253,5 +236,6 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Stats returns a snapshot of the cache's counters.
+// Stats returns a snapshot of the cache's counters: its Do calls and
+// the Map tasks of every pool over it.
 func (c *Cache) Stats() Stats { return c.stats.snapshot() }

@@ -137,21 +137,24 @@ func TestPoolRunPanicKeepsDraining(t *testing.T) {
 			t.Errorf("task %d did not run", i)
 		}
 	}
-	if st := p.Stats(); st.Panics != 1 || st.TasksDone != 5 {
+	if st := p.Cache().Stats(); st.Panics != 1 || st.TasksDone != 5 {
 		t.Errorf("stats = %+v, want Panics=1 TasksDone=5", st)
 	}
 }
 
-// TestPoolDoAttributesPanics: panics flowing through DoContext are
-// attributed to the pool's own counters as well as the cache's.
+// TestPoolDoAttributesPanics: a panic in a job a pool task computes
+// through the pool's cache is counted once, in the cache's Stats (the
+// task itself returns the typed error and does not panic).
 func TestPoolDoAttributesPanics(t *testing.T) {
 	p := NewPool(1, NewCache())
-	_, err := p.Do(job("C"), func() (any, error) { panic("x") })
+	_, err := Map(p, 1, func(int) (any, error) {
+		return p.Cache().Do(job("C"), func() (any, error) { panic("x") })
+	})
 	if !IsPanic(err) {
 		t.Fatalf("want panic error, got %v", err)
 	}
-	if st := p.Stats(); st.Panics != 1 || st.Errors != 1 {
-		t.Errorf("pool stats = %+v, want Panics=1 Errors=1", st)
+	if st := p.Cache().Stats(); st.Panics != 1 || st.Errors != 1 {
+		t.Errorf("cache stats = %+v, want Panics=1 Errors=1", st)
 	}
 }
 

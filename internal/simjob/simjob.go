@@ -3,7 +3,8 @@
 // (scenario kind, benchmarks, policy, window, constraint, seed, device
 // configuration, catalog), a Cache memoizes results per Job with
 // singleflight semantics, and a Pool fans independent jobs out over a
-// bounded set of workers.
+// bounded set of workers. Each Cache keeps the one set of counters
+// (Stats) for its own work and for the tasks of every Pool over it.
 //
 // The evaluation is embarrassingly parallel — hundreds of independent
 // simulations per exhibit (benchmarks × policies × constraints × seeds)

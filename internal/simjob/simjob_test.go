@@ -119,9 +119,6 @@ func TestCacheErrorsNotCached(t *testing.T) {
 
 func TestPoolRunBoundsParallelism(t *testing.T) {
 	p := NewPool(3, NewCache())
-	if p.Parallelism() != 3 {
-		t.Fatalf("parallelism = %d", p.Parallelism())
-	}
 	var running, peak atomic.Int64
 	var tasks []func() error
 	for i := 0; i < 20; i++ {
@@ -144,7 +141,7 @@ func TestPoolRunBoundsParallelism(t *testing.T) {
 	if peak.Load() > 3 {
 		t.Errorf("peak concurrency %d exceeds parallelism 3", peak.Load())
 	}
-	st := p.Stats()
+	st := p.Cache().Stats()
 	if st.TasksQueued != 20 || st.TasksDone != 20 || st.TasksRunning != 0 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -198,7 +195,7 @@ func TestMapIndexOrder(t *testing.T) {
 				t.Fatalf("parallelism %d: out[%d] = %d, want %d", parallelism, i, v, i*i)
 			}
 		}
-		if st := p.Stats(); st.TasksQueued != n || st.TasksDone != n {
+		if st := p.Cache().Stats(); st.TasksQueued != n || st.TasksDone != n {
 			t.Errorf("parallelism %d: stats = %+v, want %d tasks through the pool", parallelism, st, n)
 		}
 	}
@@ -241,13 +238,13 @@ func contains(s, sub string) bool {
 }
 
 // TestPoolDoNested checks that a task running under a full pool can
-// issue nested Do calls (the periodic-job → solo-baseline dependency)
-// without consuming extra worker slots.
+// issue nested Do calls on the pool's cache (the periodic-job →
+// solo-baseline dependency) without consuming extra worker slots.
 func TestPoolDoNested(t *testing.T) {
 	p := NewPool(1, NewCache()) // one slot: nested Do must not need a second
 	err := p.run(func() error {
-		outer, err := p.Do(Job{Kind: KindPeriodic, Benchmarks: "HS"}, func() (any, error) {
-			inner, err := p.Do(Job{Kind: KindSolo, Benchmarks: "HS"}, func() (any, error) {
+		outer, err := p.Cache().Do(Job{Kind: KindPeriodic, Benchmarks: "HS"}, func() (any, error) {
+			inner, err := p.Cache().Do(Job{Kind: KindSolo, Benchmarks: "HS"}, func() (any, error) {
 				return 2.0, nil
 			})
 			if err != nil {
@@ -268,37 +265,24 @@ func TestPoolDoNested(t *testing.T) {
 	}
 }
 
-func TestPoolProgressHook(t *testing.T) {
-	p := NewPool(2, NewCache())
-	var mu sync.Mutex
-	var snaps []Stats
-	p.SetProgress(func(s Stats) {
-		mu.Lock()
-		snaps = append(snaps, s)
-		mu.Unlock()
-	})
-	if err := p.run(func() error { return nil }, func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(snaps) != 2 {
-		t.Fatalf("progress fired %d times, want 2", len(snaps))
-	}
-	last := snaps[len(snaps)-1]
-	if last.TasksDone < 1 || last.TasksQueued != 2 {
-		t.Errorf("last snapshot = %+v", last)
-	}
-}
-
-func TestGlobalStatsAggregates(t *testing.T) {
-	before := GlobalStats()
+// TestCacheStatsAggregatePools checks that two pools over one cache
+// count their tasks, runs and hits in that cache's Stats: the one book
+// a process-wide view (SharedCache().Stats()) reads.
+func TestCacheStatsAggregatePools(t *testing.T) {
 	c := NewCache()
-	_, _ = c.Do(job("aggregate-check"), func() (any, error) { return 1, nil })
-	_, _ = c.Do(job("aggregate-check"), func() (any, error) { return 1, nil })
-	after := GlobalStats()
-	if after.JobsRun-before.JobsRun < 1 || after.CacheHits-before.CacheHits < 1 {
-		t.Errorf("global stats did not advance: before %+v after %+v", before, after)
+	a, b := NewPool(2, c), NewPool(3, c)
+	for _, p := range []*Pool{a, b} {
+		if _, err := Map(p, 3, func(i int) (any, error) {
+			return p.Cache().Do(job(fmt.Sprint("aggregate-", i)), func() (any, error) { return i, nil })
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := Stats{TasksQueued: 6, TasksDone: 6, JobsRun: 3, CacheHits: 3}
+	st := c.Stats()
+	st.JobTime = 0
+	if st != want {
+		t.Errorf("cache stats = %+v, want %+v", st, want)
 	}
 }
 

@@ -7,36 +7,39 @@ import (
 	"chimera/internal/metrics"
 )
 
-// Stats is a snapshot of scheduling and cache activity. Pool.Stats
-// reports one pool; GlobalStats aggregates every pool and cache in the
-// process (what the chimerasim -progress ticker displays).
+// Stats is a snapshot of one cache's counters: every Do on the cache
+// and every task of every Pool over it. SharedCache().Stats() is the
+// process-wide view the chimerasim -progress ticker displays. Its JSON
+// keys (chimerad's SSE status frames) follow the simjob/* metric names,
+// with job time in nanoseconds.
 type Stats struct {
 	// TasksQueued counts batch tasks submitted through Map.
-	TasksQueued int64
+	TasksQueued int64 `json:"tasks_queued"`
 	// TasksRunning counts batch tasks currently executing.
-	TasksRunning int64
+	TasksRunning int64 `json:"tasks_running"`
 	// TasksDone counts batch tasks that finished (ok or not).
-	TasksDone int64
+	TasksDone int64 `json:"tasks_done"`
 	// JobsRun counts simulations actually executed (cache misses).
-	JobsRun int64
+	JobsRun int64 `json:"jobs_run"`
 	// CacheHits counts Cache.Do calls served without executing
 	// (including singleflight waits on an in-flight duplicate).
-	CacheHits int64
+	CacheHits int64 `json:"cache_hits"`
 	// Errors counts executed jobs that returned an error.
-	Errors int64
+	Errors int64 `json:"errors"`
 	// JobTime is the cumulative wall time of executed jobs — at
 	// parallelism N it exceeds elapsed time by up to a factor of N.
-	JobTime time.Duration
-	// Evictions counts results dropped by a cache's LRU cap
+	// It marshals as nanoseconds.
+	JobTime time.Duration `json:"job_time_ns"`
+	// Evictions counts results dropped by the cache's LRU cap
 	// (Cache.SetLimit); zero for unbounded caches.
-	Evictions int64
-	// Panics counts executions recovered into a typed *JobError
-	// (included in Errors as well; a panicked job is a failed job).
-	Panics int64
+	Evictions int64 `json:"evictions"`
+	// Panics counts cache executions and Map tasks recovered into a
+	// typed *JobError. A panicked execution counts in Errors as well (a
+	// panicked job is a failed job).
+	Panics int64 `json:"panics"`
 }
 
-// counters is the lock-free mutable form of Stats, embedded in Cache and
-// Pool. Every update is mirrored into the process-wide global counters.
+// counters is the lock-free mutable form of Stats, embedded in Cache.
 type counters struct {
 	tasksQueued  atomic.Int64
 	tasksRunning atomic.Int64
@@ -49,65 +52,11 @@ type counters struct {
 	panics       atomic.Int64
 }
 
-// global aggregates all pools and caches in the process.
-var global counters
-
-func (c *counters) hit() {
-	c.cacheHits.Add(1)
-	if c != &global {
-		global.cacheHits.Add(1)
-	}
-}
-
 func (c *counters) ran(d time.Duration, failed bool) {
 	c.jobsRun.Add(1)
 	c.jobTimeNs.Add(int64(d))
 	if failed {
 		c.errors.Add(1)
-	}
-	if c != &global {
-		global.jobsRun.Add(1)
-		global.jobTimeNs.Add(int64(d))
-		if failed {
-			global.errors.Add(1)
-		}
-	}
-}
-
-func (c *counters) panicked() {
-	c.panics.Add(1)
-	if c != &global {
-		global.panics.Add(1)
-	}
-}
-
-func (c *counters) evicted() {
-	c.evictions.Add(1)
-	if c != &global {
-		global.evictions.Add(1)
-	}
-}
-
-func (c *counters) taskQueued(n int64) {
-	c.tasksQueued.Add(n)
-	if c != &global {
-		global.tasksQueued.Add(n)
-	}
-}
-
-func (c *counters) taskStarted() {
-	c.tasksRunning.Add(1)
-	if c != &global {
-		global.tasksRunning.Add(1)
-	}
-}
-
-func (c *counters) taskDone() {
-	c.tasksRunning.Add(-1)
-	c.tasksDone.Add(1)
-	if c != &global {
-		global.tasksRunning.Add(-1)
-		global.tasksDone.Add(1)
 	}
 }
 
@@ -124,10 +73,6 @@ func (c *counters) snapshot() Stats {
 		Panics:       c.panics.Load(),
 	}
 }
-
-// GlobalStats returns the process-wide aggregate across every pool and
-// cache.
-func GlobalStats() Stats { return global.snapshot() }
 
 // Publish mirrors the snapshot into a metrics registry as simjob/*
 // counters (job time in milliseconds), so a single Registry.Render shows

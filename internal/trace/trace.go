@@ -10,15 +10,13 @@
 // and the Perfetto export mapping are documented in
 // docs/observability.md.
 //
-// Consumers implement Recorder (or the closeable Sink). The package
-// ships four: Ring (bounded in-memory), Collector (unbounded
-// in-memory), WriterSink (streaming text) and Multi (a tee). An event
-// stream renders to Chrome/Perfetto trace JSON via WritePerfetto.
+// Consumers implement Recorder; the package ships Collector, which
+// keeps every event in memory. A recorded stream renders to
+// Chrome/Perfetto trace JSON via WritePerfetto.
 package trace
 
 import (
 	"fmt"
-	"io"
 
 	"chimera/internal/units"
 )
@@ -180,84 +178,22 @@ type Recorder interface {
 	Record(Event)
 }
 
-// Sink is a Recorder with a lifecycle: streaming sinks buffer output
-// and must be Closed to flush it. Purely in-memory sinks (Ring,
-// Collector) implement Close as a no-op.
-type Sink interface {
-	Recorder
-	// Close flushes and releases the sink. The sink must not be
-	// recorded to afterwards.
-	Close() error
+// Collector is an unbounded in-memory Recorder retaining every event in
+// emission order — the input shape WritePerfetto consumes.
+type Collector struct {
+	events []Event
 }
 
-// Ring is a bounded in-memory Sink keeping the most recent events.
-// The zero value is unusable; construct with NewRing.
-type Ring struct {
-	buf     []Event
-	next    int
-	wrapped bool
-	total   int64
-	filter  func(Event) bool
-}
-
-// NewRing creates a ring recorder holding up to capacity events.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, capacity)}
-}
-
-// SetFilter installs a predicate; events it rejects are not stored (but
-// still counted in Total).
-func (r *Ring) SetFilter(f func(Event) bool) { r.filter = f }
+// NewCollector creates an empty collector.
+func NewCollector() *Collector { return &Collector{} }
 
 // Record implements Recorder.
-func (r *Ring) Record(e Event) {
-	r.total++
-	if r.filter != nil && !r.filter(e) {
-		return
-	}
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
-}
+func (c *Collector) Record(e Event) { c.events = append(c.events, e) }
 
-// Close implements Sink; it is a no-op for the in-memory ring.
-func (r *Ring) Close() error { return nil }
+// Len reports the number of retained events.
+func (c *Collector) Len() int { return len(c.events) }
 
-// Total is the number of events offered (including filtered ones).
-func (r *Ring) Total() int64 { return r.total }
-
-// Events returns the retained events in recording order.
-func (r *Ring) Events() []Event {
-	if !r.wrapped {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Dump writes the retained events one per line.
-func (r *Ring) Dump(w io.Writer) error {
-	for _, e := range r.Events() {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Counts tallies retained events by kind.
-func (r *Ring) Counts() map[Kind]int {
-	counts := make(map[Kind]int)
-	for _, e := range r.Events() {
-		counts[e.Kind]++
-	}
-	return counts
-}
+// Events returns the retained events in emission order. The returned
+// slice is the collector's backing store; callers must not mutate it
+// while still recording.
+func (c *Collector) Events() []Event { return c.events }

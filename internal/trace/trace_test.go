@@ -5,63 +5,18 @@ import (
 	"testing"
 )
 
-func TestRingBasics(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 3; i++ {
-		r.Record(Event{At: 1, Kind: FlushTB, Kernel: "K", SM: i, TB: i})
+func TestCollectorRetainsEverything(t *testing.T) {
+	c := NewCollector()
+	for i := 0; i < 1000; i++ {
+		c.Record(Event{At: 1, SM: i, TB: -1})
 	}
-	events := r.Events()
-	if len(events) != 3 {
-		t.Fatalf("got %d events", len(events))
+	if c.Len() != 1000 {
+		t.Fatalf("Len = %d", c.Len())
 	}
-	if r.Total() != 3 {
-		t.Errorf("Total = %d", r.Total())
-	}
-	for i, e := range events {
+	for i, e := range c.Events() {
 		if e.SM != i {
-			t.Errorf("event %d out of order: %+v", i, e)
+			t.Fatalf("event %d out of order: %+v", i, e)
 		}
-	}
-}
-
-func TestRingWraps(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 7; i++ {
-		r.Record(Event{SM: i})
-	}
-	events := r.Events()
-	if len(events) != 3 {
-		t.Fatalf("got %d events", len(events))
-	}
-	want := []int{4, 5, 6}
-	for i, e := range events {
-		if e.SM != want[i] {
-			t.Errorf("wrapped order: got %d want %d", e.SM, want[i])
-		}
-	}
-	if r.Total() != 7 {
-		t.Errorf("Total = %d", r.Total())
-	}
-}
-
-func TestRingFilter(t *testing.T) {
-	r := NewRing(10)
-	r.SetFilter(func(e Event) bool { return e.Kind == Request })
-	r.Record(Event{Kind: Request})
-	r.Record(Event{Kind: FlushTB})
-	if got := len(r.Events()); got != 1 {
-		t.Errorf("filtered events = %d", got)
-	}
-	if r.Total() != 2 {
-		t.Errorf("Total = %d", r.Total())
-	}
-}
-
-func TestRingZeroCapacity(t *testing.T) {
-	r := NewRing(0)
-	r.Record(Event{Kind: Request})
-	if len(r.Events()) != 1 {
-		t.Error("zero-capacity ring should fall back to capacity 1")
 	}
 }
 
@@ -91,23 +46,5 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind must render")
-	}
-}
-
-func TestDumpAndCounts(t *testing.T) {
-	r := NewRing(8)
-	r.Record(Event{Kind: Request, SM: -1, TB: -1})
-	r.Record(Event{Kind: FlushTB, SM: 1, TB: 2})
-	r.Record(Event{Kind: FlushTB, SM: 2, TB: 3})
-	var sb strings.Builder
-	if err := r.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(sb.String(), "\n"); got != 3 {
-		t.Errorf("dump has %d lines", got)
-	}
-	counts := r.Counts()
-	if counts[FlushTB] != 2 || counts[Request] != 1 {
-		t.Errorf("counts = %v", counts)
 	}
 }

@@ -251,12 +251,13 @@ func (r *Runner) simulate(ctx context.Context, kind simjob.Kind, benches []strin
 	return sim, nil
 }
 
-// do computes one scenario run through the Runner's pool: memoized by
-// job, with singleflight, and never cached when fn fails or ctx aborts
-// it. executed reports whether this call ran fn (false = cache or
-// singleflight hit) — the dedup signal chimerad and replay report.
+// do computes one scenario run through the Runner's pool's cache:
+// memoized by job, with singleflight, and never cached when fn fails or
+// ctx aborts it. executed reports whether this call ran fn (false =
+// cache or singleflight hit) — the dedup signal chimerad and replay
+// report.
 func do[T any](ctx context.Context, r *Runner, job simjob.Job, fn func(context.Context) (T, error)) (res T, executed bool, err error) {
-	v, err := r.pool.DoContext(ctx, job, func(ctx context.Context) (any, error) {
+	v, err := r.pool.Cache().DoContext(ctx, job, func(ctx context.Context) (any, error) {
 		executed = true
 		out, err := fn(ctx)
 		return out, err
