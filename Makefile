@@ -190,6 +190,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPlanIO -fuzztime $(FUZZTIME) ./internal/planio/
 	$(GO) test -run '^$$' -fuzz FuzzAdmissionOrder -fuzztime $(FUZZTIME) ./internal/sched/
 	$(GO) test -run '^$$' -fuzz FuzzSpec -fuzztime $(FUZZTIME) ./internal/jobspec/
+	$(GO) test -run '^$$' -fuzz FuzzRunBlocks -fuzztime $(FUZZTIME) ./internal/smsim/
 
 examples:
 	$(GO) run ./examples/quickstart

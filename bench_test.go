@@ -232,9 +232,9 @@ func allocsPerRun(runs int, f func()) (objects, bytes float64) {
 // period is killed at its deadline, and the case never reaches the
 // planner. The Chimera case (15µs constraint) issues 9 requests and
 // kills no period. Each request runs core.PlanSM on every victim SM,
-// which allocates candidate, sort and plan storage. Measured on a
-// 2-vCPU x86-64 VM with Go 1.24: 1,008 objects and 77,584 bytes
-// without a policy, 3,991 objects and 677,968 bytes with Chimera.
+// which allocates only the plan it returns. Measured on a 2-vCPU
+// x86-64 VM with Go 1.24: 1,008 objects and 77,584 bytes without a
+// policy, 2,101 objects and 230,848 bytes with Chimera.
 // Every budget has ~2× headroom: it catches a reintroduced per-event
 // or per-block allocation, whether it costs tens of thousands of
 // objects or a few large chunks, without flaking on incidental drift.
@@ -252,7 +252,7 @@ func TestEngineHotAllocBudget(t *testing.T) {
 	}{
 		{"nil policy", chimera.SimOptions{Seed: 1, WarmStats: true}, 6000, 320_000},
 		{"chimera", chimera.SimOptions{Seed: 1, WarmStats: true, Policy: chimera.ChimeraPolicy{},
-			Constraint: chimera.Microseconds(15)}, 8000, 1_360_000},
+			Constraint: chimera.Microseconds(15)}, 4200, 460_000},
 	}
 	for _, c := range cases {
 		var sim *chimera.Simulation

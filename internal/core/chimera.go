@@ -50,29 +50,74 @@ type Selection struct {
 // tbCandidate is one (thread block, technique) cost entry of Algorithm 1
 // line 4.
 type tbCandidate struct {
-	tb    gpu.TBSnapshot
 	cost  preempt.Cost
 	order int // position in the SM snapshot, for deterministic ties
 }
+
+// maxInlineTBs is the resident-block count up to which PlanSM keeps its
+// scratch on the stack: a Table 1 SM holds at most 8 blocks.
+const maxInlineTBs = 8
 
 // PlanSM runs lines 2–17 of Algorithm 1 for one SM: estimate every
 // (thread block, technique) cost, sort by throughput overhead, pick for
 // each block the cheapest technique that meets the latency constraint,
 // and fall back to context switching for blocks that cannot meet it with
-// any technique.
+// any technique. Up to maxInlineTBs resident blocks, the plan's own TB
+// slice is its only allocation.
 func PlanSM(sm gpu.SMSnapshot, est gpu.KernelEstimate, constraintCycles float64, opts preempt.Options) preempt.SMPlan {
 	maxExec := preempt.MaxExecuted(sm)
-	candidates := make([]tbCandidate, 0, len(sm.TBs)*preempt.NumTechniques)
+	var candBuf [maxInlineTBs * preempt.NumTechniques]tbCandidate
+	candidates := candBuf[:0]
+	if n := len(sm.TBs) * preempt.NumTechniques; n > len(candBuf) {
+		candidates = make([]tbCandidate, 0, n)
+	}
 	for i, tb := range sm.TBs {
 		costs := preempt.EstimateAll(tb, est, len(sm.TBs), maxExec, opts)
 		for _, c := range costs {
-			candidates = append(candidates, tbCandidate{tb: tb, cost: c, order: i})
+			candidates = append(candidates, tbCandidate{cost: c, order: i})
 		}
 	}
 	// Line 7: sort by throughput overhead (deterministic tie-break on
 	// block order then technique order).
-	sort.SliceStable(candidates, func(i, j int) bool {
-		a, b := candidates[i], candidates[j]
+	sortCandidates(candidates)
+
+	plan := preempt.SMPlan{SM: sm.SM}
+	if len(sm.TBs) > 0 {
+		plan.TBs = make([]preempt.TBPlan, len(sm.TBs))
+	}
+	var chosenBuf [maxInlineTBs]bool
+	chosen := chosenBuf[:]
+	if len(sm.TBs) > len(chosen) {
+		chosen = make([]bool, len(sm.TBs))
+	}
+	// Lines 8–13: take the cheapest-overhead technique per block that
+	// meets the latency constraint.
+	for _, cand := range candidates {
+		if chosen[cand.order] {
+			continue
+		}
+		if cand.cost.Feasible() && cand.cost.MeetsLatency(constraintCycles) {
+			chosen[cand.order] = true
+			plan.TBs[cand.order] = preempt.TBPlan{Index: sm.TBs[cand.order].Index, Technique: cand.cost.Technique, Cost: cand.cost}
+		}
+	}
+	// Lines 14–16: blocks that meet the constraint with no technique are
+	// context-switched (the technique with bounded, known latency).
+	for i, tb := range sm.TBs {
+		if !chosen[i] {
+			cost := preempt.EstimateSwitch(tb, est, len(sm.TBs), opts)
+			plan.TBs[i] = preempt.TBPlan{Index: tb.Index, Technique: preempt.Switch, Cost: cost}
+		}
+	}
+	plan.Aggregate()
+	return plan
+}
+
+// sortCandidates is a stable insertion sort by throughput overhead, then
+// block order, then technique: the order sort.SliceStable gives, with no
+// allocation. It sorts at most 8 blocks × 3 techniques.
+func sortCandidates(c []tbCandidate) {
+	less := func(a, b tbCandidate) bool {
 		if a.cost.OverheadInsts != b.cost.OverheadInsts {
 			return a.cost.OverheadInsts < b.cost.OverheadInsts
 		}
@@ -80,32 +125,12 @@ func PlanSM(sm gpu.SMSnapshot, est gpu.KernelEstimate, constraintCycles float64,
 			return a.order < b.order
 		}
 		return a.cost.Technique < b.cost.Technique
-	})
-
-	chosen := make(map[int]preempt.TBPlan, len(sm.TBs))
-	// Lines 8–13: take the cheapest-overhead technique per block that
-	// meets the latency constraint.
-	for _, cand := range candidates {
-		if _, done := chosen[cand.tb.Index]; done {
-			continue
-		}
-		if cand.cost.Feasible() && cand.cost.MeetsLatency(constraintCycles) {
-			chosen[cand.tb.Index] = preempt.TBPlan{Index: cand.tb.Index, Technique: cand.cost.Technique, Cost: cand.cost}
+	}
+	for i := 1; i < len(c); i++ {
+		for j := i; j > 0 && less(c[j], c[j-1]); j-- {
+			c[j], c[j-1] = c[j-1], c[j]
 		}
 	}
-	// Lines 14–16: blocks that meet the constraint with no technique are
-	// context-switched (the technique with bounded, known latency).
-	plan := preempt.SMPlan{SM: sm.SM}
-	for _, tb := range sm.TBs {
-		p, ok := chosen[tb.Index]
-		if !ok {
-			cost := preempt.EstimateSwitch(tb, est, len(sm.TBs), opts)
-			p = preempt.TBPlan{Index: tb.Index, Technique: preempt.Switch, Cost: cost}
-		}
-		plan.TBs = append(plan.TBs, p)
-	}
-	plan.Aggregate()
-	return plan
 }
 
 // Select runs Algorithm 1: per-SM planning (lines 1–18), sorting SMs by

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -314,6 +316,99 @@ func TestSelectPlanIntegrity(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// refCandidate and referencePlanSM are the plain statement of PlanSM,
+// with a map of chosen blocks and sort.SliceStable: the oracle for
+// PlanSM's allocation-free version.
+type refCandidate struct {
+	tb    gpu.TBSnapshot
+	cost  preempt.Cost
+	order int
+}
+
+func referencePlanSM(sm gpu.SMSnapshot, est gpu.KernelEstimate, constraintCycles float64, opts preempt.Options) preempt.SMPlan {
+	maxExec := preempt.MaxExecuted(sm)
+	candidates := make([]refCandidate, 0, len(sm.TBs)*preempt.NumTechniques)
+	for i, tb := range sm.TBs {
+		costs := preempt.EstimateAll(tb, est, len(sm.TBs), maxExec, opts)
+		for _, c := range costs {
+			candidates = append(candidates, refCandidate{tb: tb, cost: c, order: i})
+		}
+	}
+	// Line 7: sort by throughput overhead (deterministic tie-break on
+	// block order then technique order).
+	sort.SliceStable(candidates, func(i, j int) bool {
+		a, b := candidates[i], candidates[j]
+		if a.cost.OverheadInsts != b.cost.OverheadInsts {
+			return a.cost.OverheadInsts < b.cost.OverheadInsts
+		}
+		if a.order != b.order {
+			return a.order < b.order
+		}
+		return a.cost.Technique < b.cost.Technique
+	})
+
+	chosen := make(map[int]preempt.TBPlan, len(sm.TBs))
+	// Lines 8–13: take the cheapest-overhead technique per block that
+	// meets the latency constraint.
+	for _, cand := range candidates {
+		if _, done := chosen[cand.tb.Index]; done {
+			continue
+		}
+		if cand.cost.Feasible() && cand.cost.MeetsLatency(constraintCycles) {
+			chosen[cand.tb.Index] = preempt.TBPlan{Index: cand.tb.Index, Technique: cand.cost.Technique, Cost: cand.cost}
+		}
+	}
+	// Lines 14–16: blocks that meet the constraint with no technique are
+	// context-switched (the technique with bounded, known latency).
+	plan := preempt.SMPlan{SM: sm.SM}
+	for _, tb := range sm.TBs {
+		p, ok := chosen[tb.Index]
+		if !ok {
+			cost := preempt.EstimateSwitch(tb, est, len(sm.TBs), opts)
+			p = preempt.TBPlan{Index: tb.Index, Technique: preempt.Switch, Cost: cost}
+		}
+		plan.TBs = append(plan.TBs, p)
+	}
+	plan.Aggregate()
+	return plan
+}
+
+// TestPlanSMMatchesReference requires PlanSM to return exactly the
+// reference's plan on random snapshots of 0 to 12 resident blocks, past
+// the 8 blocks its stack scratch holds and the 20 candidates
+// sort.SliceStable sorts by insertion alone. Block indices are distinct,
+// as they are on a real SM.
+func TestPlanSMMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		est := estimate(r.Intn(2) == 0)
+		if r.Intn(4) == 0 {
+			est.HasInsts, est.HasIPC = false, false // cold statistics
+		}
+		sm := gpu.SMSnapshot{SM: gpu.SMID(r.Intn(30))}
+		for j, n := 0, r.Intn(13); j < n; j++ {
+			e := int64(r.Intn(4) * r.Intn(4000))
+			sm.TBs = append(sm.TBs, gpu.TBSnapshot{
+				Index: 3*j + r.Intn(3), Executed: e,
+				RunCycles: units.Cycles(float64(e) * (3 + 2*r.Float64())),
+				Breached:  r.Intn(3) == 0,
+			})
+		}
+		constraint := float64(r.Intn(40)) * units.CyclesPerMicrosecond
+		opts := preempt.Options{Relaxed: r.Intn(2) == 0, CycleBased: r.Intn(4) == 0}
+		got := PlanSM(sm, est, constraint, opts)
+		want := referencePlanSM(sm, est, constraint, opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d: PlanSM %v, reference %v", seed, got.String(), want.String())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"chimera/internal/smsim"
 )
@@ -13,6 +15,9 @@ import (
 // the kernel's occupancy, becomes the block CPI. Thread-block execution
 // times then follow from the kernel's instruction count instead of
 // being pinned to Table 2's drain times.
+//
+// The catalog is built once, on first use, with the kernels measured in
+// parallel; callers that never ask for it never pay for it.
 //
 // The calibrated catalog exists as a robustness check: the headline
 // results should not depend on the hand-assigned CPI values
@@ -29,21 +34,45 @@ var (
 
 func buildCalibrated() *Catalog {
 	base := Load()
+	specs := base.Kernels()
+	smCfg := smsim.DefaultConfig()
+	smCfg.MaxInstsPerWarp = 4096
+	// Each RunBlocks call is a pure function of its program and config,
+	// so the kernels are measured on GOMAXPROCS goroutines and each
+	// result is stored by kernel index: the catalog comes out in kernel
+	// order whatever the interleaving.
+	results := make([]smsim.Result, len(specs))
+	errs := make([]error, len(specs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(specs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(specs) {
+					return
+				}
+				// Run the kernel at its actual occupancy: TBsPerSM
+				// concurrent blocks sharing the SM.
+				results[i], errs[i] = smsim.RunBlocks(specs[i].Program, smCfg, specs[i].Params.TBsPerSM)
+			}
+		}()
+	}
+	wg.Wait()
+
 	c := &Catalog{
 		byLabel: make(map[string]*Spec),
 		byName:  make(map[string]*Benchmark),
 	}
-	smCfg := smsim.DefaultConfig()
-	smCfg.MaxInstsPerWarp = 4096
-	for _, s := range base.Kernels() {
-		// Run the kernel at its actual occupancy: TBsPerSM concurrent
-		// blocks sharing the SM. The per-block CPI is the aggregate
-		// cycles-per-instruction times the block count.
-		res, err := smsim.RunBlocks(s.Program, smCfg, s.Params.TBsPerSM)
-		if err != nil {
-			panic(err)
+	for i, s := range specs {
+		if errs[i] != nil {
+			panic(errs[i])
 		}
-		warpCPI := res.CPI()
+		// The per-block CPI is the aggregate cycles-per-instruction
+		// times the block count.
+		warpCPI := results[i].CPI()
 		if warpCPI <= 0 {
 			panic("kernels: calibrated CPI not positive for " + s.Params.Label)
 		}

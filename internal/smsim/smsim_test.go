@@ -1,11 +1,13 @@
 package smsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"chimera/internal/kernelir"
+	"chimera/internal/units"
 )
 
 func cfgFor(t *testing.T) Config {
@@ -326,4 +328,321 @@ func TestRunBlocksValidation(t *testing.T) {
 	if _, err := RunBlocks(prog, DefaultConfig(), 0); err == nil {
 		t.Error("zero blocks accepted")
 	}
+}
+
+// checkAgainstReference fails t unless RunBlocks returns exactly the
+// reference's Result and error for p, cfg and nBlocks.
+func checkAgainstReference(t *testing.T, p *kernelir.Program, cfg Config, nBlocks int) {
+	t.Helper()
+	want, wantErr := referenceRunBlocks(p, cfg, nBlocks)
+	got, gotErr := RunBlocks(p, cfg, nBlocks)
+	if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("RunBlocks(%s, %+v, %d) = %+v, %v; reference %+v, %v", p.Name, cfg, nBlocks, got, gotErr, want, wantErr)
+	}
+}
+
+// randomKernel builds a small random program over every instruction
+// class the model distinguishes. randomProgram has no barriers, shared
+// or constant loads, atomics, notifies or repeats, so it reaches only
+// part of the issue loop; the oracle needs all of it. Ops and spaces
+// outside the named ones run at ALU latency, and are drawn too.
+func randomKernel(r *rand.Rand, depth int) []kernelir.Stmt {
+	var body []kernelir.Stmt
+	for n := r.Intn(5) + 1; n > 0; n-- {
+		in := kernelir.Instr{Addr: kernelir.Addr{Buf: "a", Tag: "t"}, Repeat: r.Intn(4)}
+		switch r.Intn(11) {
+		case 0:
+			in.Op = kernelir.ALU
+		case 1, 2:
+			in.Op, in.Space = kernelir.Load, kernelir.Global
+		case 3:
+			in.Op, in.Space = kernelir.Load, kernelir.Space(1+r.Intn(3)) // shared, constant, or another space
+		case 4:
+			in.Op, in.Space = kernelir.Store, kernelir.Space(r.Intn(2))
+		case 5:
+			in.Op = kernelir.Atomic
+		case 6:
+			in.Op = kernelir.Notify
+		case 7:
+			in.Op = kernelir.Op(6) // an op the model does not name
+		case 8:
+			in.Op = kernelir.Barrier
+		default:
+			if depth < 2 {
+				body = append(body, kernelir.Loop{Trip: r.Intn(6), Body: randomKernel(r, depth+1)})
+				continue
+			}
+			in.Op = kernelir.ALU
+		}
+		body = append(body, in)
+	}
+	return body
+}
+
+// randomConfig draws a Config from the fuzzer's raw bytes: up to 96
+// warps (more than one ready-mask word), issue widths above 1, zero
+// latencies, MemLatency below WarpOccupancy, from one MSHR up, and
+// truncation.
+func randomConfig(warps, width, occ, alu, shared uint8, mem uint16, mshr, maxInsts uint8) Config {
+	return Config{
+		Warps:           1 + int(warps)%24,
+		IssueWidth:      1 + int(width)%4,
+		WarpOccupancy:   1 + int(occ)%8,
+		ALULatency:      int(alu) % 16,
+		SharedLatency:   int(shared) % 40,
+		MemLatency:      int(mem) % 600,
+		MaxOutstanding:  1 + int(mshr)%24,
+		MaxInstsPerWarp: int64(maxInsts) % 48,
+	}
+}
+
+// FuzzRunBlocks requires RunBlocks to match the reference model on
+// random programs and configurations.
+func FuzzRunBlocks(f *testing.F) {
+	f.Add(int64(1), uint8(7), uint8(0), uint8(3), uint8(8), uint8(24), uint16(400), uint8(15), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(7), uint8(1), uint8(3), uint8(0), uint8(0), uint16(2), uint8(0), uint8(9), uint8(3))
+	f.Add(int64(3), uint8(23), uint8(3), uint8(7), uint8(5), uint8(3), uint16(0), uint8(3), uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, warps, width, occ, alu, shared uint8, mem uint16, mshr, maxInsts, blocks uint8) {
+		r := rand.New(rand.NewSource(seed))
+		var p *kernelir.Program
+		if seed%2 == 0 {
+			p = randomProgram(r)
+		} else {
+			p = &kernelir.Program{Name: "fuzz", Body: randomKernel(r, 0)}
+		}
+		cfg := randomConfig(warps, width, occ, alu, shared, mem, mshr, maxInsts)
+		checkAgainstReference(t, p, cfg, 1+int(blocks)%4)
+	})
+}
+
+// TestRunBlocksMatchesReference is FuzzRunBlocks over a fixed stream of
+// draws, so every test run covers far more than the seed corpus.
+func TestRunBlocksMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for i := 0; i < 2000; i++ {
+		var p *kernelir.Program
+		if i%4 == 0 {
+			p = randomProgram(r)
+		} else {
+			p = &kernelir.Program{Name: fmt.Sprintf("rand%d", i), Body: randomKernel(r, 0)}
+		}
+		u8 := func() uint8 { return uint8(r.Intn(256)) }
+		cfg := randomConfig(u8(), u8(), u8(), u8(), u8(), uint16(r.Intn(1<<16)), u8(), u8())
+		if i%3 == 0 {
+			cfg.MaxInstsPerWarp = 0
+		}
+		checkAgainstReference(t, p, cfg, 1+r.Intn(4))
+	}
+}
+
+// The reference model: the plain statement of the issue loop, which
+// RunBlocks must match, Result and error, for every program and Config.
+// Every pass scans all warps three times (retire, issue, fast-forward)
+// and decodes each scanned warp's instruction; RunBlocks does the same
+// work with wake queues and a ready bitmask.
+
+// refWarpState is one warp's execution cursor and hazard state. Warps are
+// stored by value in one contiguous array (the cursor is embedded), so
+// the per-cycle scans walk linear memory instead of chasing pointers.
+type refWarpState struct {
+	cursor cursor
+	// block is the thread block the warp belongs to (barriers are
+	// block-scoped).
+	block int
+	// readyAt is the cycle the warp may issue its next instruction
+	// (result hazards modelled as full stalls: in-order, no scoreboard).
+	readyAt int64
+	// atBarrier marks a warp parked at a barrier.
+	atBarrier bool
+	// done marks a warp that exhausted the program.
+	done bool
+	// issued counts instructions this warp has issued.
+	issued int64
+	// pendingLoad, if non-negative, is the completion cycle of the
+	// warp's outstanding global load (one per warp: in-order).
+	pendingLoad int64
+}
+
+// referenceRunBlocks executes nBlocks concurrent thread blocks of p on
+// the modelled SM — the occupancy the kernel actually runs at — and reports
+// aggregate timing. Barriers synchronize warps within their own block
+// only. The per-block CPI at occupancy is nBlocks × Cycles / Insts.
+func referenceRunBlocks(p *kernelir.Program, cfg Config, nBlocks int) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if nBlocks <= 0 {
+		return Result{}, fmt.Errorf("smsim: nBlocks must be positive")
+	}
+	if err := p.Validate(); err != nil {
+		return Result{}, err
+	}
+	// Warps live in one value array (cursors embedded): the per-cycle
+	// scans below walk contiguous memory, and setup costs one allocation
+	// instead of two per warp.
+	warps := make([]refWarpState, cfg.Warps*nBlocks)
+	for i := range warps {
+		w := &warps[i]
+		w.block = i / cfg.Warps
+		w.pendingLoad = -1
+		w.cursor.init(p)
+	}
+
+	var res Result
+	var now int64
+	outstanding := 0
+	barrierParked := make([]int, nBlocks)
+	// live counts the not-done warps per block, and liveTotal across
+	// blocks, maintained incrementally as warps retire — the inner loop
+	// never recounts (or reallocates) them.
+	live := make([]int, nBlocks)
+	for b := range live {
+		live[b] = cfg.Warps
+	}
+	liveTotal := len(warps)
+	rr := 0 // round-robin pointer
+
+	for {
+		// Retire completed loads at the current cycle.
+		for i := range warps {
+			w := &warps[i]
+			if w.pendingLoad >= 0 && w.pendingLoad <= now {
+				w.pendingLoad = -1
+				outstanding--
+			}
+		}
+		// Release a block's barrier once every live warp of the block
+		// reached it (barriers are intra-block, §2.1). Block b's warps
+		// are the contiguous run [b·Warps, (b+1)·Warps).
+		for b := 0; b < nBlocks; b++ {
+			if live[b] > 0 && barrierParked[b] == live[b] {
+				for i := b * cfg.Warps; i < (b+1)*cfg.Warps; i++ {
+					if w := &warps[i]; w.atBarrier {
+						w.atBarrier = false
+						w.cursor.advance()
+					}
+				}
+				barrierParked[b] = 0
+			}
+		}
+
+		// Issue up to IssueWidth instructions from ready warps.
+		issuedThisCycle := 0
+		for scan := 0; scan < len(warps) && issuedThisCycle < cfg.IssueWidth; scan++ {
+			i := rr + scan
+			if i >= len(warps) {
+				i -= len(warps)
+			}
+			w := &warps[i]
+			if w.done || w.atBarrier || w.readyAt > now || w.pendingLoad >= 0 {
+				continue
+			}
+			in, ok := w.cursor.peek()
+			if !ok {
+				w.done = true
+				live[w.block]--
+				liveTotal--
+				continue
+			}
+			if cfg.MaxInstsPerWarp > 0 && w.issued >= cfg.MaxInstsPerWarp {
+				w.done = true
+				live[w.block]--
+				liveTotal--
+				res.Truncated = true
+				continue
+			}
+			if in.Op == kernelir.Barrier {
+				// The barrier instruction issues (it is part of the
+				// warp-granularity instruction count) and parks the warp.
+				w.atBarrier = true
+				barrierParked[w.block]++
+				w.issued++
+				res.Insts++
+				continue
+			}
+			if isGlobalLoad(in) && outstanding >= cfg.MaxOutstanding {
+				res.MemStalls++
+				continue
+			}
+			// Issue.
+			issuedThisCycle++
+			w.issued++
+			res.Insts++
+			w.readyAt = now + int64(cfg.WarpOccupancy)
+			switch {
+			case isGlobalLoad(in):
+				w.pendingLoad = now + int64(cfg.MemLatency)
+				outstanding++
+			case in.Op == kernelir.Load && in.Space == kernelir.Shared:
+				w.readyAt = now + int64(cfg.SharedLatency)
+			case in.Op == kernelir.Load && in.Space == kernelir.Constant:
+				w.readyAt = now + int64(cfg.SharedLatency)
+			case in.Op == kernelir.Atomic:
+				// Atomics round-trip to memory before the warp proceeds.
+				w.readyAt = now + int64(cfg.MemLatency)
+			case in.Op == kernelir.Store || in.Op == kernelir.Notify:
+				// Fire-and-forget through the store queue.
+			default: // ALU
+				w.readyAt = now + int64(cfg.ALULatency)
+			}
+			w.cursor.advance()
+		}
+		rr++
+		if rr == len(warps) {
+			rr = 0
+		}
+
+		// Termination: every warp done.
+		if liveTotal == 0 {
+			res.Cycles = units.Cycles(now)
+			return res, nil
+		}
+
+		if issuedThisCycle == 0 {
+			// Fast-forward to the next cycle anything can change.
+			next := int64(-1)
+			for i := range warps {
+				w := &warps[i]
+				if w.done {
+					continue
+				}
+				if w.pendingLoad >= 0 {
+					if w.pendingLoad > now && (next < 0 || w.pendingLoad < next) {
+						next = w.pendingLoad
+					}
+				} else if !w.atBarrier {
+					if w.readyAt > now && (next < 0 || w.readyAt < next) {
+						next = w.readyAt
+					}
+				}
+			}
+			if next < 0 {
+				// No timed event pending. If some block has every live
+				// warp parked at its barrier, the release happens at the
+				// top of the next loop pass without time advancing. The
+				// live/parked counters are already maintained, so this
+				// check costs one pass over the blocks.
+				releasable := false
+				for b := 0; b < nBlocks; b++ {
+					if live[b] > 0 && barrierParked[b] == live[b] {
+						releasable = true
+					}
+				}
+				if releasable {
+					continue
+				}
+				// Otherwise no barrier can release (a warp finished
+				// early): deadlock in the kernel, not the simulator.
+				return Result{}, fmt.Errorf("smsim: %s: barrier deadlock at cycle %d", p.Name, now)
+			}
+			res.IssueStallCycles += units.Cycles(next - now)
+			now = next
+		} else {
+			now++
+		}
+	}
+}
+
+func isGlobalLoad(in kernelir.Instr) bool {
+	return in.Op == kernelir.Load && in.Space == kernelir.Global
 }
