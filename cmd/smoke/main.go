@@ -418,8 +418,9 @@ func fleetClean(ctx context.Context, dir string) error {
 
 	// 8 distinct specs, each submitted 3 times. Serial submission makes
 	// the counter arithmetic exact: the first submission of a spec
-	// computes on its ring owner, every later one must be served from
-	// the fleet cache without touching a worker.
+	// computes on its ring owner, the second is served by a peer-cache
+	// probe that fills the front's memo, and the third by the memo,
+	// touching no replica.
 	const distinct, repeats = 8, 3
 	results := make(map[uint64][]byte)
 	for pass := 0; pass < repeats; pass++ {
@@ -444,8 +445,9 @@ func fleetClean(ctx context.Context, dir string) error {
 		distinct*repeats, distinct)
 
 	// Fleet-wide memoization: summed across both replicas, the simjob
-	// executor ran each distinct spec exactly once.
-	var executed float64
+	// executor ran each distinct spec exactly once, and the replicas
+	// served one peer-cache probe per spec (the second pass).
+	var executed, peerServed float64
 	for _, base := range f.peers {
 		text, err := client.New(base).Metrics(ctx)
 		if err != nil {
@@ -454,14 +456,22 @@ func fleetClean(ctx context.Context, dir string) error {
 		if v := metricValue(text, "chimera_simjob_jobs_run"); v > 0 {
 			executed += v
 		}
+		if v := metricValue(text, "chimera_server_peer_served"); v > 0 {
+			peerServed += v
+		}
 	}
 	if executed != distinct {
 		return fmt.Errorf("fleet executed %v jobs, want exactly %d (duplicates recomputed?)", executed, distinct)
 	}
-	fmt.Printf("smoke fleet: fleet executed exactly %d jobs for %d submissions\n", distinct, distinct*repeats)
+	if peerServed != distinct {
+		return fmt.Errorf("replicas served %v peer-cache probes, want exactly %d (front memo bypassed?)", peerServed, distinct)
+	}
+	fmt.Printf("smoke fleet: fleet executed exactly %d jobs and served %d probes for %d submissions\n",
+		distinct, distinct, distinct*repeats)
 
 	// The front must have routed only the distinct specs and served
-	// every later duplicate out of the replicas' peer caches itself.
+	// every later duplicate itself: the second pass from the replicas'
+	// peer caches, the third from its memo.
 	frontText, err := c.Metrics(ctx)
 	if err != nil {
 		return fmt.Errorf("front metrics: %w", err)
@@ -469,10 +479,11 @@ func fleetClean(ctx context.Context, dir string) error {
 	if err := checkCounters(frontText, map[string]float64{
 		"chimera_front_jobs_routed": distinct,
 		"chimera_front_cache_hits":  distinct * (repeats - 1),
+		"chimera_front_memo_hits":   distinct,
 	}); err != nil {
 		return err
 	}
-	fmt.Println("smoke fleet: front routed/cache-hit counters exact")
+	fmt.Println("smoke fleet: front routed/cache-hit/memo-hit counters exact")
 
 	// Graceful drains: front first (it stops proxying), then replicas.
 	if _, err := f.front.drain(ctx); err != nil {

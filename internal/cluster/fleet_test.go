@@ -162,6 +162,48 @@ func TestFleetSharedCache(t *testing.T) {
 	}
 }
 
+// TestFleetMemoArithmetic submits 8 distinct specs 3 times each,
+// serially, as the fleet smoke does: the first pass computes on the
+// owners, the second is served by peer probes that fill the front's
+// memo, and the third by the memo alone.
+func TestFleetMemoArithmetic(t *testing.T) {
+	f := bootFleet(t, 2)
+	ctx := context.Background()
+	c := client.New(f.frontTS.URL)
+	const distinct, repeats = 8, 3
+	specs := fleetSpecs(distinct)
+	first := make([][]byte, distinct)
+	for pass := 0; pass < repeats; pass++ {
+		for i, spec := range specs {
+			st, err := c.SubmitWait(ctx, spec)
+			if err != nil || st.State != server.StateDone {
+				t.Fatalf("pass %d spec %d: %v %v", pass, i, st.State, err)
+			}
+			if pass == 0 {
+				first[i] = append([]byte(nil), st.Result...)
+			} else if !bytes.Equal(st.Result, first[i]) || !st.Deduped {
+				t.Errorf("pass %d spec %d: deduped %v, result %s, want %s", pass, i, st.Deduped, st.Result, first[i])
+			}
+		}
+	}
+	var peerServed int64
+	for _, s := range f.servers {
+		peerServed += s.Registry().Counter(server.MetricPeerServed).Value()
+	}
+	reg := f.front.Registry()
+	for name, n := range map[string]struct{ got, want int64 }{
+		"executed":    {f.executed(), distinct},
+		"routed":      {reg.Counter(cluster.MetricFrontRouted).Value(), distinct},
+		"cache hits":  {reg.Counter(cluster.MetricFrontCacheHits).Value(), distinct * (repeats - 1)},
+		"memo hits":   {reg.Counter(cluster.MetricFrontMemoHits).Value(), distinct},
+		"peer served": {peerServed, distinct},
+	} {
+		if n.got != n.want {
+			t.Errorf("%s = %d, want %d", name, n.got, n.want)
+		}
+	}
+}
+
 // TestFleetCrossReplicaServe is the acceptance scenario verbatim: a job
 // computed on replica A (the hash owner) is served from A's cache to a
 // request submitted via replica B, with no recompute anywhere.

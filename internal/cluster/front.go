@@ -30,8 +30,13 @@ const (
 	// dead or refusing replica before landing.
 	MetricFrontFailovers = "front/failovers"
 	// MetricFrontCacheHits counts wait=1 submissions served straight
-	// from a replica's peer cache without proxying the job.
+	// from a replica's peer cache or the front's memo without proxying
+	// the job.
 	MetricFrontCacheHits = "front/cache_hits"
+	// MetricFrontMemoHits counts the wait=1 submissions of
+	// MetricFrontCacheHits that the front's own result memo answered,
+	// touching no replica.
+	MetricFrontMemoHits = "front/memo_hits"
 	// MetricFrontNoReplica counts requests refused because no replica
 	// accepted them (503).
 	MetricFrontNoReplica = "front/no_replica"
@@ -60,19 +65,19 @@ type FrontConfig struct {
 const cacheTimeout = 250 * time.Millisecond
 
 // Front is the fleet's front proxy: it admits jobs fleet-wide (load
-// shedding past MaxInflight), deduplicates finished work through the
-// replicas' peer caches (reusing jobspec content hashes), and routes
-// every submission to the replica owning its hash — failing over along
-// the ring when the owner is dead or refusing. Create with NewFront,
-// mount Handler on an http.Server, and drive ProbeOnce on the desired
-// health cadence.
+// shedding past MaxInflight), deduplicates finished work through its
+// own result memo and the replicas' peer caches (reusing jobspec
+// content hashes), and routes every submission to the replica owning
+// its hash — failing over along the ring when the owner is dead or
+// refusing. Create with NewFront, mount Handler on an http.Server, and
+// drive ProbeOnce on the desired health cadence.
 //
 // Job IDs acquire a replica prefix on the way through ("r2.j15" is job
 // j15 on the third replica of the canonical list), so status, result,
 // trace and cancel requests route back to the replica that owns the
 // job. IDs of the form "cache.<hash>" denote results served directly
-// from the peer cache; their status and result routes answer from the
-// cache as well.
+// from the memo or a peer cache; their status and result routes answer
+// from there as well.
 type Front struct {
 	cfg      FrontConfig
 	ring     *Ring
@@ -80,6 +85,9 @@ type Front struct {
 	fetch    FetchFunc
 	reg      *metrics.Registry
 	inflight atomic.Int64
+	// results memoizes finished payloads a peer served, so a repeat
+	// costs no replica round trip.
+	results *memo
 	// catalog is the one chimerad validates submissions against, so the
 	// front rejects exactly the specs a replica would.
 	catalog *kernels.Catalog
@@ -88,6 +96,7 @@ type Front struct {
 	cShed      *metrics.Counter
 	cFailovers *metrics.Counter
 	cCacheHits *metrics.Counter
+	cMemoHits  *metrics.Counter
 	cNoReplica *metrics.Counter
 	cProxyErrs *metrics.Counter
 }
@@ -104,12 +113,14 @@ func NewFront(cfg FrontConfig) *Front {
 		ring:    NewRing(cfg.Replicas, 0),
 		mem:     NewMembership(cfg.Replicas),
 		reg:     reg,
+		results: newMemo(memoBudget),
 		catalog: kernels.Load(),
 
 		cRouted:    reg.Counter(MetricFrontRouted),
 		cShed:      reg.Counter(MetricFrontShed),
 		cFailovers: reg.Counter(MetricFrontFailovers),
 		cCacheHits: reg.Counter(MetricFrontCacheHits),
+		cMemoHits:  reg.Counter(MetricFrontMemoHits),
 		cNoReplica: reg.Counter(MetricFrontNoReplica),
 		cProxyErrs: reg.Counter(MetricFrontProxyErrors),
 	}
@@ -246,10 +257,11 @@ func rewriteID(raw []byte, idx int) []byte {
 
 // handleSubmit admits one job fleet-wide and routes it by jobspec
 // content hash: shed past MaxInflight, reject what chimerad would
-// reject (jobspec.Decode, Spec.Validate), peer-cache short-circuit for
-// wait=1 submissions, then proxy along the hash's failover sequence.
-// A connect error or 503 from a replica provably did not admit the
-// job, so moving to the next replica preserves at-most-once admission.
+// reject (jobspec.Decode, Spec.Validate), answer wait=1 submissions
+// from the memo or else the owner's peer cache, then proxy along the
+// hash's failover sequence. A connect error or 503 from a replica
+// provably did not admit the job, so moving to the next replica
+// preserves at-most-once admission.
 func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if f.inflight.Add(1) > int64(f.cfg.MaxInflight) {
 		f.inflight.Add(-1)
@@ -276,7 +288,20 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hash := spec.Hash()
-	wait := r.URL.Query().Get("wait") == "1"
+	// Finished work is served without occupying any replica. Only
+	// wait=1 submissions can be answered this way — an async submitter
+	// expects a pollable job. Traced jobs always execute (a trace is a
+	// side effect the cache cannot replay), mirroring the replicas' own
+	// dedup rule.
+	cacheable := r.URL.Query().Get("wait") == "1" && !spec.Trace
+	if cacheable {
+		if payload, ok := f.results.get(hash); ok {
+			f.cCacheHits.Add(1)
+			f.cMemoHits.Add(1)
+			f.writeCacheStatus(w, hash, spec, payload)
+			return
+		}
+	}
 
 	targets := f.targets(hash)
 	if len(targets) == 0 {
@@ -285,16 +310,11 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Finished work is served without occupying any replica: ask the
-	// hash owner's peer cache first. Only wait=1 submissions can be
-	// answered this way — an async submitter expects a pollable job.
-	// Traced jobs always execute (a trace is a side effect the cache
-	// cannot replay), mirroring the replicas' own dedup rule.
-	if wait && !spec.Trace {
-		cctx, cancel := context.WithTimeout(r.Context(), cacheTimeout)
-		payload, err := f.fetch(cctx, targets[0], hash)
-		cancel()
-		if err == nil {
+	// A memo miss asks the hash owner's peer cache. A result earns its
+	// memo slot by being asked for again after it was computed: filling
+	// from the routed reply would memoize every one-off result.
+	if cacheable {
+		if payload, ok := f.fetchResult(r.Context(), targets[0], hash); ok {
 			f.cCacheHits.Add(1)
 			f.writeCacheStatus(w, hash, spec, payload)
 			return
@@ -334,8 +354,23 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	frontError(w, http.StatusServiceUnavailable, "front: every replica refused the job")
 }
 
+// fetchResult asks one member's peer cache for hash. A payload counts
+// only if it is a result (ValidPayload); it is then memoized, so the
+// next request for hash touches no replica.
+func (f *Front) fetchResult(ctx context.Context, member, hash string) ([]byte, bool) {
+	cctx, cancel := context.WithTimeout(ctx, cacheTimeout)
+	payload, err := f.fetch(cctx, member, hash)
+	cancel()
+	if err != nil || !ValidPayload(payload) {
+		return nil, false
+	}
+	f.results.put(hash, payload)
+	return payload, true
+}
+
 // writeCacheStatus renders the synthesized terminal status of a
-// peer-cache-served submission.
+// submission served from the memo or a peer cache. The payload has
+// passed ValidPayload, so it encodes as the status's result.
 func (f *Front) writeCacheStatus(w http.ResponseWriter, hash string, spec jobspec.Spec, payload []byte) {
 	// The envelope mirrors chimerad's JobStatus wire shape (docs/
 	// server.md); cluster cannot import internal/server (the server
@@ -406,8 +441,8 @@ func drainResponse(resp *http.Response) {
 
 // handleJob routes a status, result, trace or cancel request to the
 // replica encoded in the job-ID prefix. "cache.<hash>" IDs answer from
-// the peer cache. SSE status streams pass through verbatim (their
-// frames carry the replica-local ID).
+// the memo or a peer cache. SSE status streams pass through verbatim
+// (their frames carry the replica-local ID).
 func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	suffix := ""
@@ -454,10 +489,13 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 	f.relayStatus(w, resp, idx)
 }
 
-// serveFromCache answers status/result reads for "cache.<hash>" IDs by
-// re-consulting the hash owners.
+// serveFromCache answers status/result reads for "cache.<hash>" IDs
+// from the memo, or else by re-consulting the hash owners.
 func (f *Front) serveFromCache(w http.ResponseWriter, r *http.Request, hash, suffix string) {
-	payload, ok := f.lookupCache(r.Context(), hash)
+	payload, ok := f.results.get(hash)
+	if !ok {
+		payload, ok = f.lookupCache(r.Context(), hash)
+	}
 	if !ok {
 		frontError(w, http.StatusNotFound, "front: no cached result for %s", hash)
 		return
@@ -479,10 +517,7 @@ func (f *Front) serveFromCache(w http.ResponseWriter, r *http.Request, hash, suf
 // the result.
 func (f *Front) lookupCache(ctx context.Context, hash string) ([]byte, bool) {
 	for _, t := range f.targets(hash) {
-		cctx, cancel := context.WithTimeout(ctx, cacheTimeout)
-		payload, err := f.fetch(cctx, t, hash)
-		cancel()
-		if err == nil {
+		if payload, ok := f.fetchResult(ctx, t, hash); ok {
 			return payload, true
 		}
 	}

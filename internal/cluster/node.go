@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+
+	"chimera/internal/workloads"
 )
 
 // CachePathPrefix is the peer result-cache route every replica serves:
@@ -53,6 +56,15 @@ func NewHTTPFetch(hc *http.Client) FetchFunc {
 			return nil, fmt.Errorf("cluster: peer cache %s: unexpected status %d", member, resp.StatusCode)
 		}
 	}
+}
+
+// ValidPayload reports whether a peer-cache payload decodes as a
+// finished job result (workloads.SpecResult, chimerad's JobResult).
+// Replicas and the front accept a peer payload only if it does, and
+// treat any other as a miss, so bytes that are not a result are never
+// served or stored.
+func ValidPayload(payload []byte) bool {
+	return json.Unmarshal(payload, new(workloads.SpecResult)) == nil
 }
 
 // Node is one replica's view of the fleet: its own advertised base

@@ -5,18 +5,20 @@ import (
 	"strings"
 	"testing"
 
+	"chimera/internal/cluster"
 	"chimera/internal/engine"
 	"chimera/internal/faults"
 	"chimera/internal/server"
 	"chimera/internal/simjob"
 )
 
-// The metric namespace is published in docs/observability.md and
-// docs/server.md. Registration sites must use the package-level name
-// constants (enforced by chimeravet's schemaconst analyzer); this test
-// closes the loop in the other direction: every constant the code can
-// register under must appear verbatim in its document, so renaming a
-// metric without updating the schema docs fails CI.
+// The metric namespace is published in docs/observability.md,
+// docs/server.md, docs/cluster.md and docs/faults.md. Registration
+// sites must use the package-level name constants (enforced by
+// chimeravet's schemaconst analyzer); this test closes the loop in the
+// other direction: every constant the code can register under must
+// appear verbatim in its document, so renaming a metric without
+// updating the schema docs fails CI.
 
 // TestMetricNamesDocumented cross-checks every metric-name constant
 // against the document that publishes it.
@@ -60,6 +62,16 @@ func TestMetricNamesDocumented(t *testing.T) {
 			server.MetricJobLatency,
 			server.MetricJobRetries,
 			server.MetricShedHopeless,
+		}},
+		{"../../docs/cluster.md", []string{
+			cluster.MetricFrontRouted,
+			cluster.MetricFrontShed,
+			cluster.MetricFrontFailovers,
+			cluster.MetricFrontCacheHits,
+			cluster.MetricFrontMemoHits,
+			cluster.MetricFrontNoReplica,
+			cluster.MetricFrontProxyErrors,
+			cluster.MetricFrontInflight,
 		}},
 		{"../../docs/faults.md", []string{
 			faults.MetricJobPanics,

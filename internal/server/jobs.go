@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"chimera/internal/cluster"
 	"chimera/internal/faults"
 	"chimera/internal/jobspec"
 	"chimera/internal/sched"
@@ -292,9 +293,9 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (payload []byte, exe
 	// Fleet short-circuit: if the hash owner already finished this
 	// spec, serve its payload byte-for-byte instead of recomputing, so
 	// fleet-served and locally-computed results stay byte-identical.
-	// A payload that fails to decode is treated as a miss — the local
-	// compute below is always a correct fallback.
-	if payload, ok := s.peerLookup(ctx, spec); ok && json.Unmarshal(payload, new(JobResult)) == nil {
+	// A payload that is not a result (cluster.ValidPayload) is treated
+	// as a miss — the local compute below is always a correct fallback.
+	if payload, ok := s.peerLookup(ctx, spec); ok && cluster.ValidPayload(payload) {
 		return payload, false, nil, nil
 	}
 

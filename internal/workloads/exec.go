@@ -138,7 +138,8 @@ func (e *Executor) RunSpecs(ctx context.Context, specs []jobspec.Spec) ([]SpecRe
 // SimJob returns the cache identity the spec executes under — the
 // bridge between a Spec's serializable Hash() and the in-process
 // simjob key. Equal spec hashes yield equal jobs under a fixed
-// environment, which the identity tests pin.
+// environment, which the identity tests pin; solo specs that differ
+// only in constraint_us hash apart but share a job.
 func (e *Executor) SimJob(spec jobspec.Spec) (simjob.Job, error) {
 	r, policy, serial, err := e.prepare(&spec)
 	if err != nil {
@@ -148,6 +149,7 @@ func (e *Executor) SimJob(spec jobspec.Spec) (simjob.Job, error) {
 	switch spec.Kind {
 	case jobspec.KindSolo:
 		kind = simjob.KindSolo
+		r = r.solo()
 	case jobspec.KindPeriodic:
 		kind = simjob.KindPeriodic
 	}

@@ -174,6 +174,19 @@ func TestSpecHashIsSimJobIdentity(t *testing.T) {
 			jobs[h] = job
 		}
 	}
+	// A solo run makes no preemption request, so its constraint cannot
+	// change it: such specs hash apart (hashes split more eagerly than
+	// jobs, never less) but map to the same job.
+	soloA, soloB := jobspec.Solo("SAD"), jobspec.Solo("SAD").WithConstraintUs(30)
+	jobA, errA := e.SimJob(soloA)
+	jobB, errB := e.SimJob(soloB)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if soloA.Hash() == soloB.Hash() || jobA != jobB {
+		t.Errorf("solo specs at 15 and 30 µs: hashes %s and %s, jobs equal %v; want distinct hashes, one job",
+			soloA.Hash(), soloB.Hash(), jobA == jobB)
+	}
 	// The derived job reflects the spec's parameters exactly.
 	job, err := e.SimJob(jobspec.Periodic("SAD", jobspec.PolicyDrain).WithWindowUs(2000).WithSeed(9).WithHeadroomUs(3))
 	if err != nil {

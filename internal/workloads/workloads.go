@@ -16,10 +16,12 @@
 // constraint, seed, device config, catalog) in a cache shared across the
 // process, with singleflight semantics, so a Runner is safe for
 // concurrent use and the stand-alone baseline of a benchmark is
-// simulated once no matter how many exhibits ask for it. Executor runs
-// canonical jobspec.Specs through the same methods; batches fan out
-// with simjob.Map, results in enumeration order, so output is
-// byte-identical at any parallelism.
+// simulated once no matter how many exhibits ask for it. Solo jobs are
+// keyed and run with the constraint, warm statistics and contention β
+// fixed, since none of them can change a one-process run (Runner.solo).
+// Executor runs canonical jobspec.Specs through the same methods;
+// batches fan out with simjob.Map, results in enumeration order, so
+// output is byte-identical at any parallelism.
 package workloads
 
 import (
@@ -149,6 +151,20 @@ func (r *Runner) UsePool(p *simjob.Pool) *Runner {
 	return r
 }
 
+// solo returns the Runner copy every solo job is keyed and run on: the
+// Runner with Constraint, Warm and Contention fixed. A solo run has one
+// looping process, so it makes no preemption request, has no periodic
+// task and moves no context, and none of the three can change it; fixing
+// them lets one cached baseline serve every exhibit and spec that
+// differs only in them.
+func (r *Runner) solo() *Runner {
+	s := *r
+	s.Constraint = 1
+	s.Warm = false
+	s.Contention = 0
+	return &s
+}
+
 // job builds the cache identity of one scenario run under the Runner's
 // current configuration. It mirrors simulate: solo runs always execute
 // under the fixed baseline options (Chimera policy, built-in estimator),
@@ -269,14 +285,16 @@ func do[T any](ctx context.Context, r *Runner, job simjob.Job, fn func(context.C
 }
 
 // SoloRate returns the benchmark's stand-alone progress rate (useful
-// warp instructions per cycle on the whole GPU), memoized per benchmark.
+// warp instructions per cycle on the whole GPU), memoized per benchmark
+// on the solo Runner copy.
 func (r *Runner) SoloRate(ctx context.Context, bench string) (rate float64, executed bool, err error) {
-	return do(ctx, r, r.job(simjob.KindSolo, bench, nil, false), func(ctx context.Context) (float64, error) {
-		sim, err := r.simulate(ctx, simjob.KindSolo, []string{bench}, engine.ChimeraPolicy{}, false, nil)
+	s := r.solo()
+	return do(ctx, s, s.job(simjob.KindSolo, bench, nil, false), func(ctx context.Context) (float64, error) {
+		sim, err := s.simulate(ctx, simjob.KindSolo, []string{bench}, engine.ChimeraPolicy{}, false, nil)
 		if err != nil {
 			return 0, err
 		}
-		rate := float64(sim.ProcessUseful(bench)) / float64(r.Window)
+		rate := float64(sim.ProcessUseful(bench)) / float64(s.Window)
 		if rate <= 0 {
 			return 0, fmt.Errorf("workloads: %s made no stand-alone progress", bench)
 		}

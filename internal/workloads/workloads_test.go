@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
 	"chimera/internal/preempt"
+	"chimera/internal/simjob"
 	"chimera/internal/units"
 )
 
@@ -53,6 +55,54 @@ func TestSoloRateMemoized(t *testing.T) {
 	}
 	if a <= 0 || a > 240 {
 		t.Errorf("implausible solo rate %v insts/cycle", a)
+	}
+}
+
+// TestSoloRunIgnoresUnkeyedFields pins the premise of Runner.solo: a
+// solo run simulated under any constraint, with warm statistics on or
+// off and (Table 2 catalog) contention β 0 or 1, yields a rate
+// bit-identical to the one SoloRate computes with those fields fixed,
+// for every benchmark of both catalogs.
+func TestSoloRunIgnoresUnkeyedFields(t *testing.T) {
+	ctx := context.Background()
+	window := units.FromMicroseconds(1000)
+	for _, c := range []struct {
+		name  string
+		cat   *kernels.Catalog
+		betas []float64
+	}{
+		{"table2", kernels.Load(), []float64{0, 1}},
+		{"calibrated", kernels.LoadCalibrated(), []float64{0}},
+	} {
+		for _, bench := range c.cat.BenchmarkNames() {
+			var want float64
+			for _, constraintUs := range []float64{5, 15, 30, 100} {
+				for _, warm := range []bool{true, false} {
+					for _, beta := range c.betas {
+						r, err := NewRunnerWith(c.cat, window, units.FromMicroseconds(constraintUs), 7)
+						if err != nil {
+							t.Fatal(err)
+						}
+						r.UsePool(simjob.NewPool(1, simjob.NewCache()))
+						r.Warm, r.Contention = warm, beta
+						if want == 0 {
+							if want, _, err = r.SoloRate(ctx, bench); err != nil {
+								t.Fatalf("%s %s: %v", c.name, bench, err)
+							}
+						}
+						sim, err := r.simulate(ctx, simjob.KindSolo, []string{bench}, engine.ChimeraPolicy{}, false, nil)
+						if err != nil {
+							t.Fatalf("%s %s: %v", c.name, bench, err)
+						}
+						got := float64(sim.ProcessUseful(bench)) / float64(window)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("%s %s at %g µs, warm %v, β %g: rate %v, want %v",
+								c.name, bench, constraintUs, warm, beta, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
