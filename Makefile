@@ -136,9 +136,12 @@ quick-results:
 	$(GO) run ./cmd/chimerasim -quick -trace trace_canonical.json all > results_quick.txt
 
 # Documentation gates: every example must build, no package of the
-# module may export an undocumented symbol, and the pages must stay
-# cross-linked. Each DOC_LINKS entry is FILE=TEXT: FILE must exist and
-# contain TEXT (`=` separates because chimera:hot holds a colon).
+# module may export an undocumented symbol, the pages must stay
+# cross-linked, and the recorded full-scale tables must carry the same
+# exhibit titles, in the same order, as the quick tables (which
+# verify-identical proves cover every exhibit). Each DOC_LINKS entry is
+# FILE=TEXT: FILE must exist and contain TEXT (`=` separates because
+# chimera:hot holds a colon).
 DOC_LINKS = \
 	README.md=docs/static-analysis.md \
 	DESIGN.md=static-analysis.md \
@@ -166,6 +169,8 @@ docs-check:
 	$(GO) build ./examples/...
 	$(GO) run ./cmd/doccheck $$($(GO) list -f '{{.Dir}}' ./...)
 	@$(foreach l,$(DOC_LINKS),grep -qF '$(call field,$(l),2,=)' $(call field,$(l),1,=) || { echo "docs-check: $(call field,$(l),1,=) does not mention $(call field,$(l),2,=)"; exit 1; };)
+	@full=$$(grep '^== .* ==$$' results_full.txt); quick=$$(grep '^== .* ==$$' results_quick.txt); \
+	[ -n "$$quick" ] && [ "$$full" = "$$quick" ] || { echo "docs-check: results_full.txt's exhibit titles differ from results_quick.txt's"; exit 1; }
 
 # End-to-end smoke of the real binaries (cmd/smoke): the serve, replay
 # and fleet scenarios boot chimerad, chimerafront and chimerareplay on
@@ -194,6 +199,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPlanIO -fuzztime $(FUZZTIME) ./internal/planio/
 	$(GO) test -run '^$$' -fuzz FuzzAdmissionOrder -fuzztime $(FUZZTIME) ./internal/sched/
 	$(GO) test -run '^$$' -fuzz FuzzSpec -fuzztime $(FUZZTIME) ./internal/jobspec/
+	$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME) ./internal/jobspec/
 	$(GO) test -run '^$$' -fuzz FuzzRunBlocks -fuzztime $(FUZZTIME) ./internal/smsim/
 	$(GO) test -run '^$$' -fuzz FuzzFrontSubmit -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/cluster/
 

@@ -13,8 +13,10 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,6 +48,8 @@ type fleet struct {
 	servers []*server.Server
 	front   *cluster.Front
 	frontTS *httptest.Server
+	// accepted counts the TCP connections the replicas accepted.
+	accepted atomic.Int64
 }
 
 // bootFleet starts n peer-cache-armed replicas and a front over them.
@@ -56,7 +60,13 @@ func bootFleet(t testing.TB, n int) *fleet {
 	late := make([]*lateHandler, n)
 	for i := 0; i < n; i++ {
 		late[i] = &lateHandler{}
-		ts := httptest.NewServer(late[i])
+		ts := httptest.NewUnstartedServer(late[i])
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				f.accepted.Add(1)
+			}
+		}
+		ts.Start()
 		t.Cleanup(ts.Close)
 		f.urls = append(f.urls, ts.URL)
 	}
@@ -201,6 +211,60 @@ func TestFleetMemoArithmetic(t *testing.T) {
 		if n.got != n.want {
 			t.Errorf("%s = %d, want %d", name, n.got, n.want)
 		}
+	}
+}
+
+// TestFleetKeepsConnections: a cold wait=1 submission makes two
+// peer-cache misses, the front's probe of the owner and the owner's
+// lookup at its successor. Both read the 404 through, so every hop
+// keeps its connection and the replicas accept a number of connections
+// that does not grow with the submissions. In process, the front and
+// the replicas share http.DefaultTransport, which keeps up to two idle
+// connections per replica.
+func TestFleetKeepsConnections(t *testing.T) {
+	f := bootFleet(t, 3)
+	ctx := context.Background()
+	c := client.New(f.frontTS.URL)
+	const submissions = 30
+	for i, spec := range fleetSpecs(submissions) {
+		if st, err := c.SubmitWait(ctx, spec); err != nil || st.State != server.StateDone {
+			t.Fatalf("spec %d: %v %v", i, st.State, err)
+		}
+	}
+	if got, limit := f.accepted.Load(), int64(2*len(f.urls)); got > limit {
+		t.Errorf("%d cold submissions made the replicas accept %d connections, want at most %d",
+			submissions, got, limit)
+	}
+}
+
+// TestFleetOwnerAnswersRepeatsLocally: repeats sent straight to a
+// spec's owner are answered from the owner's own finished-result
+// index, so only the first submission asks the successor's peer cache.
+func TestFleetOwnerAnswersRepeatsLocally(t *testing.T) {
+	f := bootFleet(t, 2)
+	ctx := context.Background()
+	spec := jobspec.Solo("SAD").WithWindowUs(200).WithSeed(5150)
+	norm := spec
+	norm.Normalize()
+	owner := slices.Index(f.urls, f.front.Ring().Owner(norm.Hash()))
+	c := client.New(f.urls[owner])
+	var first []byte
+	for i := 0; i < 3; i++ {
+		st, err := c.SubmitWait(ctx, spec)
+		if err != nil || st.State != server.StateDone {
+			t.Fatalf("submission %d: %v %v", i, st.State, err)
+		}
+		if i == 0 {
+			first = append([]byte(nil), st.Result...)
+		} else if !bytes.Equal(st.Result, first) || !st.Deduped {
+			t.Errorf("submission %d: deduped %v, result %s, want %s", i, st.Deduped, st.Result, first)
+		}
+	}
+	if got := f.servers[owner].Registry().Counter(server.MetricPeerMisses).Value(); got != 1 {
+		t.Errorf("owner counted %d peer misses for 3 submissions of one spec, want 1", got)
+	}
+	if got := f.servers[owner].Pool().Cache().Stats().JobsRun; got != 1 {
+		t.Errorf("owner executed %d simulations, want 1", got)
 	}
 }
 

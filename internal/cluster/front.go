@@ -64,6 +64,12 @@ type FrontConfig struct {
 // routed for recompute.
 const cacheTimeout = 250 * time.Millisecond
 
+// probeTimeout bounds one member's health probe. Probes run one member
+// after another, so a replica that accepts connections but never
+// answers would otherwise hold up the verdicts on every member sorted
+// after it.
+const probeTimeout = time.Second
+
 // Front is the fleet's front proxy: it admits jobs fleet-wide (load
 // shedding past MaxInflight), deduplicates finished work through its
 // own result memo and the replicas' peer caches (reusing jobspec
@@ -142,9 +148,12 @@ func (f *Front) Membership() *Membership { return f.mem }
 func (f *Front) Ring() *Ring { return f.ring }
 
 // ProbeOnce runs one health round over the replicas (a GET on each
-// /healthz) and returns the number observed down.
+// /healthz, each bounded by probeTimeout) and returns the number
+// observed down.
 func (f *Front) ProbeOnce(ctx context.Context) int {
 	return f.mem.ProbeOnce(ctx, func(ctx context.Context, member string) error {
+		ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+		defer cancel()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, member+"/healthz", nil)
 		if err != nil {
 			return err
@@ -153,8 +162,7 @@ func (f *Front) ProbeOnce(ctx context.Context) int {
 		if err != nil {
 			return err
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		drainResponse(resp)
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("healthz status %d", resp.StatusCode)
 		}
@@ -430,13 +438,6 @@ func (f *Front) relayStatus(w http.ResponseWriter, resp *http.Response, idx int)
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(raw)
-}
-
-// drainResponse discards a response body so the transport can reuse
-// the connection.
-func drainResponse(resp *http.Response) {
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 }
 
 // handleJob routes a status, result, trace or cancel request to the

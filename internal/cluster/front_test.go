@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"chimera/internal/jobspec"
 )
@@ -225,5 +228,52 @@ func TestFrontCacheHitSubmit(t *testing.T) {
 		if got := f.reg.Counter(MetricFrontCacheHits).Value(); got != 1 || proxied != 0 {
 			t.Errorf("%s reached the cache or a replica: cache hits %d, proxied %d", name, got, proxied)
 		}
+	}
+}
+
+// TestFrontProbeOnceBoundsHungMember: a replica that accepts the
+// connection but never answers /healthz costs its probe a bounded wait.
+// The round then marks it down and still reaches the member sorted
+// after it, reviving that one.
+func TestFrontProbeOnceBoundsHungMember(t *testing.T) {
+	release := make(chan struct{})
+	var hungHost atomic.Value
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if host, _ := hungHost.Load().(string); r.Host == host {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+			return
+		}
+		fmt.Fprintln(w, "ok")
+	})
+	a, b := httptest.NewServer(h), httptest.NewServer(h)
+	defer a.Close()
+	defer b.Close()
+	defer close(release) // runs first, so Close does not wait on the hung handler
+	urls := []string{a.URL, b.URL}
+	sort.Strings(urls)
+	hung, healthy := urls[0], urls[1]
+	hungHost.Store(strings.TrimPrefix(hung, "http://"))
+
+	f := NewFront(FrontConfig{Replicas: urls})
+	f.Membership().MarkDown(healthy)
+	done := make(chan int, 1)
+	go func() { done <- f.ProbeOnce(context.Background()) }()
+	const deadline = 5 * time.Second
+	select {
+	case down := <-done:
+		if down != 1 {
+			t.Errorf("ProbeOnce reported %d down, want 1", down)
+		}
+	case <-time.After(deadline):
+		t.Fatalf("ProbeOnce still blocked on a hung member after %v", deadline)
+	}
+	if f.Membership().IsAlive(hung) {
+		t.Error("hung member still alive after the probe round")
+	}
+	if !f.Membership().IsAlive(healthy) {
+		t.Error("healthy member sorted after the hung one was not revived")
 	}
 }

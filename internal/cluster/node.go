@@ -46,16 +46,32 @@ func NewHTTPFetch(hc *http.Client) FetchFunc {
 		if err != nil {
 			return nil, err
 		}
-		defer resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
+		if resp.StatusCode == http.StatusOK {
+			defer resp.Body.Close()
 			return io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-		case http.StatusNotFound:
-			return nil, ErrCacheMiss
-		default:
-			return nil, fmt.Errorf("cluster: peer cache %s: unexpected status %d", member, resp.StatusCode)
 		}
+		// A miss is the common answer on a cold job's path; reading its
+		// body through keeps the connection for the next fetch.
+		drainResponse(resp)
+		if resp.StatusCode == http.StatusNotFound {
+			return nil, ErrCacheMiss
+		}
+		return nil, fmt.Errorf("cluster: peer cache %s: unexpected status %d", member, resp.StatusCode)
 	}
+}
+
+// drainLimit bounds how much of an unwanted response body drainResponse
+// reads: error envelopes are a few dozen bytes, and a longer body costs
+// less to close than to read.
+const drainLimit = 4 << 10
+
+// drainResponse reads up to drainLimit bytes of a response body it does
+// not use, then closes it. net/http keeps a keep-alive connection only
+// if its body was read to EOF before Close, so skipping the read would
+// cost the next request to that member a TCP dial.
+func drainResponse(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+	resp.Body.Close()
 }
 
 // ValidPayload reports whether a peer-cache payload decodes as a

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 )
 
@@ -116,5 +118,46 @@ func TestHTTPFetchProtocol(t *testing.T) {
 	}
 	if _, err := fetch(ctx, ts.URL, "boom"); err == nil || errors.Is(err, ErrCacheMiss) {
 		t.Errorf("500: err = %v, want a status error", err)
+	}
+}
+
+// TestHTTPFetchKeepsConnections: a miss or a refusal reads its body
+// through before returning, so the transport keeps the connection and a
+// run of cold fetches against one member costs one TCP dial, not one
+// per fetch.
+func TestHTTPFetchKeepsConnections(t *testing.T) {
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == CachePathPrefix+"boom" {
+			http.Error(w, "boom", http.StatusInternalServerError)
+			return
+		}
+		http.NotFound(w, r)
+	}))
+	var accepted atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			accepted.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	fetch := NewHTTPFetch(ts.Client())
+	ctx := context.Background()
+	for i := 0; i < 100; i++ {
+		if _, err := fetch(ctx, ts.URL, "miss"); !errors.Is(err, ErrCacheMiss) {
+			t.Fatalf("miss %d: err = %v, want ErrCacheMiss", i, err)
+		}
+	}
+	if got := accepted.Load(); got != 1 {
+		t.Fatalf("100 misses opened %d connections, want 1", got)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := fetch(ctx, ts.URL, "boom"); err == nil || errors.Is(err, ErrCacheMiss) {
+			t.Fatalf("500 %d: err = %v, want a status error", i, err)
+		}
+	}
+	if got := accepted.Load(); got != 1 {
+		t.Errorf("10 refusals after the misses opened %d connections in all, want 1", got)
 	}
 }

@@ -62,3 +62,38 @@ func FuzzSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadTrace feeds arbitrary bytes through ReadTrace, the JSONL
+// boundary chimerareplay reads recorded workloads through, and checks
+// what replay relies on: no panic; every record of an accepted trace
+// has a version no newer than TraceVersion and a spec hash that is
+// empty or matches its spec; and records come back in Seq order. With
+// long set, a record that is valid but padded past the reader's line
+// cap follows the input, and the read must fail rather than accept,
+// drop or split that line.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, long bool) {
+		if long {
+			data = append(append(data[:len(data):len(data)], '\n'), bytes.Repeat([]byte{' '}, maxTraceLine)...)
+			data = append(data, "{}"...)
+		}
+		recs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if long {
+			t.Fatalf("a %d-byte line was accepted (%d records)", maxTraceLine+2, len(recs))
+		}
+		for i, rec := range recs {
+			if rec.V > TraceVersion {
+				t.Fatalf("record %d has version %d, newer than %d", i, rec.V, TraceVersion)
+			}
+			if rec.SpecHash != "" && rec.SpecHash != rec.Spec.Hash() {
+				t.Fatalf("record %d has spec hash %s, but its spec hashes to %s", i, rec.SpecHash, rec.Spec.Hash())
+			}
+			if i > 0 && recs[i-1].Seq > rec.Seq {
+				t.Fatalf("records %d and %d out of Seq order: %d then %d", i-1, i, recs[i-1].Seq, rec.Seq)
+			}
+		}
+	})
+}

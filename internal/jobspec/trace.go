@@ -94,13 +94,18 @@ func (t *TraceWriter) Count() int {
 	return t.n
 }
 
+// maxTraceLine bounds one JSONL trace line; ReadTrace fails on a longer
+// one rather than buffer it without limit.
+const maxTraceLine = 4 << 20
+
 // ReadTrace parses a JSONL trace, validates every record's version and
 // spec hash, and returns the records sorted by Seq (a recorder that
 // writes records at completion time emits them out of arrival order;
-// replay wants admission order). Blank lines are skipped.
+// replay wants admission order). Blank lines are skipped; a line longer
+// than 4 MiB fails the read.
 func ReadTrace(r io.Reader) ([]TraceRecord, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxTraceLine)
 	var out []TraceRecord
 	line := 0
 	for sc.Scan() {

@@ -290,13 +290,20 @@ func (s *Server) executeWithRetry(ctx context.Context, spec JobSpec) (payload []
 // in jobspec/workloads — the server only wires its environment
 // (registry, pool, watchdog, fault plane, fleet) into the executor.
 func (s *Server) execute(ctx context.Context, spec JobSpec) (payload []byte, executed bool, events []trace.Event, err error) {
-	// Fleet short-circuit: if the hash owner already finished this
-	// spec, serve its payload byte-for-byte instead of recomputing, so
-	// fleet-served and locally-computed results stay byte-identical.
-	// A payload that is not a result (cluster.ValidPayload) is treated
-	// as a miss — the local compute below is always a correct fallback.
-	if payload, ok := s.peerLookup(ctx, spec); ok && cluster.ValidPayload(payload) {
-		return payload, false, nil, nil
+	if s.cfg.Cluster != nil && !spec.Trace {
+		// Fleet short-circuit: answer from this replica's own
+		// finished-result index, else from the hash owner's payload
+		// byte-for-byte, so fleet-served and locally-computed results
+		// stay byte-identical. A payload that is not a result
+		// (cluster.ValidPayload) is a miss — the local compute below is
+		// always a correct fallback.
+		hash := spec.Hash()
+		if payload, ok := s.lookupResult(hash); ok {
+			return payload, false, nil, nil
+		}
+		if payload, ok := s.peerLookup(ctx, hash); ok && cluster.ValidPayload(payload) {
+			return payload, false, nil, nil
+		}
 	}
 
 	runner, err := workloads.NewRunnerWith(s.catalog,
@@ -370,7 +377,7 @@ func (s *Server) finish(j *job, payload []byte, executed bool, events []trace.Ev
 		if dedup {
 			s.cDeduped.Add(1)
 		}
-		if !j.spec.Trace {
+		if !j.spec.Trace && s.cleanResults() {
 			// Feed the peer-cache index so other replicas (and the
 			// front) can serve this result without recomputing.
 			s.storeResult(j.spec.Hash(), payload)

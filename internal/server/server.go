@@ -70,12 +70,12 @@ type Config struct {
 	// the output format of chimeraload -record (docs/jobs.md).
 	Record io.Writer
 	// Cluster, when set, makes this server one replica of a fleet
-	// (docs/cluster.md): before executing a job, the server asks the
-	// first other replica in the hash's ring sequence (Node.Lookup) for
-	// the finished result over GET /internal/cache/{hash}, the route
-	// every server serves its finished results on. Correctness never
-	// depends on it — every miss or fetch error falls through to a
-	// local compute.
+	// (docs/cluster.md): before executing a job, the server looks in
+	// its own finished-result index and then asks the first other
+	// replica in the hash's ring sequence (Node.Lookup) for the finished
+	// result over GET /internal/cache/{hash}, the route every server
+	// serves its finished results on. Correctness never depends on it —
+	// every miss or fetch error falls through to a local compute.
 	Cluster *cluster.Node
 }
 
@@ -340,19 +340,24 @@ func (s *Server) lookupResult(hash string) ([]byte, bool) {
 	return payload, ok
 }
 
+// cleanResults reports whether this server's results may enter the
+// finished-result index. A watchdog or armed engine stalls change
+// result payloads (workloads keys such runs apart in the simjob cache),
+// so a server running either keeps its results out of the index: a
+// peer or the front would serve them under the clean spec hash.
+func (s *Server) cleanResults() bool {
+	return s.cfg.WatchdogK == 0 && (s.cfg.Faults == nil || s.cfg.Faults.Config().EngineStall <= 0)
+}
+
 // peerLookup consults the fleet for an already-finished result before
 // this replica recomputes it. It returns the exact payload the owner
 // served (kept byte-for-byte so fleet results stay identical to
 // single-node results) or false to compute locally — any error path
 // degrades to a miss.
-func (s *Server) peerLookup(ctx context.Context, spec JobSpec) ([]byte, bool) {
-	n := s.cfg.Cluster
-	if n == nil || spec.Trace {
-		return nil, false
-	}
+func (s *Server) peerLookup(ctx context.Context, hash string) ([]byte, bool) {
 	pctx, cancel := context.WithTimeout(ctx, peerTimeout)
 	defer cancel()
-	payload, _, err := n.Lookup(pctx, spec.Hash())
+	payload, _, err := s.cfg.Cluster.Lookup(pctx, hash)
 	switch {
 	case err == nil:
 		s.cPeerHits.Add(1)

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"chimera/internal/cluster"
+	"chimera/internal/faults"
 	"chimera/internal/jobspec"
 	"chimera/internal/preempt"
 	"chimera/internal/simjob"
@@ -829,5 +831,39 @@ func TestShutdownRejectsSubmissions(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown healthz: got %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestFaultedResultsStayOutOfPeerIndex: a watchdog or armed engine
+// stalls change result payloads, so a server running either must not
+// offer its results on the peer-cache route, where a peer or the front
+// would serve them under the clean spec hash.
+func TestFaultedResultsStayOutOfPeerIndex(t *testing.T) {
+	spec := jobspec.Periodic("SAD", "").WithWindowUs(500)
+	norm := spec
+	norm.Normalize()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"clean", Config{}, http.StatusOK},
+		{"stalls", Config{Faults: faults.New(faults.Config{Seed: 1, EngineStall: 1})}, http.StatusNotFound},
+		{"watchdog", Config{WatchdogK: 0.5}, http.StatusNotFound},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, tc.cfg)
+			if st, code := postJob(t, ts, spec, "?wait=1"); code != http.StatusOK || st.State != StateDone {
+				t.Fatalf("submit: %d %s %s", code, st.State, st.Error)
+			}
+			resp, err := http.Get(ts.URL + cluster.CachePathPrefix + norm.Hash())
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("peer route answered %d, want %d", resp.StatusCode, tc.want)
+			}
+		})
 	}
 }
