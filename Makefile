@@ -7,7 +7,7 @@ GO ?= go
 # when not, since offline containers cannot fetch it.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test short cover bench bench-all benchdiff verify-identical chaos race results quick-results fuzz fuzz-smoke examples vet lint docs-check smoke clean
+.PHONY: all build test short cover bench bench-all benchdiff verify-identical verify-full chaos race results quick-results fuzz fuzz-smoke examples vet lint docs-check smoke clean
 
 all: build test
 
@@ -98,6 +98,17 @@ verify-identical:
 	cmp $(VERIFY_DIR)/a/results.txt results_quick.txt
 	cmp $(VERIFY_DIR)/a/trace.json trace_canonical.json
 	@echo "verify-identical: two quick sweeps byte-identical and equal to results_quick.txt and trace_canonical.json"
+
+# Full-scale identity gate: every exhibit at the recorded EXPERIMENTS.md
+# scale must print exactly the checked-in results_full.txt. Quick
+# tables cannot show a change that only the full windows reach. About
+# a minute on two cores. Never re-record results_full.txt
+# (`make results`) to make it pass.
+verify-full:
+	mkdir -p $(VERIFY_DIR)
+	$(GO) run ./cmd/chimerasim -j 2 all > $(VERIFY_DIR)/full.txt
+	cmp $(VERIFY_DIR)/full.txt results_full.txt
+	@echo "verify-full: the full-scale sweep is byte-identical to results_full.txt"
 
 # Fault-plane invariant gate (cmd/chimerachaos, docs/faults.md): two
 # seeded chaos campaigns against an in-process chimerad must each hold

@@ -44,14 +44,15 @@ func (s *Simulation) endTransfer(now units.Cycles) {
 
 // applyContention re-rates every running block to the current factor:
 // progress to date is committed at the old rate, the remainder is
-// re-scheduled at the new one.
+// re-scheduled at the new one. Blocks re-arm in placement order, which
+// fixes the sequence numbers of their new events.
 func (s *Simulation) applyContention(now units.Cycles) {
 	if s.opts.ContentionBeta == 0 {
 		return
 	}
 	f := s.contentionFactor()
 	for _, sm := range s.sms {
-		for _, tb := range sm.resident {
+		for _, tb := range sm.inPlacementOrder() {
 			if tb.phase != tbRunning || tb.frozen {
 				continue
 			}

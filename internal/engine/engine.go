@@ -171,11 +171,10 @@ type Simulation struct {
 	curScratch    []int
 	stableScratch []int
 	orderScratch  []int
-	// planScratch is the resident-list copy executePlan/escalate iterate
-	// while flushing mutates the live list. The engine is single-
-	// goroutine and neither function re-enters itself mid-iteration, so
-	// one shared buffer suffices.
-	planScratch []*threadBlock
+	// residentScratch backs smUnit.inPlacementOrder's copies. The engine
+	// is single-goroutine and none of that function's callers runs while
+	// another is iterating its copy, so one shared buffer suffices.
+	residentScratch []*threadBlock
 }
 
 // allocTB returns a recycled (or new) thread-block struct. The
@@ -196,15 +195,20 @@ func (s *Simulation) allocTB() *threadBlock {
 	return tb
 }
 
-// freeTB resets a terminal (completed or killed) block and returns it
-// to the pool. Callers must guarantee no pending event can still act on
-// the block: its completion event is fired or cancelled, and any
-// lingering save-batch callback belongs to a cancelled handover (a
-// no-op before it touches blocks).
+// freeTB returns a terminal (completed or killed) block to the pool.
+// It resets only the two fields a fresh dispatch reads before writing:
+// place draws a new CPI only for a block with no progress, and restores
+// only a block that needs it. nextTB, place and scheduleDone set every
+// other field a running block uses, so re-zeroing the whole struct
+// would only add write barriers. Callers must guarantee no pending
+// event can still act on the block: its completion event is fired or
+// cancelled, and any lingering save-batch callback belongs to a
+// cancelled handover (a no-op before it touches blocks).
 //
 //chimera:hot
 func (s *Simulation) freeTB(tb *threadBlock) {
-	*tb = threadBlock{fireDone: tb.fireDone}
+	tb.executed = 0
+	tb.needsRestore = false
 	s.tbFree = append(s.tbFree, tb)
 }
 
@@ -247,10 +251,17 @@ func (p *process) advance(now units.Cycles) {
 	p.current = p.sim.launchKernel(p, l, p.spec.Priority, now)
 }
 
+// RunsAsTable1 reports whether a Config simulates the Table 1 device:
+// New runs any Config with no SMs as gpu.DefaultConfig(). Callers that
+// key results by Config fold every such Config into one key with it.
+func RunsAsTable1(c gpu.Config) bool {
+	return c.NumSMs == 0 || c == gpu.DefaultConfig()
+}
+
 // New creates a simulation. Options.Config zero-value falls back to the
 // Table 1 default.
 func New(opts Options) *Simulation {
-	if opts.Config.NumSMs == 0 {
+	if RunsAsTable1(opts.Config) {
 		opts.Config = gpu.DefaultConfig()
 	}
 	if err := opts.Config.Validate(); err != nil {
@@ -323,6 +334,7 @@ func (s *Simulation) launchKernel(p *process, l LaunchSpec, priority int, now un
 		stats:       s.statsFor(l.Params.Label),
 		rng:         s.rnd.Split(),
 		cpiMu:       rng.LogNormalMu(l.Params.BaseCPI, l.Params.CPISigma),
+		breachInst:  l.Params.BreachInst(),
 	}
 	s.nextKID++
 	s.arrival++
@@ -436,8 +448,10 @@ func (s *Simulation) killKernel(k *kernelInstance, now units.Cycles) {
 			continue
 		}
 		recyclable := sm.handover == nil // frozen-batch callbacks may still hold blocks
-		for len(sm.resident) > 0 {
-			tb := sm.resident[len(sm.resident)-1]
+		// Newest first: the placement order, walked backwards.
+		blocks := sm.inPlacementOrder()
+		for i := len(blocks) - 1; i >= 0; i-- {
+			tb := blocks[i]
 			tb.sync(now)
 			tb.cancelDone(&s.q)
 			tb.phase = tbDone

@@ -53,6 +53,9 @@ type kernelInstance struct {
 	// cpiMu is the lognormal location of the block CPI distribution
 	// (rng.LogNormalMu of BaseCPI and CPISigma), computed once per launch.
 	cpiMu float64
+	// breachInst is params.BreachInst(), computed once per launch and
+	// copied into every fresh block.
+	breachInst int64
 }
 
 // addSM records ownership of an SM.
@@ -110,7 +113,7 @@ func (k *kernelInstance) nextTB() *threadBlock {
 		tb.kernel = k
 		tb.index = k.nextFresh
 		tb.insts = k.params.InstsPerTB
-		tb.breachInst = k.params.BreachInst()
+		tb.breachInst = k.breachInst
 		k.nextFresh++
 		return tb
 	}

@@ -20,6 +20,7 @@ func testInstance(params gpu.KernelParams, grid int) *kernelInstance {
 		stats:       &gpu.KernelStats{},
 		rng:         rng.New(1),
 		cpiMu:       rng.LogNormalMu(params.BaseCPI, params.CPISigma),
+		breachInst:  params.BreachInst(),
 	}
 }
 

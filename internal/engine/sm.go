@@ -15,8 +15,14 @@ type smUnit struct {
 	id  gpu.SMID
 	sim *Simulation
 
-	kernel   *kernelInstance // owner; nil when free
+	kernel *kernelInstance // owner; nil when free
+	// resident holds the blocks on the SM in no particular order: a
+	// removal moves the last block into the hole. Readers that observe
+	// order iterate inPlacementOrder instead.
 	resident []*threadBlock
+	// placements counts blocks placed on this SM; each placed block
+	// takes the current count as its stamp (threadBlock.placed).
+	placements uint64
 
 	// restoreTail serializes context restores on this SM: the cycle at
 	// which the last scheduled restore finishes.
@@ -103,15 +109,36 @@ func (h *handoverState) removeFrozen(tb *threadBlock) {
 	}
 }
 
+// inPlacementOrder returns a copy of the resident list sorted by
+// placement stamp: the order the list would keep if removal shifted
+// instead of swapping. Five readers observe that order: the planner's
+// snapshot, the requeue and freeze order of executePlan and escalate,
+// the re-arm order of applyContention (it sets event sequence numbers)
+// and killKernel's newest-first removal. The copy is the simulation's
+// residentScratch, valid until the next call. An SM holds at most
+// TBsPerSM blocks, so an insertion sort is the cheapest sort here.
+//
+//chimera:hot
+func (sm *smUnit) inPlacementOrder() []*threadBlock {
+	blocks := append(sm.sim.residentScratch[:0], sm.resident...)
+	for i := 1; i < len(blocks); i++ {
+		for j := i; j > 0 && blocks[j].placed < blocks[j-1].placed; j-- {
+			blocks[j], blocks[j-1] = blocks[j-1], blocks[j]
+		}
+	}
+	sm.sim.residentScratch = blocks
+	return blocks
+}
+
 // snapshot captures the scheduler-visible state of the SM for cost
-// estimation. The TB slice is scratch owned by the SM, valid until the
-// next snapshot of the same SM — the policy's Select reads it
-// synchronously and does not retain it.
+// estimation, blocks in placement order. The TB slice is scratch owned
+// by the SM, valid until the next snapshot of the same SM — the
+// policy's Select reads it synchronously and does not retain it.
 //
 //chimera:hot
 func (sm *smUnit) snapshot(now units.Cycles) gpu.SMSnapshot {
 	snap := gpu.SMSnapshot{SM: sm.id, TBs: sm.snapScratch[:0]}
-	for _, tb := range sm.resident {
+	for _, tb := range sm.inPlacementOrder() {
 		run := tb.runCycles
 		if tb.phase == tbRunning && !tb.frozen && now > tb.startAt {
 			run += now - tb.startAt
@@ -182,6 +209,9 @@ func (sm *smUnit) place(tb *threadBlock, now units.Cycles) {
 	tb.draining = false
 	tb.sm = sm
 	tb.startAt = start
+	tb.slot = int32(len(sm.resident))
+	tb.placed = sm.placements
+	sm.placements++
 	before := len(sm.resident)
 	sm.resident = append(sm.resident, tb)
 	sm.noteResidentChange(before, now)
@@ -199,19 +229,20 @@ func (sm *smUnit) scheduleDone(tb *threadBlock, start units.Cycles) {
 }
 
 // removeResident detaches a block from the SM's resident list at cycle
-// now (the busy-time account needs the timestamp).
+// now (the busy-time account needs the timestamp). The last block moves
+// into the hole; placement stamps keep the order readers observe.
 //
 //chimera:hot
 func (sm *smUnit) removeResident(tb *threadBlock, now units.Cycles) {
-	for i, r := range sm.resident {
-		if r == tb {
-			before := len(sm.resident)
-			sm.resident = append(sm.resident[:i], sm.resident[i+1:]...)
-			sm.noteResidentChange(before, now)
-			return
-		}
+	i, before := int(tb.slot), len(sm.resident)
+	if i >= before || sm.resident[i] != tb {
+		panic(fmt.Sprintf("engine: SM%d: block %d not resident", sm.id, tb.index)) //chimera:allow hotalloc panic path: formats once while crashing, never on the steady state
 	}
-	panic(fmt.Sprintf("engine: SM%d: block %d not resident", sm.id, tb.index)) //chimera:allow hotalloc panic path: formats once while crashing, never on the steady state
+	last := sm.resident[before-1]
+	sm.resident[i] = last
+	last.slot = tb.slot
+	sm.resident = sm.resident[:before-1]
+	sm.noteResidentChange(before, now)
 }
 
 // executePlan carries out a preemption plan on this SM at cycle now:
@@ -233,13 +264,12 @@ func (sm *smUnit) executePlan(plan preempt.SMPlan, req *RequestRecord, stall, no
 	}
 
 	var saveCycles units.Cycles
-	// Iterate over a copy: flushing mutates sm.resident. The copy lives
-	// in the simulation's scratch buffer; no nested executePlan/escalate
-	// can run before this loop finishes (both only recurse through
+	// Iterate over a placement-ordered copy: flushing mutates
+	// sm.resident, and the order sets the requeue and freeze order. No
+	// other user of the copy's scratch buffer can run before this loop
+	// finishes (executePlan and escalate only recurse through
 	// completeHandover, called after their loops).
-	blocks := append(sm.sim.planScratch[:0], sm.resident...)
-	sm.sim.planScratch = blocks
-	for _, tb := range blocks {
+	for _, tb := range sm.inPlacementOrder() {
 		// Plans carry at most TBsPerSM entries, so a linear scan beats
 		// any map here.
 		tech, ok := preempt.Drain, false
@@ -331,11 +361,9 @@ func (sm *smUnit) escalate(now units.Cycles) bool {
 	k := sm.kernel
 	var batch []*threadBlock
 	var saveCycles units.Cycles
-	// Iterate over a copy: flushing mutates sm.resident (same scratch
-	// discipline as executePlan).
-	blocks := append(sm.sim.planScratch[:0], sm.resident...)
-	sm.sim.planScratch = blocks
-	for _, tb := range blocks {
+	// Iterate over a placement-ordered copy: flushing mutates
+	// sm.resident (same scratch discipline as executePlan).
+	for _, tb := range sm.inPlacementOrder() {
 		if !tb.draining {
 			continue
 		}

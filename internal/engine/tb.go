@@ -6,7 +6,7 @@ import (
 )
 
 // tbPhase is the lifecycle phase of a thread block instance.
-type tbPhase int
+type tbPhase uint8
 
 const (
 	tbQueued  tbPhase = iota // waiting for dispatch (fresh, flushed, or saved)
@@ -33,12 +33,13 @@ type threadBlock struct {
 	baseCPI float64
 	cpi     float64
 
-	phase tbPhase
 	// executed is the committed progress at the last sync point. A
 	// context switch keeps it across save and restore; a flush resets it
 	// to 0.
 	executed int64
 
+	// The next five fields share one word.
+	phase tbPhase
 	// needsRestore marks a context-switched block whose saved context
 	// must be reloaded before it can resume.
 	needsRestore bool
@@ -48,8 +49,15 @@ type threadBlock struct {
 	// frozen marks a running block whose state is being saved (context
 	// switch in progress); progress is stopped.
 	frozen bool
+	// slot is the block's index in sm.resident while it is resident, so
+	// removal is a swap with the last entry, not a search and a shift.
+	slot int32
 
 	sm *smUnit // SM the block is resident on (running or frozen)
+	// placed is the SM's placement counter when the block was placed:
+	// sorting a resident list by it restores placement order, the order
+	// the planner and the preemption paths observe (smUnit.inPlacementOrder).
+	placed uint64
 
 	// startAt is the cycle the current execution segment began (after
 	// any restore delay).

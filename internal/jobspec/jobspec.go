@@ -69,7 +69,15 @@ type Spec struct {
 	// statistics, Table 2) or "online" (structural prediction from the
 	// first K completed thread blocks; docs/scheduling.md).
 	Estimator string `json:"estimator,omitempty"`
-	// WindowUs is the simulated duration in microseconds.
+	// WindowUs is the simulated duration in microseconds. A periodic
+	// spec evaluates only the real-time task periods whose deadline
+	// check (the instance's launch plus the constraint) falls inside the
+	// window, and the first instance launches at 1,000 µs. So the
+	// default 1,000 µs window evaluates no period: it reports Periods 0,
+	// ViolationRate 0 and Overhead 0 although the run preempts. A
+	// window that is not a whole number of periods meters its last
+	// period short, which inflates Overhead. Give periodic specs a
+	// whole number of periods, at least 2,000 µs (docs/jobs.md).
 	WindowUs float64 `json:"window_us,omitempty"`
 	// ConstraintUs is the preemption latency bound in microseconds.
 	ConstraintUs float64 `json:"constraint_us,omitempty"`

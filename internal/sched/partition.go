@@ -12,7 +12,10 @@
 // redistributed to kernels that can still use it.
 package sched
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Demand describes one active kernel's appetite for SMs.
 type Demand struct {
@@ -56,12 +59,14 @@ func Partition(numSMs int, demands []Demand) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := demands[order[a]], demands[order[b]]
+	// A stable sort with no reflection: the kernel scheduler partitions
+	// on every launch, finish and SM release.
+	slices.SortStableFunc(order, func(a, b int) int {
+		da, db := demands[a], demands[b]
 		if da.Priority != db.Priority {
-			return da.Priority > db.Priority
+			return cmp.Compare(db.Priority, da.Priority)
 		}
-		return da.Arrival < db.Arrival
+		return cmp.Compare(da.Arrival, db.Arrival)
 	})
 
 	remaining := numSMs

@@ -170,6 +170,10 @@ func (r *Runner) solo() *Runner {
 // under the fixed baseline options (Chimera policy, built-in estimator),
 // so policy and estimator are normalized out of their key to maximize
 // sharing across exhibits, and only periodic runs plan against Headroom.
+// Every Config the engine runs as Table 1 keys as the zero Config, so an
+// explicit Table 1 device shares the zero Config's results. The key
+// keeps the zero form, not the full one, because faults.JobKey hashes
+// it and chimerad's jobs carry the zero Config.
 func (r *Runner) job(kind simjob.Kind, benches string, policy engine.Policy, serial bool) simjob.Job {
 	// An armed watchdog or stall injector changes run outcomes, so fold
 	// both into the cache-key variant even when the caller forgot to set
@@ -189,6 +193,9 @@ func (r *Runner) job(kind simjob.Kind, benches string, policy engine.Policy, ser
 		Contention: r.Contention,
 		Config:     r.Config,
 		Catalog:    r.cat,
+	}
+	if engine.RunsAsTable1(job.Config) {
+		job.Config = gpu.Config{}
 	}
 	if kind == simjob.KindPeriodic {
 		job.Headroom = r.Headroom

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"chimera/internal/engine"
+	"chimera/internal/gpu"
 	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
 	"chimera/internal/preempt"
@@ -103,6 +104,62 @@ func TestSoloRunIgnoresUnkeyedFields(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTable1ConfigKeysAsZero: the engine runs a zero Config as Table 1,
+// so a Runner set to gpu.DefaultConfig() must build the same job as one
+// left at the zero Config, for every kind, while the 15- and 60-SM
+// devices keep keys of their own. The two runs it shares are also
+// checked to be the same run.
+func TestTable1ConfigKeysAsZero(t *testing.T) {
+	withConfig := func(numSMs int) *Runner {
+		r := newTestRunner(t, 1000, 15)
+		if numSMs != 0 {
+			r.Config = gpu.DefaultConfig()
+			r.Config.NumSMs = numSMs
+		}
+		return r
+	}
+	jobs := func(r *Runner) []simjob.Job {
+		return []simjob.Job{
+			r.solo().job(simjob.KindSolo, "HS", nil, false),
+			r.job(simjob.KindPeriodic, "HS", engine.ChimeraPolicy{}, false),
+			r.job(simjob.KindMulti, MultiLabel([]string{"LUD", "HS"}), engine.ChimeraPolicy{}, false),
+		}
+	}
+	zero, table1 := jobs(withConfig(0)), jobs(withConfig(30))
+	if !reflect.DeepEqual(table1, zero) {
+		t.Errorf("Table 1 Config keys apart from the zero Config:\n%+v\n%+v", table1, zero)
+	}
+	for _, numSMs := range []int{15, 60} {
+		other := jobs(withConfig(numSMs))
+		for i := range other {
+			if other[i] == zero[i] {
+				t.Errorf("%d SMs: job %d keys as the Table 1 device's", numSMs, i)
+			}
+		}
+	}
+	if a, b := jobs(withConfig(15)), jobs(withConfig(60)); a[1] == b[1] {
+		t.Error("15 and 60 SMs share a periodic job key")
+	}
+
+	ctx := context.Background()
+	run := func(numSMs int) PeriodicResult {
+		r := withConfig(numSMs)
+		r.Window = units.FromMicroseconds(3000) // two evaluated periods
+		r.UsePool(simjob.NewPool(1, simjob.NewCache()))
+		res, err := r.runPeriodic(ctx, "HS", engine.ChimeraPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Periods == 0 {
+			t.Fatal("no period evaluated")
+		}
+		return res
+	}
+	if a, b := run(0), run(30); !reflect.DeepEqual(a, b) {
+		t.Errorf("zero and Table 1 Config simulate differently:\n%+v\n%+v", a, b)
 	}
 }
 
