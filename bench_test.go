@@ -59,23 +59,26 @@ func BenchmarkAllPairs(b *testing.B) { runExhibit(b, "allpairs") }
 // focused variants for -bench filtering.
 func BenchmarkAblations(b *testing.B) { runExhibit(b, "ablation") }
 
-func benchAblationVariant(b *testing.B, policy chimera.Policy, warm bool) {
+func benchAblationVariant(b *testing.B, policy string, warm bool) {
 	b.Helper()
+	scale := benchScale()
+	spec := jobspec.Periodic("", policy).WithWindowUs(scale.PeriodicWindow.Microseconds()).WithSeed(scale.Seed)
 	var violations float64
 	for i := 0; i < b.N; i++ {
-		runner, err := chimera.NewScenarioRunner(
-			benchScale().PeriodicWindow, chimera.Microseconds(15), benchScale().Seed)
+		env, err := workloads.NewRunner(scale.PeriodicWindow, chimera.Microseconds(15), scale.Seed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		runner.Warm = warm
+		env.Warm = warm
+		ex := workloads.NewExecutor(env)
 		total, n := 0.0, 0
 		for _, bench := range chimera.Catalog().BenchmarkNames() {
-			res, _, err := runner.RunPeriodic(context.Background(), bench, policy)
+			spec.Bench = bench
+			res, _, err := ex.Run(context.Background(), spec)
 			if err != nil {
 				b.Fatal(err)
 			}
-			total += res.ViolationRate
+			total += res.Periodic.ViolationRate
 			n++
 		}
 		violations = total / float64(n)
@@ -84,15 +87,15 @@ func benchAblationVariant(b *testing.B, policy chimera.Policy, warm bool) {
 }
 
 func BenchmarkAblationNoConservative(b *testing.B) {
-	benchAblationVariant(b, chimera.ChimeraPolicy{OptimisticCold: true}, false)
+	benchAblationVariant(b, jobspec.PolicyChimeraOptimistic, false)
 }
 
 func BenchmarkAblationPerSMOnly(b *testing.B) {
-	benchAblationVariant(b, chimera.ChimeraPolicy{PerSMUniform: true}, true)
+	benchAblationVariant(b, jobspec.PolicyChimeraPerSM, true)
 }
 
 func BenchmarkAblationCycleEstimator(b *testing.B) {
-	benchAblationVariant(b, chimera.ChimeraPolicy{CycleBased: true}, true)
+	benchAblationVariant(b, jobspec.PolicyChimeraCycleEst, true)
 }
 
 // BenchmarkSelect measures Algorithm 1 itself on a full-width request
@@ -290,8 +293,7 @@ func TestEngineHotAllocBudget(t *testing.T) {
 // replayed request pays besides the simulation itself. The custom
 // jobs/sec metric is the dedup-path throughput ceiling.
 func BenchmarkSimjobPool(b *testing.B) {
-	r, err := chimera.NewScenarioRunner(
-		chimera.Microseconds(200), chimera.Microseconds(15), 1)
+	r, err := workloads.NewRunner(chimera.Microseconds(200), chimera.Microseconds(15), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

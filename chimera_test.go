@@ -1,6 +1,7 @@
 package chimera_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -148,9 +149,17 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-func TestStandardPoliciesPublic(t *testing.T) {
-	if got := len(chimera.StandardPolicies()); got != 4 {
-		t.Errorf("%d standard policies", got)
+func TestRunJobPublic(t *testing.T) {
+	ctx := context.Background()
+	res, err := chimera.RunJob(ctx, chimera.JobSpec{Kind: "multi", Bench: "HS+SAD", Policy: "fcfs", WindowUs: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Multi == nil || res.Multi.Policy != "FCFS" || res.Multi.STP <= 0 {
+		t.Errorf("multi job result = %+v", res)
+	}
+	if _, err := chimera.RunJob(ctx, chimera.JobSpec{Kind: "periodic", Bench: "SAD", Policy: "fcfs"}); err == nil {
+		t.Error("fcfs accepted for a periodic job")
 	}
 }
 

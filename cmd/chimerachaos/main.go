@@ -231,7 +231,7 @@ func run(seed uint64, jobs, budget int, watchdog float64) (violations int, err e
 	}
 
 	counts := plan.Counts()
-	cache := srv.Pool().Cache().Stats()
+	cache := srv.Cache().Stats()
 	retries := reg.Counter(server.MetricJobRetries).Value()
 	stalls := reg.Counter(engine.MetricStallsInjected).Value()
 	escalations := reg.Counter(engine.MetricEscalations).Value()

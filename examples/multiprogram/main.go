@@ -23,32 +23,25 @@ func main() {
 		a, b = os.Args[1], os.Args[2]
 	}
 
-	runner, err := chimera.NewScenarioRunner(
-		chimera.Microseconds(20000),
-		chimera.Microseconds(30), // the §4.4 constraint: max context-switch time
-		1,
-	)
-	if err != nil {
-		log.Fatal(err)
+	// A pair is the two-process case of the N-program scenario, here over
+	// 20ms at the §4.4 constraint: the maximum context-switch time.
+	run := func(policy string) chimera.JobResult {
+		spec := chimera.JobSpec{Kind: "pair", Bench: a, BenchB: b, Policy: policy, WindowUs: 20000, ConstraintUs: 30}
+		job, err := chimera.RunJob(context.Background(), spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return job
 	}
-
-	// A pair is the two-process case of the N-program scenario.
-	ctx, pair := context.Background(), []string{a, b}
-	fcfs, _, err := runner.RunMulti(ctx, pair, nil, true)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fcfs := run("fcfs").Pair
 	fmt.Printf("%s + %s on a shared GPU (20ms simulated, 30µs constraint):\n\n", a, b)
 	fmt.Printf("%-10s  %8s  %8s  %14s  %13s  %9s\n",
 		"policy", "ANTT", "STP", "ANTT-improve", "STP-improve", "requests")
 	fmt.Printf("%-10s  %8.2f  %8.2f  %14s  %13s  %9d\n",
 		"FCFS", fcfs.ANTT, fcfs.STP, "-", "-", fcfs.Requests)
 
-	for _, policy := range chimera.StandardPolicies() {
-		res, _, err := runner.RunMulti(ctx, pair, policy, false)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, policy := range []string{"switch", "drain", "flush", "chimera"} {
+		res := run(policy).Pair
 		fmt.Printf("%-10s  %8.2f  %8.2f  %13.1fx  %12.1f%%  %9d\n",
 			res.Policy, res.ANTT, res.STP,
 			fcfs.ANTT/res.ANTT, 100*(res.STP-fcfs.STP)/fcfs.STP, res.Requests)

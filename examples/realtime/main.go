@@ -31,22 +31,16 @@ func main() {
 		windowUs = v
 	}
 
-	runner, err := chimera.NewScenarioRunner(
-		chimera.Microseconds(windowUs),
-		chimera.Microseconds(15),
-		1,
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	fmt.Printf("Periodic real-time task vs %s over %.0fµs (15µs constraint):\n\n", bench, windowUs)
 	fmt.Printf("%-10s  %10s  %9s  %22s\n", "policy", "violations", "overhead", "technique mix (blocks)")
-	for _, policy := range chimera.StandardPolicies() {
-		res, _, err := runner.RunPeriodic(context.Background(), bench, policy)
+	for _, policy := range []string{"switch", "drain", "flush", "chimera"} {
+		// The spec's constraint and seed default to 15µs and 1.
+		spec := chimera.JobSpec{Kind: "periodic", Bench: bench, Policy: policy, WindowUs: windowUs}
+		job, err := chimera.RunJob(context.Background(), spec)
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := job.Periodic
 		fmt.Printf("%-10s  %9.1f%%  %8.1f%%  switch:%d drain:%d flush:%d\n",
 			res.Policy, 100*res.ViolationRate, 100*res.Overhead,
 			res.Mix[chimera.Switch], res.Mix[chimera.Drain], res.Mix[chimera.Flush])

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"chimera/internal/experiments"
+	"chimera/internal/jobspec"
 	"chimera/internal/metrics"
 	"chimera/internal/simjob"
 	"chimera/internal/tablefmt"
@@ -71,28 +72,22 @@ type JobStats = simjob.Stats
 // chimerasim's -progress ticker and -metrics dump.
 func GlobalJobStats() JobStats { return simjob.SharedCache().Stats() }
 
-// Scenario runners -----------------------------------------------------------
+// Jobs -----------------------------------------------------------------------
 
-// ScenarioRunner executes the §4.1 periodic-task and §4.4
-// multiprogramming scenarios (a pair is the two-process RunMulti run)
-// with memoized stand-alone baselines.
-type ScenarioRunner = workloads.Runner
-
-// PeriodicResult and MultiResult are the per-scenario outcomes.
+// JobSpec is the canonical description of one simulation job — the
+// schema chimerad, replay and every exhibit speak (docs/jobs.md) — and
+// JobResult its outcome, with the payload of the spec's kind set.
 type (
-	PeriodicResult = workloads.PeriodicResult
-	MultiResult    = workloads.MultiResult
+	JobSpec   = jobspec.Spec
+	JobResult = workloads.SpecResult
 )
 
-// NewScenarioRunner builds a runner with the given simulation window,
-// preemption latency constraint and seed.
-func NewScenarioRunner(window, constraint Cycles, seed uint64) (*ScenarioRunner, error) {
-	return workloads.NewRunner(window, constraint, seed)
+// RunJob normalizes, validates and executes one job spec on the
+// process-wide result cache.
+func RunJob(ctx context.Context, spec JobSpec) (JobResult, error) {
+	res, _, err := workloads.NewExecutor(workloads.NewEnv(nil)).Run(ctx, spec)
+	return res, err
 }
-
-// StandardPolicies returns the §4 contenders: Switch, Drain, Flush,
-// Chimera.
-func StandardPolicies() []Policy { return workloads.StandardPolicies() }
 
 // Recording ------------------------------------------------------------------
 

@@ -100,7 +100,7 @@ func bootFleet(t testing.TB, n int) *fleet {
 func (f *fleet) executed() int64 {
 	var total int64
 	for _, s := range f.servers {
-		total += s.Pool().Cache().Stats().JobsRun
+		total += s.Cache().Stats().JobsRun
 	}
 	return total
 }
@@ -263,7 +263,7 @@ func TestFleetOwnerAnswersRepeatsLocally(t *testing.T) {
 	if got := f.servers[owner].Registry().Counter(server.MetricPeerMisses).Value(); got != 1 {
 		t.Errorf("owner counted %d peer misses for 3 submissions of one spec, want 1", got)
 	}
-	if got := f.servers[owner].Pool().Cache().Stats().JobsRun; got != 1 {
+	if got := f.servers[owner].Cache().Stats().JobsRun; got != 1 {
 		t.Errorf("owner executed %d simulations, want 1", got)
 	}
 }
@@ -298,7 +298,7 @@ func TestFleetCrossReplicaServe(t *testing.T) {
 	if err != nil || stA.State != server.StateDone {
 		t.Fatalf("owner submit: %v %v", stA.State, err)
 	}
-	if got := f.servers[a].Pool().Cache().Stats().JobsRun; got != 1 {
+	if got := f.servers[a].Cache().Stats().JobsRun; got != 1 {
 		t.Fatalf("owner executed %d, want 1", got)
 	}
 
@@ -310,7 +310,7 @@ func TestFleetCrossReplicaServe(t *testing.T) {
 	if !bytes.Equal(stA.Result, stB.Result) {
 		t.Errorf("peer-served result differs:\nA: %s\nB: %s", stA.Result, stB.Result)
 	}
-	if got := f.servers[b].Pool().Cache().Stats().JobsRun; got != 0 {
+	if got := f.servers[b].Cache().Stats().JobsRun; got != 0 {
 		t.Errorf("replica B executed %d simulations, want 0 (peer cache must serve)", got)
 	}
 	if got := f.servers[b].Registry().Counter(server.MetricPeerHits).Value(); got != 1 {

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
+	"slices"
 
-	"chimera/internal/engine"
+	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
 	"chimera/internal/metrics"
-	"chimera/internal/simjob"
 	"chimera/internal/tablefmt"
-	"chimera/internal/units"
 	"chimera/internal/workloads"
 )
 
@@ -23,58 +21,56 @@ import (
 //   - instruction-count drain estimator → direct cycle averages (the
 //     estimator §3.2 rejects).
 func Ablations(s Scale) ([]*tablefmt.Table, error) {
-	cat := kernels.Load()
-	names := cat.BenchmarkNames()
+	names := kernels.Load().BenchmarkNames()
 
-	type variant struct {
-		name       string
-		policy     engine.Policy
-		warm       bool
-		constraint units.Cycles
-		headroom   units.Cycles
-	}
-	variants := []variant{
-		{"Chimera (cold start)", engine.ChimeraPolicy{}, false, Constraint15, 0},
-		{"no conservative fallback (cold)", engine.ChimeraPolicy{OptimisticCold: true}, false, Constraint15, 0},
-		{"Chimera", engine.ChimeraPolicy{}, true, Constraint15, 0},
-		{"one technique per SM", engine.ChimeraPolicy{PerSMUniform: true}, true, Constraint15, 0},
-		{"cycle-based drain estimator", engine.ChimeraPolicy{CycleBased: true}, true, Constraint15, 0},
-		{"Chimera @5µs", engine.ChimeraPolicy{}, true, units.FromMicroseconds(5), 0},
-		{"Chimera @5µs + 1µs headroom", engine.ChimeraPolicy{}, true, units.FromMicroseconds(5), units.FromMicroseconds(1)},
-	}
-
-	// Policy flags are not part of a spec, so the variants run as typed
-	// Runner calls: one runner per variant on a shared pool, the variant
-	// × benchmark grid as one flat task list.
-	pool := s.pool()
-	runners := make([]*workloads.Runner, len(variants))
-	for vi, v := range variants {
-		r, err := s.periodicRunner(v.constraint)
+	// Cold start is a property of the environment, so the two cold rows
+	// run in a cold Runner and the rest in a warm one, as one flat task
+	// list; policy, constraint and headroom are the spec's. The cold rows
+	// come first, so the results concatenate in row order.
+	const cold, warm = 0, 1
+	envs := make([]*workloads.Runner, 2)
+	for e := range envs {
+		r, err := s.periodicRunner(Constraint15)
 		if err != nil {
 			return nil, err
 		}
-		r.Warm = v.warm
-		r.Headroom = v.headroom
-		runners[vi] = r.UsePool(pool)
+		r.Warm = e == warm
+		envs[e] = r
 	}
-	results, err := simjob.Map(pool, len(variants)*len(names), func(i int) (workloads.PeriodicResult, error) {
-		vi := i / len(names)
-		res, _, err := runners[vi].RunPeriodic(context.Background(), names[i%len(names)], variants[vi].policy)
-		return res, err
-	})
+	base := specBase(jobspec.KindPeriodic, envs[0])
+	variants := []struct {
+		name   string
+		env    int
+		policy string
+		base   jobspec.Spec
+	}{
+		{"Chimera (cold start)", cold, jobspec.PolicyChimera, base},
+		{"no conservative fallback (cold)", cold, jobspec.PolicyChimeraOptimistic, base},
+		{"Chimera", warm, jobspec.PolicyChimera, base},
+		{"one technique per SM", warm, jobspec.PolicyChimeraPerSM, base},
+		{"cycle-based drain estimator", warm, jobspec.PolicyChimeraCycleEst, base},
+		{"Chimera @5µs", warm, jobspec.PolicyChimera, base.WithConstraintUs(5)},
+		{"Chimera @5µs + 1µs headroom", warm, jobspec.PolicyChimera, base.WithConstraintUs(5).WithHeadroomUs(1)},
+	}
+	specs := make([][]jobspec.Spec, len(envs))
+	for _, v := range variants {
+		specs[v.env] = append(specs[v.env], specGrid(v.base, []string{v.policy}, names)...)
+	}
+	results, err := s.runIn(envs, specs)
 	if err != nil {
 		return nil, err
 	}
+	rows := slices.Concat(results...)
 
 	t := tablefmt.New("Ablations: Chimera design choices (periodic task)",
 		"Variant", "Violations", "Overhead", "Forced req")
 	for vi, v := range variants {
 		var violations, overheads []float64
 		forced := 0
-		for _, res := range results[vi*len(names) : (vi+1)*len(names)] {
-			violations = append(violations, res.ViolationRate)
-			overheads = append(overheads, res.Overhead)
-			forced += res.ForcedRequests
+		for _, res := range rows[vi*len(names) : (vi+1)*len(names)] {
+			violations = append(violations, res.Periodic.ViolationRate)
+			overheads = append(overheads, res.Periodic.Overhead)
+			forced += res.Periodic.ForcedRequests
 		}
 		t.AddRow(v.name,
 			tablefmt.Pct(metrics.Mean(violations)),

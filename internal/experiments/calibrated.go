@@ -24,20 +24,20 @@ func Calibrated(s Scale) ([]*tablefmt.Table, error) {
 		{"warp-model CPIs", kernels.LoadCalibrated()},
 	}
 
-	// One environment per timing model on a shared pool (the catalogs
-	// share benchmark names); the model × policy × benchmark grid runs
-	// as one flat task list.
-	pool := s.pool()
+	// One environment per timing model (the catalogs share benchmark
+	// names); the model × policy × benchmark grid runs as one flat task
+	// list.
 	envs := make([]*workloads.Runner, len(models))
+	specs := make([][]jobspec.Spec, len(models))
 	for mi, m := range models {
 		r, err := s.newRunnerWith(m.cat, s.PeriodicWindow/2, Constraint15, s.Seed)
 		if err != nil {
 			return nil, err
 		}
-		envs[mi] = r.UsePool(pool)
+		envs[mi] = r
+		specs[mi] = specGrid(specBase(jobspec.KindPeriodic, r), standardPolicies, kernels.Load().BenchmarkNames())
 	}
-	specs := specGrid(specBase(jobspec.KindPeriodic, envs[0]), standardPolicies, kernels.Load().BenchmarkNames())
-	results, err := runIn(pool, envs, specs)
+	results, err := s.runIn(envs, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -3,16 +3,17 @@
 // returning printable tables. The EXPERIMENTS.md document records
 // paper-reported versus measured values for all of them.
 //
-// Each exhibit enumerates its full set of simulation jobs up front — as
-// jobspec.Spec grids wherever a spec can express them, as typed Runner
-// calls for policy-flag variants and runs of more than two processes —
-// and fans them out as one flat task list over an internal/simjob pool
-// (simjob.Map), assembling results in enumeration order: the rendered
-// tables are byte-identical at any Parallelism. Exhibits share the
-// process-wide result cache, so runs common to several figures (the
-// §4.1 grid behind Figures 6, 7, 8 and 9; the stand-alone baselines
-// behind every pair exhibit; the LUD+HS pair behind Figure 10 and the
-// scaling table) are simulated once per process.
+// Each exhibit enumerates its full set of simulation jobs up front as
+// jobspec.Spec grids and runs them through workloads.Executor, as one
+// flat task list over an internal/simjob pool (simjob.Map), assembling
+// results in enumeration order: the rendered tables are byte-identical
+// at any Parallelism. What a spec does not carry — device, catalog,
+// contention β and cold start — is the environment Runner's (runIn).
+// Exhibits share the process-wide result cache, so runs common to
+// several figures (the §4.1 grid behind Figures 6, 7, 8 and 9 and the
+// ablations; the stand-alone baselines behind every pair exhibit; the
+// LUD+HS pair behind Figure 10 and the scaling table) are simulated once
+// per process.
 package experiments
 
 import (
@@ -93,11 +94,7 @@ func (s Scale) pool() *simjob.Pool {
 // explicit window, constraint and seed (the general form used by the
 // multi-runner exhibits: seeds, gpusize, calibrated, contention).
 func (s Scale) newRunner(window, constraint units.Cycles, seed uint64) (*workloads.Runner, error) {
-	r, err := workloads.NewRunner(window, constraint, seed)
-	if err != nil {
-		return nil, err
-	}
-	return r.UsePool(s.pool()), nil
+	return s.newRunnerWith(kernels.Load(), window, constraint, seed)
 }
 
 // newRunnerWith is newRunner over an explicit kernel catalog.
@@ -120,8 +117,19 @@ func (s Scale) pairRunner(window units.Cycles) (*workloads.Runner, error) {
 }
 
 // standardPolicies names the four §4 contenders as spec policies, in
-// the paper's presentation order (workloads.StandardPolicies).
+// the paper's presentation order.
 var standardPolicies = []string{jobspec.PolicySwitch, jobspec.PolicyDrain, jobspec.PolicyFlush, jobspec.PolicyChimera}
+
+// labels returns the display labels of spec policy names ("Switch",
+// "FCFS", …), as result tables print them.
+func labels(policies []string) []string {
+	out := make([]string, len(policies))
+	for i, name := range policies {
+		p, serial, _ := jobspec.ParsePolicy(name) // the exhibits pass jobspec's own names
+		out[i] = jobspec.PolicyName(p, serial)
+	}
+	return out
+}
 
 // specBase is the spec template of the given kind carrying r's window,
 // constraint, headroom and seed in spec units.
@@ -167,12 +175,21 @@ func violationMeans(block []workloads.SpecResult, policies int) []float64 {
 	return means
 }
 
-// runIn runs the specs in every environment — runners on pool that
-// differ in device, catalog or contention — as one flat task list over
-// pool, and returns the results indexed [environment][spec].
-func runIn(pool *simjob.Pool, envs []*workloads.Runner, specs []jobspec.Spec) ([][]workloads.SpecResult, error) {
-	flat, err := simjob.Map(pool, len(envs)*len(specs), func(i int) (workloads.SpecResult, error) {
-		res, _, err := workloads.NewExecutor(envs[i/len(specs)]).Run(context.Background(), specs[i%len(specs)])
+// runIn runs specs[e] in environment envs[e] for every e — runners on
+// the scale's cache that differ in device, catalog, contention or cold
+// start — as one flat task list over a pool of the scale's parallelism,
+// and returns the results indexed [environment][spec].
+func (s Scale) runIn(envs []*workloads.Runner, specs [][]jobspec.Spec) ([][]workloads.SpecResult, error) {
+	type task struct{ env, spec int }
+	var tasks []task
+	for e := range envs {
+		for i := range specs[e] {
+			tasks = append(tasks, task{e, i})
+		}
+	}
+	flat, err := simjob.Map(s.pool(), len(tasks), func(i int) (workloads.SpecResult, error) {
+		t := tasks[i]
+		res, _, err := workloads.NewExecutor(envs[t.env]).Run(context.Background(), specs[t.env][t.spec])
 		return res, err
 	})
 	if err != nil {
@@ -180,7 +197,7 @@ func runIn(pool *simjob.Pool, envs []*workloads.Runner, specs []jobspec.Spec) ([
 	}
 	out := make([][]workloads.SpecResult, len(envs))
 	for e := range envs {
-		out[e] = flat[e*len(specs) : (e+1)*len(specs)]
+		out[e], flat = flat[:len(specs[e])], flat[len(specs[e]):]
 	}
 	return out, nil
 }

@@ -23,20 +23,20 @@ func Contention(s Scale) ([]*tablefmt.Table, error) {
 	policies := []string{jobspec.PolicySwitch, jobspec.PolicyChimera}
 	betas := []float64{0, 1}
 
-	// One environment per beta on a shared pool; the beta × policy ×
-	// benchmark grid runs as one flat task list.
-	pool := s.pool()
+	// One environment per beta; the beta × policy × benchmark grid runs
+	// as one flat task list.
 	envs := make([]*workloads.Runner, len(betas))
+	specs := make([][]jobspec.Spec, len(betas))
 	for bi, beta := range betas {
 		r, err := s.periodicRunner(Constraint15)
 		if err != nil {
 			return nil, err
 		}
 		r.Contention = beta
-		envs[bi] = r.UsePool(pool)
+		envs[bi] = r
+		specs[bi] = specGrid(specBase(jobspec.KindPeriodic, r), policies, contentionBenchmarks)
 	}
-	specs := specGrid(specBase(jobspec.KindPeriodic, envs[0]), policies, contentionBenchmarks)
-	results, err := runIn(pool, envs, specs)
+	results, err := s.runIn(envs, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func EstimationAccuracy(s Scale) ([]*tablefmt.Table, error) {
 
 	t := tablefmt.New("Extension: estimated vs measured preemption latency (@15µs)",
 		"Policy", "Requests", "MeanErr", "P95Err", "MaxErr", "Overest%")
-	for pi, policy := range workloads.StandardPolicies() {
+	for pi, label := range labels(standardPolicies) {
 		var errsUs []float64
 		over := 0
 		for _, res := range results[pi*len(benches) : (pi+1)*len(benches)] {
@@ -53,7 +53,7 @@ func EstimationAccuracy(s Scale) ([]*tablefmt.Table, error) {
 			}
 		}
 		if len(errsUs) == 0 {
-			t.AddRow(policy.Name(), "0", "-", "-", "-", "-")
+			t.AddRow(label, "0", "-", "-", "-", "-")
 			continue
 		}
 		sort.Float64s(errsUs)
@@ -65,7 +65,7 @@ func EstimationAccuracy(s Scale) ([]*tablefmt.Table, error) {
 		p95 := errsUs[len(errsUs)*95/100]
 		max := errsUs[len(errsUs)-1]
 		t.AddRow(
-			policy.Name(),
+			label,
 			fmt.Sprintf("%d", len(errsUs)),
 			tablefmt.Us(mean),
 			tablefmt.Us(p95),

@@ -27,10 +27,7 @@ type PairSweep struct {
 // pair spec — the FCFS baseline included — is enumerated up front and
 // fanned out over the runner's pool, then unpacked in grid order.
 func RunPairSweep(r *workloads.Runner) (*PairSweep, error) {
-	sweep := &PairSweep{}
-	for _, p := range workloads.StandardPolicies() {
-		sweep.Policies = append(sweep.Policies, p.Name())
-	}
+	sweep := &PairSweep{Policies: labels(standardPolicies)}
 	var pairs [][2]string
 	for _, bench := range kernels.Load().BenchmarkNames() {
 		if bench != "LUD" {

@@ -39,25 +39,20 @@ func PeriodicSweepSpecs(r *workloads.Runner) []jobspec.Spec {
 // §4.1 grid: the benchmark × policy spec set is enumerated up front by
 // PeriodicSweepSpecs and fanned out over the runner's pool through the
 // jobspec Executor, with results collected in grid order regardless of
-// completion order. The spec path derives the same simjob identities as
-// direct Runner calls, so runs stay shared with every other exhibit on
-// the same cache.
+// completion order. Every exhibit runs specs, so runs stay shared with
+// every other exhibit on the same cache.
 func RunPeriodicSweep(r *workloads.Runner) (*PeriodicSweep, error) {
-	cat := kernels.Load()
-	policies := workloads.StandardPolicies()
-	sweep := &PeriodicSweep{Benchmarks: cat.BenchmarkNames()}
-	for _, p := range policies {
-		sweep.Policies = append(sweep.Policies, p.Name())
-	}
+	sweep := &PeriodicSweep{Benchmarks: kernels.Load().BenchmarkNames(), Policies: labels(standardPolicies)}
 	results, err := workloads.NewExecutor(r).RunSpecs(context.Background(), PeriodicSweepSpecs(r))
 	if err != nil {
 		return nil, err
 	}
+	n := len(standardPolicies)
 	sweep.Results = make([][]workloads.PeriodicResult, len(sweep.Benchmarks))
 	for i := range sweep.Benchmarks {
-		row := make([]workloads.PeriodicResult, len(policies))
-		for j := range policies {
-			row[j] = *results[i*len(policies)+j].Periodic
+		row := make([]workloads.PeriodicResult, n)
+		for j := range row {
+			row[j] = *results[i*n+j].Periodic
 		}
 		sweep.Results[i] = row
 	}

@@ -4,11 +4,9 @@ import (
 	"context"
 	"sort"
 
-	"chimera/internal/engine"
+	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
 	"chimera/internal/metrics"
-	"chimera/internal/preempt"
-	"chimera/internal/simjob"
 	"chimera/internal/tablefmt"
 	"chimera/internal/workloads"
 )
@@ -30,24 +28,17 @@ func Fig9(s Scale) (*tablefmt.Table, error) {
 		return nil, err
 	}
 	names := kernels.Load().BenchmarkNames()
-	// Strict idempotence is a policy flag no spec carries, so both
-	// flushing arms over every benchmark run as typed Runner calls, one
-	// flat task list, arm-major like specGrid.
-	arms := []engine.Policy{
-		engine.FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true},
-		engine.FixedPolicy{Technique: preempt.Flush},
-	}
-	results, err := simjob.Map(r.Pool(), len(arms)*len(names), func(i int) (workloads.PeriodicResult, error) {
-		res, _, err := r.RunPeriodic(context.Background(), names[i%len(names)], arms[i/len(names)])
-		return res, err
-	})
+	// Both flushing arms over every benchmark, arm-major; the relaxed
+	// arm is Figure 6's flush column.
+	results, err := workloads.NewExecutor(r).RunSpecs(context.Background(),
+		specGrid(specBase(jobspec.KindPeriodic, r), []string{jobspec.PolicyFlushStrict, jobspec.PolicyFlush}, names))
 	if err != nil {
 		return nil, err
 	}
 	var strict, relaxed []float64
 	for i := range names {
-		strict = append(strict, results[i].ViolationRate)
-		relaxed = append(relaxed, results[len(names)+i].ViolationRate)
+		strict = append(strict, results[i].Periodic.ViolationRate)
+		relaxed = append(relaxed, results[len(names)+i].Periodic.ViolationRate)
 	}
 
 	t := tablefmt.New("Figure 9: Strict vs relaxed idempotence in SM flushing @15µs",

@@ -25,10 +25,10 @@ var gpuSizes = []int{15, 30, 60}
 func GPUSize(s Scale) ([]*tablefmt.Table, error) {
 	benches := kernels.Load().BenchmarkNames()
 
-	// One environment per device size on a shared pool; the size ×
-	// policy × benchmark grid runs as one flat task list.
-	pool := s.pool()
+	// One environment per device size; the size × policy × benchmark
+	// grid runs as one flat task list.
 	envs := make([]*workloads.Runner, len(gpuSizes))
+	specs := make([][]jobspec.Spec, len(gpuSizes))
 	for gi, numSMs := range gpuSizes {
 		r, err := s.newRunner(s.PeriodicWindow/2, Constraint15, s.Seed)
 		if err != nil {
@@ -36,10 +36,10 @@ func GPUSize(s Scale) ([]*tablefmt.Table, error) {
 		}
 		r.Config = gpu.DefaultConfig()
 		r.Config.NumSMs = numSMs
-		envs[gi] = r.UsePool(pool)
+		envs[gi] = r
+		specs[gi] = specGrid(specBase(jobspec.KindPeriodic, r), standardPolicies, benches)
 	}
-	specs := specGrid(specBase(jobspec.KindPeriodic, envs[0]), standardPolicies, benches)
-	results, err := runIn(pool, envs, specs)
+	results, err := s.runIn(envs, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"chimera/internal/engine"
-	"chimera/internal/simjob"
+	"chimera/internal/jobspec"
 	"chimera/internal/tablefmt"
 	"chimera/internal/workloads"
 )
@@ -34,19 +33,17 @@ func Scaling(s Scale) ([]*tablefmt.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// More than two processes exceed what a spec carries, so FCFS and
-	// Chimera for every set run as typed RunMulti calls, one flat task
-	// list. The two-process set shares its runs with Figure 10's LUD+HS
-	// pair specs.
-	arms := []struct {
-		policy engine.Policy
-		serial bool
-	}{{nil, true}, {engine.ChimeraPolicy{}, false}}
-	results, err := simjob.Map(r.Pool(), len(scalingSets)*len(arms), func(i int) (workloads.MultiResult, error) {
-		arm := arms[i%len(arms)]
-		res, _, err := r.RunMulti(context.Background(), scalingSets[i/len(arms)], arm.policy, arm.serial)
-		return res, err
-	})
+	// FCFS and Chimera for every set as multi specs, set-major. The
+	// two-process set shares its runs with Figure 10's LUD+HS pair specs.
+	var specs []jobspec.Spec
+	for _, set := range scalingSets {
+		for _, policy := range []string{jobspec.PolicyFCFS, jobspec.PolicyChimera} {
+			spec := specBase(jobspec.KindMulti, r)
+			spec.Bench, spec.Policy = workloads.MultiLabel(set), policy
+			specs = append(specs, spec)
+		}
+	}
+	results, err := workloads.NewExecutor(r).RunSpecs(context.Background(), specs)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +51,7 @@ func Scaling(s Scale) ([]*tablefmt.Table, error) {
 	t := tablefmt.New("Extension: multiprogramming degree beyond 2 (30µs constraint)",
 		"Benchmarks", "N", "FCFS STP", "Chimera STP", "FCFS busy", "Chimera busy", "ANTT gain", "Requests")
 	for i, set := range scalingSets {
-		fcfs, ch := results[2*i], results[2*i+1]
+		fcfs, ch := results[2*i].Multi, results[2*i+1].Multi
 		// Under FCFS a long kernel can fully starve its partners within
 		// the window; the starvation floor then makes the raw ANTT
 		// ratio astronomical, so the display saturates.

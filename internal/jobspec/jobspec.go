@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 
 	"chimera/internal/kernels"
@@ -46,6 +47,11 @@ const (
 	// KindPair runs two benchmarks concurrently (§4.4) and reports
 	// ANTT/STP.
 	KindPair = "pair"
+	// KindMulti runs two or more benchmarks concurrently, named in Bench
+	// as a "+"-joined list, and reports ANTT, STP and the SM-busy
+	// fraction. A multi spec of two benchmarks is the same run as the
+	// pair spec of them.
+	KindMulti = "multi"
 )
 
 // Spec is the canonical description of one simulation job. Its JSON
@@ -53,16 +59,20 @@ const (
 // golden-tested); zero values take the documented defaults (policy
 // "chimera", window 1000 µs, constraint 15 µs, seed 1).
 type Spec struct {
-	// Kind is the scenario family: "solo", "periodic" or "pair".
+	// Kind is the scenario family: "solo", "periodic", "pair" or
+	// "multi".
 	Kind string `json:"kind"`
 	// Bench is the catalog benchmark (the background benchmark for
-	// periodic jobs, the first process for pair jobs).
+	// periodic jobs, the first process for pair jobs, and the
+	// "+"-joined process list, e.g. "LUD+HS+SAD", for multi jobs).
 	Bench string `json:"bench"`
 	// BenchB is the second process of a pair job.
 	BenchB string `json:"bench_b,omitempty"`
 	// Policy executes preemption requests: "chimera" (default),
 	// "switch", "drain", "flush", the deadline-aware "edf" / "slo"
-	// (docs/scheduling.md), or "fcfs" (pair jobs only).
+	// (docs/scheduling.md), the design-choice variants
+	// "chimera(optimistic)", "chimera(cycle-est)", "chimera(per-sm)" and
+	// "flush(strict)", or "fcfs" (pair and multi jobs only).
 	Policy string `json:"policy,omitempty"`
 	// Estimator selects the runtime-estimate source preemption planning
 	// consumes: "oracle" (default — the paper's warm-started measured
@@ -157,6 +167,12 @@ func (s *Spec) Normalize() {
 	}
 }
 
+// MaxMultiBenchmarks bounds the process count of a multi spec: one
+// process per SM of the Table 1 device. The bound also keeps a spec's
+// startup short, since every process launch re-partitions the SMs over
+// all active kernels before the run can be cancelled.
+const MaxMultiBenchmarks = 30
+
 // maxMs is the largest millisecond count a time.Duration holds
 // (about 292 years); TimeoutMs and DeadlineMs above it would wrap.
 const maxMs = math.MaxInt64 / int64(time.Millisecond)
@@ -165,15 +181,26 @@ const maxMs = math.MaxInt64 / int64(time.Millisecond)
 // schema's structural rules. It returns a client-facing error.
 func (s *Spec) Validate(cat *kernels.Catalog) error {
 	switch s.Kind {
-	case KindSolo, KindPeriodic, KindPair:
+	case KindSolo, KindPeriodic, KindPair, KindMulti:
 	default:
-		return fmt.Errorf("unknown kind %q (want solo, periodic or pair)", s.Kind)
+		return fmt.Errorf("unknown kind %q (want solo, periodic, pair or multi)", s.Kind)
 	}
 	if s.Bench == "" {
 		return fmt.Errorf("bench is required")
 	}
-	if _, err := cat.Benchmark(s.Bench); err != nil {
-		return fmt.Errorf("unknown bench %q", s.Bench)
+	benches := []string{s.Bench}
+	if s.Kind == KindMulti {
+		if strings.Count(s.Bench, "+") >= MaxMultiBenchmarks {
+			return fmt.Errorf("bench joins more than %d benchmarks", MaxMultiBenchmarks)
+		}
+		if benches = strings.Split(s.Bench, "+"); len(benches) < 2 {
+			return fmt.Errorf("bench must join two or more benchmarks with \"+\" for multi jobs")
+		}
+	}
+	for _, bench := range benches {
+		if _, err := cat.Benchmark(bench); err != nil {
+			return fmt.Errorf("unknown bench %q", bench)
+		}
 	}
 	if s.Kind == KindPair {
 		if s.BenchB == "" {
@@ -189,8 +216,8 @@ func (s *Spec) Validate(cat *kernels.Catalog) error {
 	if err != nil {
 		return err
 	}
-	if serial && s.Kind != KindPair {
-		return fmt.Errorf("policy %q is only valid for pair jobs", PolicyFCFS)
+	if serial && s.Kind != KindPair && s.Kind != KindMulti {
+		return fmt.Errorf("policy %q is only valid for pair and multi jobs", PolicyFCFS)
 	}
 	if s.WindowUs < 0 || s.ConstraintUs < 0 {
 		return fmt.Errorf("window_us and constraint_us must be positive")
@@ -243,25 +270,21 @@ func (s *Spec) Validate(cat *kernels.Catalog) error {
 // digest.
 func (s Spec) Hash() string {
 	n := s
-	n.Normalize()
-	canon := n.Policy
-	if c, err := CanonicalPolicy(n.Policy); err == nil {
-		canon = c
-	}
+	n.Normalize() // canonicalizes the policy and estimator
 	est := n.Estimator
 	if est == "" {
 		est = EstimatorOracle
 	}
 	sum := sha256.Sum256([]byte(fmt.Sprintf(
 		"jobspec/v%d|%s|%s|%s|%s|%s|%g|%g|%g|%d|%s",
-		SchemaVersion, n.Kind, n.Bench, n.BenchB, canon, est,
+		SchemaVersion, n.Kind, n.Bench, n.BenchB, n.Policy, est,
 		n.WindowUs, n.ConstraintUs, n.HeadroomUs, n.Seed, n.Variant)))
 	return hex.EncodeToString(sum[:8])
 }
 
 // Benchmarks renders the participating benchmarks in simjob's
 // "+"-joined process-order form (a single name for solo and periodic
-// specs).
+// specs, Bench itself for multi specs).
 func (s Spec) Benchmarks() string {
 	if s.Kind == KindPair && s.BenchB != "" {
 		return s.Bench + "+" + s.BenchB

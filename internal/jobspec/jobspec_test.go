@@ -66,6 +66,14 @@ func TestPolicyAliasRoundTrip(t *testing.T) {
 		{"SLO", PolicySLO, sched.SLO{}, false},
 		{"fcfs", PolicyFCFS, nil, true},
 		{"FCFS", PolicyFCFS, nil, true},
+		{"chimera(optimistic)", PolicyChimeraOptimistic, engine.ChimeraPolicy{OptimisticCold: true}, false},
+		{"Chimera(optimistic)", PolicyChimeraOptimistic, engine.ChimeraPolicy{OptimisticCold: true}, false},
+		{"chimera(cycle-est)", PolicyChimeraCycleEst, engine.ChimeraPolicy{CycleBased: true}, false},
+		{"Chimera(cycle-est)", PolicyChimeraCycleEst, engine.ChimeraPolicy{CycleBased: true}, false},
+		{"chimera(per-sm)", PolicyChimeraPerSM, engine.ChimeraPolicy{PerSMUniform: true}, false},
+		{"Chimera(per-SM)", PolicyChimeraPerSM, engine.ChimeraPolicy{PerSMUniform: true}, false},
+		{"flush(strict)", PolicyFlushStrict, engine.FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true}, false},
+		{"Flush(strict)", PolicyFlushStrict, engine.FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true}, false},
 	}
 	for _, c := range cases {
 		canon, err := CanonicalPolicy(c.alias)
@@ -94,17 +102,26 @@ func TestPolicyAliasRoundTrip(t *testing.T) {
 				c.alias, name, p2, serial2, p, serial)
 		}
 	}
-	// The canonical list and the case set above must agree.
-	if got, want := len(PolicyNames()), 7; got != want {
+	// The canonical list and the case set above must agree, and every
+	// canonical name is its policy's display label lower-cased.
+	if got, want := len(PolicyNames()), 11; got != want {
 		t.Errorf("PolicyNames() has %d entries, want %d", got, want)
 	}
 	for _, name := range PolicyNames() {
-		if _, _, err := ParsePolicy(name); err != nil {
+		p, serial, err := ParsePolicy(name)
+		if err != nil {
 			t.Errorf("canonical policy %q does not parse: %v", name, err)
 		}
+		if label := PolicyName(p, serial); strings.ToLower(label) != name {
+			t.Errorf("canonical policy %q has display label %q", name, label)
+		}
 	}
-	if _, _, err := ParsePolicy("vaporware"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
+	// Only ASCII case folds: strings.EqualFold alone would also take the
+	// long s (U+017F) for "s" and the Kelvin sign (U+212A) for "k".
+	for _, name := range []string{"vaporware", "\u017Fwitch", "ſlo", "", "chimera ", "chimera(per-sm"} {
+		if _, _, err := ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy accepted %q", name)
+		}
 	}
 }
 
@@ -170,6 +187,9 @@ func TestValidate(t *testing.T) {
 	ok(Solo("SAD"))
 	ok(Periodic("SAD", PolicyDrain))
 	ok(Pair("SAD", "MUM", PolicyFCFS))
+	ok(Spec{Kind: KindMulti, Bench: "LUD+HS+SAD", Policy: PolicyFCFS})
+	ok(Spec{Kind: KindMulti, Bench: "SAD+SAD"})
+	ok(Periodic("SAD", PolicyFlushStrict))
 	ok(Periodic("SAD", "").WithTrace())
 	bad(Spec{Kind: "warmup", Bench: "SAD"}, "unknown kind")
 	bad(Spec{Kind: KindSolo}, "bench is required")
@@ -178,7 +198,14 @@ func TestValidate(t *testing.T) {
 	bad(Pair("SAD", "NOPE", PolicyChimera), "unknown bench_b")
 	bad(Spec{Kind: KindSolo, Bench: "SAD", BenchB: "MUM"}, "bench_b is only valid")
 	bad(Periodic("SAD", "vaporware"), "unknown policy")
-	bad(Periodic("SAD", PolicyFCFS), "only valid for pair jobs")
+	bad(Periodic("SAD", PolicyFCFS), "only valid for pair and multi jobs")
+	bad(Spec{Kind: KindMulti, Bench: "SAD"}, "two or more benchmarks")
+	ok(Spec{Kind: KindMulti, Bench: strings.Repeat("SAD+", MaxMultiBenchmarks-1) + "SAD"})
+	bad(Spec{Kind: KindMulti, Bench: strings.Repeat("SAD+", MaxMultiBenchmarks) + "SAD"}, "more than 30 benchmarks")
+	bad(Spec{Kind: KindMulti, Bench: "SAD+NOPE"}, `unknown bench "NOPE"`)
+	bad(Spec{Kind: KindMulti, Bench: "SAD+"}, `unknown bench ""`)
+	bad(Spec{Kind: KindMulti, Bench: "SAD+MUM", BenchB: "HS"}, "bench_b is only valid")
+	bad(Spec{Kind: KindMulti, Bench: "SAD+MUM"}.WithTrace(), "trace is only supported")
 	bad(Solo("SAD").WithTimeoutMs(-1), "timeout_ms")
 	// Millisecond counts above math.MaxInt64/1e6 wrap as a time.Duration.
 	ok(Solo("SAD").WithTimeoutMs(9223372036854).WithDeadlineMs(9223372036854))
@@ -235,6 +262,56 @@ func TestHashIdentity(t *testing.T) {
 	}
 	if len(base.Hash()) != 16 {
 		t.Errorf("hash %q is not 16 hex digits", base.Hash())
+	}
+}
+
+// TestSpecHashGolden pins spec digests taken before the multi kind and
+// the variant policies existed: one spec per kind under each policy of
+// that time (fcfs on pair only) and the estimator, headroom, variant
+// and parameter forms. The wire, recorded traces and chimerad's dedup
+// all key on these digests, so none may move.
+func TestSpecHashGolden(t *testing.T) {
+	golden := []struct {
+		spec Spec
+		hash string
+	}{
+		{Spec{Kind: KindSolo, Bench: "SAD", Policy: PolicyChimera}, "0ed0713cffcd7ce4"},
+		{Periodic("SAD", PolicyChimera), "b4541366ee1388f9"},
+		{Pair("SAD", "MUM", PolicyChimera), "2753b521b74472a1"},
+		{Spec{Kind: KindSolo, Bench: "SAD", Policy: PolicySwitch}, "0ff7f2c037cd0fb9"},
+		{Periodic("SAD", PolicySwitch), "910e110d34a677be"},
+		{Pair("SAD", "MUM", PolicySwitch), "82ea017f2a94dc24"},
+		{Spec{Kind: KindSolo, Bench: "SAD", Policy: PolicyDrain}, "c044b47284beed7f"},
+		{Periodic("SAD", PolicyDrain), "77f73173bb3d8389"},
+		{Pair("SAD", "MUM", PolicyDrain), "1fa3b357418e6dad"},
+		{Spec{Kind: KindSolo, Bench: "SAD", Policy: PolicyFlush}, "af5ad84dcaed65c3"},
+		{Periodic("SAD", PolicyFlush), "bbe7ff298754fa41"},
+		{Pair("SAD", "MUM", PolicyFlush), "9113ee5223920a29"},
+		{Spec{Kind: KindSolo, Bench: "SAD", Policy: PolicyEDF}, "7e0da0dfec7cf152"},
+		{Periodic("SAD", PolicyEDF), "4f598cf5b99a4ecc"},
+		{Pair("SAD", "MUM", PolicyEDF), "d965003c857f7857"},
+		{Spec{Kind: KindSolo, Bench: "SAD", Policy: PolicySLO}, "f3c541777bec228c"},
+		{Periodic("SAD", PolicySLO), "91894afd3fe019c9"},
+		{Pair("SAD", "MUM", PolicySLO), "0238871b0a294d92"},
+		{Pair("SAD", "MUM", PolicyFCFS), "a948788779e7a545"},
+		{Periodic("SAD", PolicyChimera).WithEstimator(EstimatorOnline), "eb618839abe8cae1"},
+		{Periodic("SAD", PolicyChimera).WithHeadroomUs(1), "296216d564dfccda"},
+		{Periodic("SAD", PolicyChimera).WithVariant("faults:x"), "4e622072e26113d6"},
+		{Periodic("LUD", PolicyFlush).WithWindowUs(6000).WithConstraintUs(5).WithSeed(3), "b5e8bd58cc74e5e0"},
+	}
+	for _, g := range golden {
+		if got := g.spec.Hash(); got != g.hash {
+			t.Errorf("%s %s under %q: hash %s, want %s", g.spec.Kind, g.spec.Benchmarks(), g.spec.Policy, got, g.hash)
+		}
+		// A display-label spelling of the policy keys the same.
+		alias := g.spec
+		p, serial, err := ParsePolicy(alias.Policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alias.Policy = PolicyName(p, serial); alias.Hash() != g.hash {
+			t.Errorf("%s %s under %q: alias hash %s, want %s", alias.Kind, alias.Benchmarks(), alias.Policy, alias.Hash(), g.hash)
+		}
 	}
 }
 

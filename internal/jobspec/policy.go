@@ -2,6 +2,7 @@ package jobspec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"chimera/internal/engine"
@@ -10,10 +11,10 @@ import (
 	"chimera/internal/sched/predict"
 )
 
-// Canonical policy names accepted in Spec.Policy. Parsing also accepts
-// the display labels the engine policies print in result tables
-// ("Chimera", "Switch", …), case-insensitively, so a name read back
-// from a rendered table or a recorded trace round-trips.
+// Canonical policy names accepted in Spec.Policy. Each is its policy's
+// display label (PolicyName) lower-cased, and parsing accepts any
+// ASCII-case spelling of it, so a label read back from a rendered
+// table or a recorded trace ("Chimera", "Flush(strict)") round-trips.
 const (
 	// PolicyChimera is Algorithm 1 — the default.
 	PolicyChimera = "chimera"
@@ -31,9 +32,48 @@ const (
 	// uniform technique that still meets the deadline; demand no
 	// technique can serve in time is shed (docs/scheduling.md).
 	PolicySLO = "slo"
-	// PolicyFCFS is the non-preemptive serial baseline (pair jobs only).
+	// PolicyFCFS is the non-preemptive serial baseline (pair and multi
+	// jobs only).
 	PolicyFCFS = "fcfs"
+	// PolicyChimeraOptimistic estimates a kernel without statistics at
+	// zero cost instead of the conservative maximum (an ablation).
+	PolicyChimeraOptimistic = "chimera(optimistic)"
+	// PolicyChimeraCycleEst estimates drain time from cycle averages
+	// instead of instruction counts (an ablation).
+	PolicyChimeraCycleEst = "chimera(cycle-est)"
+	// PolicyChimeraPerSM uses one technique per SM (an ablation).
+	PolicyChimeraPerSM = "chimera(per-sm)"
+	// PolicyFlushStrict flushes under the strict idempotence condition
+	// (Figure 9): a non-idempotent kernel cannot be flushed at all.
+	PolicyFlushStrict = "flush(strict)"
 )
+
+// policies is the one policy table, in PolicyNames order; nil is the
+// serial FCFS baseline.
+var policies = []engine.Policy{
+	engine.ChimeraPolicy{},
+	engine.FixedPolicy{Technique: preempt.Switch},
+	engine.FixedPolicy{Technique: preempt.Drain},
+	engine.FixedPolicy{Technique: preempt.Flush},
+	sched.EDF{},
+	sched.SLO{},
+	nil,
+	engine.ChimeraPolicy{OptimisticCold: true},
+	engine.ChimeraPolicy{CycleBased: true},
+	engine.ChimeraPolicy{PerSMUniform: true},
+	engine.FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true},
+}
+
+// canonical holds each policy's canonical name, its display label
+// lower-cased, computed once so that a lookup never allocates: the
+// front canonicalizes every submission's policy.
+var canonical = func() []string {
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = strings.ToLower(PolicyName(p, p == nil))
+	}
+	return names
+}()
 
 // Canonical estimator names accepted in Spec.Estimator, re-exported
 // from internal/sched/predict so spec-building call sites need only
@@ -64,27 +104,26 @@ func CanonicalEstimator(name string) (string, error) {
 	}
 }
 
+// lookupPolicy returns the table index of the policy name spells in any
+// ASCII case, without allocating. Equal byte lengths rule out the
+// non-ASCII runes strings.EqualFold would fold onto ASCII letters.
+func lookupPolicy(name string) (int, error) {
+	for i, canon := range canonical {
+		if len(name) == len(canon) && strings.EqualFold(name, canon) {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q", name)
+}
+
 // CanonicalPolicy maps any accepted policy alias onto its canonical
 // lowercase name, or errors for unknown names.
 func CanonicalPolicy(name string) (string, error) {
-	switch strings.ToLower(name) {
-	case PolicyChimera:
-		return PolicyChimera, nil
-	case PolicySwitch:
-		return PolicySwitch, nil
-	case PolicyDrain:
-		return PolicyDrain, nil
-	case PolicyFlush:
-		return PolicyFlush, nil
-	case PolicyEDF:
-		return PolicyEDF, nil
-	case PolicySLO:
-		return PolicySLO, nil
-	case PolicyFCFS:
-		return PolicyFCFS, nil
-	default:
-		return "", fmt.Errorf("unknown policy %q", name)
+	i, err := lookupPolicy(name)
+	if err != nil {
+		return "", err
 	}
+	return canonical[i], nil
 }
 
 // ParsePolicy maps a policy name (canonical or display alias) onto an
@@ -92,32 +131,15 @@ func CanonicalPolicy(name string) (string, error) {
 // execution). This is the single policy-parsing implementation in the
 // repository — the server, executor, replayer and CLI all call it.
 func ParsePolicy(name string) (p engine.Policy, serial bool, err error) {
-	canon, err := CanonicalPolicy(name)
+	i, err := lookupPolicy(name)
 	if err != nil {
 		return nil, false, err
 	}
-	switch canon {
-	case PolicyChimera:
-		return engine.ChimeraPolicy{}, false, nil
-	case PolicySwitch:
-		return engine.FixedPolicy{Technique: preempt.Switch}, false, nil
-	case PolicyDrain:
-		return engine.FixedPolicy{Technique: preempt.Drain}, false, nil
-	case PolicyFlush:
-		return engine.FixedPolicy{Technique: preempt.Flush}, false, nil
-	case PolicyEDF:
-		return sched.EDF{}, false, nil
-	case PolicySLO:
-		return sched.SLO{}, false, nil
-	default: // PolicyFCFS
-		return nil, true, nil
-	}
+	return policies[i], policies[i] == nil, nil
 }
 
 // PolicyNames lists every accepted canonical policy name.
-func PolicyNames() []string {
-	return []string{PolicyChimera, PolicySwitch, PolicyDrain, PolicyFlush, PolicyEDF, PolicySLO, PolicyFCFS}
-}
+func PolicyNames() []string { return slices.Clone(canonical) }
 
 // PolicyName is the display label used in result tables ("Chimera",
 // "Switch", "FCFS", …); a nil non-serial policy renders as "none".

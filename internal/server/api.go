@@ -36,9 +36,14 @@ const (
 	// KindPair runs two benchmarks concurrently (§4.4) and reports
 	// ANTT/STP.
 	KindPair = jobspec.KindPair
+	// KindMulti runs two or more benchmarks, "+"-joined in Bench,
+	// concurrently and reports ANTT, STP and the SM-busy fraction.
+	KindMulti = jobspec.KindMulti
 )
 
-// Policy names accepted in JobSpec.Policy (re-exported from jobspec).
+// Policy names accepted in JobSpec.Policy (re-exported from jobspec,
+// which also names the design-choice variants, e.g.
+// jobspec.PolicyFlushStrict).
 const (
 	// PolicyChimera is Algorithm 1 — the default.
 	PolicyChimera = jobspec.PolicyChimera
@@ -55,7 +60,8 @@ const (
 	// PolicySLO sheds demand no technique can serve within the deadline
 	// (docs/scheduling.md).
 	PolicySLO = jobspec.PolicySLO
-	// PolicyFCFS is the non-preemptive serial baseline (pair jobs only).
+	// PolicyFCFS is the non-preemptive serial baseline (pair and multi
+	// jobs only).
 	PolicyFCFS = jobspec.PolicyFCFS
 )
 

@@ -11,6 +11,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -119,7 +120,7 @@ func TestChaosExactlyOnceUnderFaults(t *testing.T) {
 	if counts.JobPanics != jobs {
 		t.Errorf("plan injected %d panics, want %d (one per distinct job)", counts.JobPanics, jobs)
 	}
-	if got := srv.Pool().Cache().Stats().Panics; got != counts.JobPanics {
+	if got := srv.Cache().Stats().Panics; got != counts.JobPanics {
 		t.Errorf("simjob cache recovered %d panics, plan injected %d", got, counts.JobPanics)
 	}
 	if got := reg.Counter(server.MetricJobRetries).Value(); got != counts.JobPanics {
@@ -207,5 +208,70 @@ func TestChaosEscalationCountersMatchPlan(t *testing.T) {
 	if got := reg.Counter(engine.MetricEscalations).Value(); got < counts.EngineStalls {
 		t.Errorf("%s = %d, want >= %d (every stalled request rescued)",
 			engine.MetricEscalations, got, counts.EngineStalls)
+	}
+}
+
+// TestChaosPairAndMultiSpellingsDrawSameStalls: a pair spec and the
+// two-benchmark multi spec of the same benchmarks share one run and its
+// cached result, so under a stall plan both spellings must draw the
+// same stalls. Whichever spelling a fresh server runs first, both
+// submissions then read the same ANTT, STP and request count.
+func TestChaosPairAndMultiSpellingsDrawSameStalls(t *testing.T) {
+	pair := server.JobSpec{Kind: server.KindPair, Bench: "LUD", BenchB: "HS", WindowUs: 2000, Seed: 3}
+	multi := server.JobSpec{Kind: server.KindMulti, Bench: "LUD+HS", WindowUs: 2000, Seed: 3}
+	type outcome struct {
+		antt, stp float64
+		requests  int
+	}
+	// run submits both specs, in order, to a fresh server under the same
+	// stall plan and returns their outcomes in submission order.
+	run := func(specs ...server.JobSpec) []outcome {
+		plan := faults.New(faults.Config{Seed: 11, EngineStall: 0.5, StallFactor: 30})
+		srv := server.New(server.Config{Workers: 1, Faults: plan})
+		ts := httptest.NewServer(srv.Handler())
+		defer func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+		}()
+		c := chaosClient(ts.URL)
+		var out []outcome
+		for _, spec := range specs {
+			st, err := c.SubmitWait(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("%s %s: submit: %v", spec.Kind, spec.Bench, err)
+			}
+			if st.State != server.StateDone {
+				t.Fatalf("%s %s: finished %s (%s), want done", spec.Kind, spec.Bench, st.State, st.Error)
+			}
+			var res server.JobResult
+			if err := json.Unmarshal(st.Result, &res); err != nil {
+				t.Fatalf("%s %s: result: %v", spec.Kind, spec.Bench, err)
+			}
+			switch {
+			case res.Pair != nil:
+				out = append(out, outcome{res.Pair.ANTT, res.Pair.STP, res.Pair.Requests})
+			case res.Multi != nil:
+				out = append(out, outcome{res.Multi.ANTT, res.Multi.STP, res.Multi.Requests})
+			default:
+				t.Fatalf("%s %s: result %s carries neither a pair nor a multi payload", spec.Kind, spec.Bench, st.Result)
+			}
+		}
+		if plan.Counts().EngineStalls == 0 {
+			t.Fatal("plan injected no engine stalls; the spellings' stall streams were never compared")
+		}
+		return out
+	}
+	pairFirst := run(pair, multi)
+	multiFirst := run(multi, pair)
+	want := pairFirst[0]
+	for _, got := range []outcome{pairFirst[1], multiFirst[0], multiFirst[1]} {
+		if got != want {
+			t.Errorf("outcomes differ with submission order: pair first %+v, multi first %+v", pairFirst, multiFirst)
+			break
+		}
 	}
 }

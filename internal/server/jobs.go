@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,7 +16,6 @@ import (
 	"chimera/internal/sched"
 	"chimera/internal/simjob"
 	"chimera/internal/trace"
-	"chimera/internal/units"
 	"chimera/internal/workloads"
 )
 
@@ -288,7 +288,7 @@ func (s *Server) executeWithRetry(ctx context.Context, spec JobSpec) (payload []
 // executed (false = result cache, singleflight dedup or peer-cache
 // hit), and any recorded trace events. All spec interpretation happens
 // in jobspec/workloads — the server only wires its environment
-// (registry, pool, watchdog, fault plane, fleet) into the executor.
+// (s.env, the per-spec stall stream, the fleet) into the executor.
 func (s *Server) execute(ctx context.Context, spec JobSpec) (payload []byte, executed bool, events []trace.Event, err error) {
 	if s.cfg.Cluster != nil && !spec.Trace {
 		// Fleet short-circuit: answer from this replica's own
@@ -306,25 +306,23 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (payload []byte, exe
 		}
 	}
 
-	runner, err := workloads.NewRunnerWith(s.catalog,
-		units.FromMicroseconds(spec.WindowUs), units.FromMicroseconds(spec.ConstraintUs), spec.Seed)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	runner.Metrics = s.reg
-	runner.UsePool(s.pool)
-	runner.Watchdog = s.cfg.WatchdogK
+	env := s.env
 	if p := s.cfg.Faults; p != nil {
 		// Key the stall stream by the full spec identity so the same
-		// submission draws the same stalls on every run of the plan, and
-		// stamp the plan fingerprint into the cache variant so faulted
-		// results never shadow clean ones.
-		runner.Stall = p.EngineStallFunc(faults.Key(
-			spec.Kind, spec.Bench, spec.BenchB, spec.Policy,
-			strconv.FormatUint(spec.Seed, 10)))
-		runner.Variant = p.Fingerprint()
+		// submission draws the same stalls on every run of the plan. A
+		// two-benchmark multi spec keys as the pair spec it shares its
+		// run and cached result with, so either spelling draws the same
+		// stalls.
+		kind, bench, benchB := spec.Kind, spec.Bench, spec.BenchB
+		if a, b, ok := strings.Cut(bench, "+"); ok && kind == jobspec.KindMulti && !strings.Contains(b, "+") {
+			kind, bench, benchB = jobspec.KindPair, a, b
+		}
+		faulted := *env
+		faulted.Stall = p.EngineStallFunc(faults.Key(
+			kind, bench, benchB, spec.Policy, strconv.FormatUint(spec.Seed, 10)))
+		env = &faulted
 	}
-	ex := workloads.NewExecutor(runner)
+	ex := workloads.NewExecutor(env)
 
 	var res JobResult
 	if spec.Trace {

@@ -23,11 +23,11 @@ import (
 	"chimera/internal/cluster"
 	"chimera/internal/faults"
 	"chimera/internal/jobspec"
-	"chimera/internal/kernels"
 	"chimera/internal/metrics"
 	"chimera/internal/sched"
 	"chimera/internal/simjob"
 	"chimera/internal/trace"
+	"chimera/internal/workloads"
 )
 
 // Config parameterizes a Server. The zero value is usable: it yields
@@ -93,13 +93,13 @@ const (
 // table and HTTP handlers. Create with New, mount Handler on an
 // http.Server, stop with Shutdown.
 type Server struct {
-	cfg     Config
-	catalog *kernels.Catalog
-	reg     *metrics.Registry
-	cache   *simjob.Cache
-	pool    *simjob.Pool
-	rec     *jobspec.TraceWriter
-	start   time.Time
+	cfg   Config
+	reg   *metrics.Registry
+	cache *simjob.Cache
+	// env is the environment every job's spec runs in (New, execute).
+	env   *workloads.Runner
+	rec   *jobspec.TraceWriter
+	start time.Time
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -204,17 +204,20 @@ func New(cfg Config) *Server {
 	}
 	cache := simjob.NewCache()
 	cache.SetLimit(cfg.CacheCap)
+	env := workloads.NewEnv(cache)
+	env.Metrics = cfg.Registry
+	env.Watchdog = cfg.WatchdogK
 	if cfg.Faults != nil {
 		cache.SetExecHook(cfg.Faults.SimjobHook())
+		// The plan's fingerprint in the cache variant keeps faulted
+		// results from shadowing clean ones.
+		env.Variant = cfg.Faults.Fingerprint()
 	}
 	s := &Server{
-		cfg:     cfg,
-		catalog: kernels.Load(),
-		reg:     cfg.Registry,
-		cache:   cache,
-		// The simjob pool bounds engine parallelism independently of the
-		// worker count; jobs run on worker goroutines, so size it to them.
-		pool:   simjob.NewPool(cfg.Workers, cache),
+		cfg:    cfg,
+		reg:    cfg.Registry,
+		cache:  cache,
+		env:    env,
 		jobs:   make(map[string]*job),
 		resIdx: make(map[string][]byte),
 
@@ -250,10 +253,10 @@ func New(cfg Config) *Server {
 // Registry exposes the metrics registry the server reports into.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Pool exposes the simjob pool jobs execute on. Its Cache holds the
-// server's one set of job counters, which feed the SSE progress frames
-// and /metrics.
-func (s *Server) Pool() *simjob.Pool { return s.pool }
+// Cache exposes the simjob result cache jobs execute through. It holds
+// the server's one set of job counters, which feed the SSE progress
+// frames and /metrics.
+func (s *Server) Cache() *simjob.Cache { return s.cache }
 
 // Shutdown stops admission and waits for queued and running jobs to
 // drain. If ctx expires first every outstanding job is cancelled, the
@@ -393,7 +396,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec.Normalize()
-	if err := spec.Validate(s.catalog); err != nil {
+	if err := spec.Validate(s.env.Catalog()); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return
 	}

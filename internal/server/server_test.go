@@ -269,7 +269,7 @@ func TestConcurrentDedup(t *testing.T) {
 
 	// The periodic run (and its solo baseline) must have executed once:
 	// 2 jobs run total, and at least one submission was deduped.
-	stats := s.Pool().Cache().Stats()
+	stats := s.Cache().Stats()
 	if stats.JobsRun != 2 {
 		t.Fatalf("JobsRun = %d, want 2 (solo baseline + periodic)", stats.JobsRun)
 	}
@@ -443,6 +443,11 @@ func TestValidationErrors(t *testing.T) {
 		// the spec object.
 		`{"kind":"solo","bench":"SAD","window_us":100,"windw_us":50}`,
 		`{"kind":"solo","bench":"SAD","window_us":100} {"kind":"pair"}`,
+
+		// A multi spec of more processes than the device has SMs, and one
+		// near the 1 MiB body limit.
+		`{"kind":"multi","bench":"` + strings.Repeat("SAD+", jobspec.MaxMultiBenchmarks) + `SAD"}`,
+		`{"kind":"multi","bench":"` + strings.Repeat("SAD+", 250000) + `SAD"}`,
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))

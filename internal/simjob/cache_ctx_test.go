@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-func jobN(n int) Job { return Job{Kind: KindCustom, Benchmarks: fmt.Sprintf("j%d", n)} }
+func jobN(n int) Job { return Job{Kind: KindSolo, Benchmarks: fmt.Sprintf("j%d", n)} }
 
 func TestCacheLRUCapEvicts(t *testing.T) {
 	c := NewCache()

@@ -34,8 +34,6 @@ const (
 	// KindMulti is §4.4 multiprogramming: N processes sharing the
 	// device, the paper's two-process pairs included.
 	KindMulti
-	// KindCustom is any other simulation routed through the cache.
-	KindCustom
 )
 
 // String implements fmt.Stringer.
@@ -45,10 +43,8 @@ func (k Kind) String() string {
 		return "solo"
 	case KindPeriodic:
 		return "periodic"
-	case KindMulti:
-		return "multi"
 	default:
-		return "custom"
+		return "multi"
 	}
 }
 

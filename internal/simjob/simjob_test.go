@@ -287,7 +287,7 @@ func TestCacheStatsAggregatePools(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	want := map[Kind]string{KindSolo: "solo", KindPeriodic: "periodic", KindMulti: "multi", KindCustom: "custom"}
+	want := map[Kind]string{KindSolo: "solo", KindPeriodic: "periodic", KindMulti: "multi"}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), s)

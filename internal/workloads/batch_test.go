@@ -14,30 +14,39 @@ import (
 	"chimera/internal/units"
 )
 
-// isolatedRunner builds a runner on a private cache so tests can count
-// exactly which simulations executed.
-func isolatedRunner(t *testing.T, windowUs float64, parallelism int) *Runner {
+// isolatedRunner builds a runner on a private cache, which it also
+// returns, so tests can count exactly which simulations executed.
+func isolatedRunner(t *testing.T, windowUs float64, parallelism int) (*Runner, *simjob.Cache) {
 	t.Helper()
 	r, err := NewRunner(units.FromMicroseconds(windowUs), units.FromMicroseconds(15), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.UsePool(simjob.NewPool(parallelism, simjob.NewCache()))
+	cache := simjob.NewCache()
+	return r.UsePool(simjob.NewPool(parallelism, cache)), cache
+}
+
+// isolatedExecutor is an Executor over isolatedRunner.
+func isolatedExecutor(t *testing.T, windowUs float64, parallelism int) (*Executor, *simjob.Cache) {
+	t.Helper()
+	r, cache := isolatedRunner(t, windowUs, parallelism)
+	return NewExecutor(r), cache
 }
 
 // TestConcurrentDuplicateRunsExecuteOnce hammers one periodic scenario
 // from many goroutines: the simulation (and its solo baseline) must
 // execute exactly once, with every caller seeing the identical result.
 func TestConcurrentDuplicateRunsExecuteOnce(t *testing.T) {
-	r := isolatedRunner(t, 3000, 4)
+	e, cache := isolatedExecutor(t, 3000, 4)
+	spec := jobspec.Periodic("HS", jobspec.PolicyChimera).WithWindowUs(3000).WithSeed(7)
 	const callers = 16
-	results := make([]PeriodicResult, callers)
+	results := make([]SpecResult, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, _, err := r.RunPeriodic(context.Background(), "HS", engine.ChimeraPolicy{})
+			res, _, err := e.Run(context.Background(), spec)
 			if err != nil {
 				t.Error(err)
 				return
@@ -53,7 +62,7 @@ func TestConcurrentDuplicateRunsExecuteOnce(t *testing.T) {
 	}
 	// Exactly two simulations ran: the periodic scenario and its nested
 	// solo-rate baseline.
-	if st := r.Pool().Cache().Stats(); st.JobsRun != 2 {
+	if st := cache.Stats(); st.JobsRun != 2 {
 		t.Errorf("%d simulations executed, want 2 (periodic + solo)", st.JobsRun)
 	}
 }
@@ -68,8 +77,8 @@ func TestBatchMatchesSerial(t *testing.T) {
 			specs = append(specs, jobspec.Periodic(bench, policy).WithWindowUs(3000).WithSeed(7))
 		}
 	}
-	serial := NewExecutor(isolatedRunner(t, 3000, 1))
-	parallel := NewExecutor(isolatedRunner(t, 3000, 8))
+	serial, _ := isolatedExecutor(t, 3000, 1)
+	parallel, _ := isolatedExecutor(t, 3000, 8)
 
 	batch, err := parallel.RunSpecs(context.Background(), specs)
 	if err != nil {
@@ -91,7 +100,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 // enumerate them, and that a failing batch reports its first failure
 // by index.
 func TestRunSpecsOrder(t *testing.T) {
-	e := NewExecutor(isolatedRunner(t, 3000, 4))
+	e, _ := isolatedExecutor(t, 3000, 4)
 	specs := []jobspec.Spec{
 		jobspec.Pair("HS", "SAD", jobspec.PolicyFCFS).WithWindowUs(3000),
 		jobspec.Pair("HS", "SAD", jobspec.PolicyChimera).WithWindowUs(3000),
@@ -121,21 +130,21 @@ func TestRunSpecsOrder(t *testing.T) {
 // fan-out and checks the solo baselines were computed once per
 // benchmark.
 func TestRunMultiSharesSoloBaselines(t *testing.T) {
-	r := isolatedRunner(t, 3000, 4)
-	sets := [][]string{{"HS", "SAD"}, {"HS", "SAD", "BT"}}
-	results, err := simjob.Map(r.Pool(), len(sets), func(i int) (MultiResult, error) {
-		res, _, err := r.RunMulti(context.Background(), sets[i], engine.ChimeraPolicy{}, false)
-		return res, err
-	})
+	e, cache := isolatedExecutor(t, 3000, 4)
+	specs := []jobspec.Spec{
+		{Kind: jobspec.KindMulti, Bench: "HS+SAD", WindowUs: 3000, Seed: 7},
+		{Kind: jobspec.KindMulti, Bench: "HS+SAD+BT", WindowUs: 3000, Seed: 7},
+	}
+	results, err := e.RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Policy != "Chimera" || len(results[1].Benchmarks) != 3 {
-		t.Errorf("results = %+v", results)
+	if results[0].Multi.Policy != "Chimera" || len(results[1].Multi.Benchmarks) != 3 {
+		t.Errorf("results = %+v, %+v", results[0].Multi, results[1].Multi)
 	}
 	// Jobs executed: 2 multi runs + 3 distinct solo baselines (HS, SAD
 	// shared between the sets).
-	if st := r.Pool().Cache().Stats(); st.JobsRun != 5 {
+	if st := cache.Stats(); st.JobsRun != 5 {
 		t.Errorf("%d simulations executed, want 5 (2 multi + 3 solo)", st.JobsRun)
 	}
 }
@@ -143,35 +152,36 @@ func TestRunMultiSharesSoloBaselines(t *testing.T) {
 // TestRunMultiCancelled checks a cancelled ctx aborts an N-process run
 // and caches nothing, so a live retry simulates afresh.
 func TestRunMultiCancelled(t *testing.T) {
-	r := isolatedRunner(t, 3000, 2)
-	set := []string{"HS", "SAD", "BT"}
+	e, cache := isolatedExecutor(t, 3000, 2)
+	spec := jobspec.Spec{Kind: jobspec.KindMulti, Bench: "HS+SAD+BT", WindowUs: 3000, Seed: 7}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := r.RunMulti(ctx, set, engine.ChimeraPolicy{}, false); !errors.Is(err, context.Canceled) {
+	if _, _, err := e.Run(ctx, spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if n := r.Pool().Cache().Len(); n != 0 {
+	if n := cache.Len(); n != 0 {
 		t.Errorf("%d results cached after a cancelled run", n)
 	}
-	if _, executed, err := r.RunMulti(context.Background(), set, engine.ChimeraPolicy{}, false); err != nil || !executed {
+	if _, executed, err := e.Run(context.Background(), spec); err != nil || !executed {
 		t.Errorf("live retry: executed=%v err=%v, want a fresh simulation", executed, err)
 	}
 }
 
 // TestErrorResultsRetriedThroughRunner checks an unknown benchmark's
-// error is not cached at the runner level either.
+// error is not cached at the runner level either (the Executor rejects
+// such a spec before it reaches the cache).
 func TestErrorResultsRetriedThroughRunner(t *testing.T) {
-	r := isolatedRunner(t, 3000, 2)
-	if _, _, err := r.SoloRate(context.Background(), "NOPE"); err == nil {
+	r, cache := isolatedRunner(t, 3000, 2)
+	if _, _, err := r.soloRate(context.Background(), "NOPE"); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, _, err := r.SoloRate(context.Background(), "NOPE"); err == nil {
+	if _, _, err := r.soloRate(context.Background(), "NOPE"); err == nil {
 		t.Fatal("unknown benchmark accepted on retry")
 	}
-	if st := r.Pool().Cache().Stats(); st.JobsRun != 2 || st.Errors != 2 {
+	if st := cache.Stats(); st.JobsRun != 2 || st.Errors != 2 {
 		t.Errorf("stats = %+v, want both failed attempts executed (errors not cached)", st)
 	}
-	if r.Pool().Cache().Len() != 0 {
+	if cache.Len() != 0 {
 		t.Error("failed job left in cache")
 	}
 }

@@ -23,6 +23,8 @@ type SpecResult struct {
 	Periodic *PeriodicResult `json:"periodic,omitempty"`
 	// Pair is the §4.4 ANTT/STP outcome (pair specs).
 	Pair *PairResult `json:"pair,omitempty"`
+	// Multi is the N-process ANTT/STP outcome (multi specs).
+	Multi *MultiResult `json:"multi,omitempty"`
 	// Trace summarizes a traced run (periodic specs with trace: true).
 	Trace *TraceInfo `json:"trace,omitempty"`
 }
@@ -46,25 +48,21 @@ type TraceInfo struct {
 // warm/contention/device configuration, watchdog and fault plumbing) and
 // derives a per-spec Runner for each Spec, so every entry point that
 // speaks jobspec — chimerad, the exhibits, replay — funnels into the
-// exact same execution and cache-identity path as programmatic Runner
-// callers. Two specs with equal Hash() map onto the same simjob.Job and
-// therefore the same memoized result.
+// exact same execution and cache-identity path. Two specs with equal
+// Hash() map onto the same simjob.Job and therefore the same memoized
+// result.
 type Executor struct {
 	base *Runner
 }
 
-// NewExecutor wraps an environment Runner. The Runner's Window,
-// Constraint, Seed, Headroom and Estimator act as nothing more than
-// placeholders — each Run overrides them from the spec — while its
-// remaining fields (catalog, pool, Warm, Contention, Config, Metrics,
-// Watchdog, Stall, Variant fallback) define the execution environment
-// shared by every spec.
+// NewExecutor wraps an environment Runner (NewEnv builds the default
+// one). Each Run sets the Runner's Window, Constraint, Seed, Headroom
+// and Estimator from the spec, while its remaining fields (catalog,
+// pool, Warm, Contention, Config, Metrics, Watchdog, Stall, Variant
+// fallback) define the execution environment shared by every spec.
 func NewExecutor(r *Runner) *Executor {
 	return &Executor{base: r}
 }
-
-// Runner exposes the environment Runner the Executor derives from.
-func (e *Executor) Runner() *Runner { return e.base }
 
 // prepare normalizes and validates spec in place, parses its policy,
 // and derives the per-spec Runner: the base environment with the spec's
@@ -92,7 +90,7 @@ func (e *Executor) prepare(spec *jobspec.Spec) (r *Runner, policy engine.Policy,
 
 // Run executes one spec. The spec is normalized and validated first, so
 // callers may pass sparse specs straight from user input. A pair spec
-// runs as the two-process RunMulti and shares its cached result.
+// is the two-process multi run and shares its cached result.
 // executed reports whether the call ran a simulation (false = result
 // cache or singleflight hit) — the dedup signal chimerad and replay
 // reports use.
@@ -104,15 +102,19 @@ func (e *Executor) Run(ctx context.Context, spec jobspec.Spec) (res SpecResult, 
 	res.Kind = spec.Kind
 	switch spec.Kind {
 	case jobspec.KindSolo:
-		res.SoloRate, executed, err = r.SoloRate(ctx, spec.Bench)
+		res.SoloRate, executed, err = r.soloRate(ctx, spec.Bench)
 	case jobspec.KindPeriodic:
 		var pr PeriodicResult
-		pr, executed, err = r.RunPeriodic(ctx, spec.Bench, policy)
+		pr, executed, err = r.periodic(ctx, spec.Bench, policy)
 		res.Periodic = &pr
-	default: // jobspec.KindPair
+	default: // jobspec.KindPair, jobspec.KindMulti
 		var mr MultiResult
-		mr, executed, err = r.RunMulti(ctx, []string{spec.Bench, spec.BenchB}, policy, serial)
-		res.Pair = &PairResult{A: spec.Bench, B: spec.BenchB, Policy: mr.Policy, ANTT: mr.ANTT, STP: mr.STP, Requests: mr.Requests}
+		mr, executed, err = r.multi(ctx, spec.Benchmarks(), policy, serial)
+		if spec.Kind == jobspec.KindMulti {
+			res.Multi = &mr
+		} else {
+			res.Pair = &PairResult{A: spec.Bench, B: spec.BenchB, Policy: mr.Policy, ANTT: mr.ANTT, STP: mr.STP, Requests: mr.Requests}
+		}
 	}
 	if err != nil {
 		return SpecResult{}, executed, err
@@ -145,7 +147,7 @@ func (e *Executor) SimJob(spec jobspec.Spec) (simjob.Job, error) {
 	if err != nil {
 		return simjob.Job{}, err
 	}
-	kind := simjob.KindMulti // a pair is the two-process run
+	kind := simjob.KindMulti // pair and multi specs are N-process runs
 	switch spec.Kind {
 	case jobspec.KindSolo:
 		kind = simjob.KindSolo

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"chimera/internal/engine"
@@ -17,8 +18,10 @@ func newTestExecutor(t *testing.T) *Executor {
 	return NewExecutor(r)
 }
 
-// TestExecutorMatchesRunner pins that the spec path and the programmatic
-// Runner path produce identical results and share one cache identity.
+// TestExecutorMatchesRunner pins that a spec runs once and that the
+// same simulation spelled differently (a display-label policy alias,
+// scheduling metadata) is served from the cache with the identical
+// result.
 func TestExecutorMatchesRunner(t *testing.T) {
 	e := newTestExecutor(t)
 	ctx := context.Background()
@@ -36,24 +39,23 @@ func TestExecutorMatchesRunner(t *testing.T) {
 		t.Fatalf("result = %+v, want periodic payload", res)
 	}
 
-	// The programmatic path with the same parameters must dedup against
-	// the spec path — they share a simjob identity.
-	r := e.Runner()
-	direct, executed, err := r.RunPeriodic(ctx, "SAD", engine.ChimeraPolicy{})
+	again, executed, err := e.Run(ctx, jobspec.Periodic("SAD", "Chimera").
+		WithWindowUs(1000).WithConstraintUs(15).WithSeed(7).WithPriority(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if executed {
-		t.Error("Runner path re-executed a simulation the spec path already cached")
+		t.Error("the re-spelled spec re-executed a simulation already cached")
 	}
-	if direct.ViolationRate != res.Periodic.ViolationRate || direct.Overhead != res.Periodic.Overhead {
-		t.Errorf("spec path %+v != runner path %+v", res.Periodic, direct)
+	if !reflect.DeepEqual(again, res) {
+		t.Errorf("re-spelled spec %+v != first run %+v", again.Periodic, res.Periodic)
 	}
 }
 
 // TestPairIsTwoProcessRun pins that a pair spec is the two-process
-// RunMulti run: after the spec executes, RunMulti on the same two
-// benchmarks, policy and parameters is a cache hit with equal metrics.
+// multi run: after the pair spec executes, the multi spec of the same
+// two benchmarks, policy and parameters is a cache hit with equal
+// metrics.
 func TestPairIsTwoProcessRun(t *testing.T) {
 	e := newTestExecutor(t)
 	ctx := context.Background()
@@ -66,19 +68,17 @@ func TestPairIsTwoProcessRun(t *testing.T) {
 		if !executed || res.Pair == nil {
 			t.Fatalf("%s: pair spec executed=%v result=%+v", policy, executed, res)
 		}
-		p, serial, err := jobspec.ParsePolicy(policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		multi, executed, err := e.Runner().RunMulti(ctx, []string{"HS", "SAD"}, p, serial)
+		multi := spec
+		multi.Kind, multi.Bench, multi.BenchB = jobspec.KindMulti, "HS+SAD", ""
+		mr, executed, err := e.Run(ctx, multi)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if executed {
-			t.Errorf("%s: RunMulti re-simulated the pair spec's run", policy)
+			t.Errorf("%s: the multi spec re-simulated the pair spec's run", policy)
 		}
-		if multi.ANTT != res.Pair.ANTT || multi.STP != res.Pair.STP || multi.Requests != res.Pair.Requests {
-			t.Errorf("%s: RunMulti %+v != pair %+v", policy, multi, *res.Pair)
+		if m := mr.Multi; m.ANTT != res.Pair.ANTT || m.STP != res.Pair.STP || m.Requests != res.Pair.Requests || m.Policy != res.Pair.Policy {
+			t.Errorf("%s: multi %+v != pair %+v", policy, *m, *res.Pair)
 		}
 	}
 }
@@ -151,6 +151,17 @@ func TestSpecHashIsSimJobIdentity(t *testing.T) {
 		jobspec.Pair("SAD", "MUM", jobspec.PolicyFCFS),
 		jobspec.Pair("SAD", "MUM", jobspec.PolicyChimera).WithWindowUs(2000),
 		jobspec.Periodic("SAD", jobspec.PolicyChimera).WithVariant("faults:abc"),
+		// The variant policies each key apart, and a display label keys
+		// as its canonical name.
+		jobspec.Periodic("SAD", jobspec.PolicyFlushStrict),
+		jobspec.Periodic("SAD", "Flush(strict)"),
+		jobspec.Periodic("SAD", jobspec.PolicyChimeraOptimistic),
+		jobspec.Periodic("SAD", jobspec.PolicyChimeraCycleEst),
+		jobspec.Periodic("SAD", jobspec.PolicyChimeraPerSM),
+		jobspec.Periodic("SAD", "Chimera(per-SM)"),
+		{Kind: jobspec.KindMulti, Bench: "SAD+MUM+HS"},
+		{Kind: jobspec.KindMulti, Bench: "SAD+MUM+HS", Policy: jobspec.PolicyFCFS},
+		{Kind: jobspec.KindMulti, Bench: "HS+SAD+MUM"}, // process order matters
 		// Scheduling metadata must perturb neither hash nor job.
 		jobspec.Periodic("SAD", jobspec.PolicyChimera).WithPriority(5).WithTimeoutMs(100),
 	}
@@ -186,6 +197,21 @@ func TestSpecHashIsSimJobIdentity(t *testing.T) {
 	if soloA.Hash() == soloB.Hash() || jobA != jobB {
 		t.Errorf("solo specs at 15 and 30 µs: hashes %s and %s, jobs equal %v; want distinct hashes, one job",
 			soloA.Hash(), soloB.Hash(), jobA == jobB)
+	}
+	// A multi spec of two benchmarks is the pair spec's run: the two hash
+	// apart (they return different payloads) but map to the same job.
+	for _, policy := range []string{jobspec.PolicyChimera, jobspec.PolicyFCFS} {
+		pair := jobspec.Pair("LUD", "HS", policy).WithConstraintUs(30)
+		multi := jobspec.Spec{Kind: jobspec.KindMulti, Bench: "LUD+HS", Policy: policy}.WithConstraintUs(30)
+		pj, errP := e.SimJob(pair)
+		mj, errM := e.SimJob(multi)
+		if errP != nil || errM != nil {
+			t.Fatal(errP, errM)
+		}
+		if pair.Hash() == multi.Hash() || pj != mj {
+			t.Errorf("%s: pair and multi LUD+HS: hashes %s and %s, jobs equal %v; want distinct hashes, one job",
+				policy, pair.Hash(), multi.Hash(), pj == mj)
+		}
 	}
 	// The derived job reflects the spec's parameters exactly.
 	job, err := e.SimJob(jobspec.Periodic("SAD", jobspec.PolicyDrain).WithWindowUs(2000).WithSeed(9).WithHeadroomUs(3))

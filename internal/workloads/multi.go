@@ -11,10 +11,11 @@ import (
 	"chimera/internal/simjob"
 )
 
-// MultiResult is the outcome of running N benchmarks concurrently — the
-// §4.4 case study, whose two-process pairs are the N = 2 case (the
-// paper's machinery never assumes two processes; the SM partitioning
-// policy and Algorithm 1 are N-ary by construction).
+// MultiResult is the outcome of running N benchmarks concurrently, the
+// payload of multi specs — the §4.4 case study, whose two-process pairs
+// are the N = 2 case (the paper's machinery never assumes two
+// processes; the SM partitioning policy and Algorithm 1 are N-ary by
+// construction).
 type MultiResult struct {
 	Benchmarks []string
 	Policy     string
@@ -40,63 +41,57 @@ type PairResult struct {
 	Requests int
 }
 
-// RunMulti runs the named benchmarks concurrently under the given
+// multi runs the "+"-joined benchmarks concurrently under the given
 // policy (nil policy + serial for the non-preemptive FCFS baseline) and
-// computes N-program ANTT/STP against their stand-alone rates. Results
-// are memoized by job identity like every other scenario; executed
-// reports whether this call ran the simulation.
-func (r *Runner) RunMulti(ctx context.Context, benches []string, policy engine.Policy, serial bool) (res MultiResult, executed bool, err error) {
-	if len(benches) == 0 {
-		return MultiResult{}, false, fmt.Errorf("workloads: RunMulti with no benchmarks")
-	}
-	return do(ctx, r, r.job(simjob.KindMulti, MultiLabel(benches), policy, serial), func(ctx context.Context) (MultiResult, error) {
-		return r.runMulti(ctx, benches, policy, serial)
-	})
-}
-
-func (r *Runner) runMulti(ctx context.Context, benches []string, policy engine.Policy, serial bool) (MultiResult, error) {
-	singles := make([]float64, len(benches))
-	for i, b := range benches {
-		rate, _, err := r.SoloRate(ctx, b)
+// computes N-program ANTT/STP against their stand-alone rates, memoized
+// by job identity like every other scenario; executed reports whether
+// this call ran the simulation.
+func (r *Runner) multi(ctx context.Context, label string, policy engine.Policy, serial bool) (MultiResult, bool, error) {
+	return do(ctx, r, r.job(simjob.KindMulti, label, policy, serial), func(ctx context.Context) (MultiResult, error) {
+		benches := strings.Split(label, "+")
+		singles := make([]float64, len(benches))
+		for i, b := range benches {
+			rate, _, err := r.soloRate(ctx, b)
+			if err != nil {
+				return MultiResult{}, err
+			}
+			singles[i] = rate
+		}
+		sim, err := r.simulate(ctx, simjob.KindMulti, benches, policy, serial, nil)
 		if err != nil {
 			return MultiResult{}, err
 		}
-		singles[i] = rate
-	}
-	sim, err := r.simulate(ctx, simjob.KindMulti, benches, policy, serial, nil)
-	if err != nil {
-		return MultiResult{}, err
-	}
 
-	// A process that never got the GPU inside the window (FCFS behind a
-	// 20ms kernel) has measured rate zero; floor it at one instruction
-	// per window so its normalized turnaround reflects the starvation
-	// instead of failing the metric.
-	progs := make([]metrics.ProgRate, len(benches))
-	for i, b := range benches {
-		u := sim.ProcessUseful(procName(b, i))
-		if u < 1 {
-			u = 1
+		// A process that never got the GPU inside the window (FCFS behind a
+		// 20ms kernel) has measured rate zero; floor it at one instruction
+		// per window so its normalized turnaround reflects the starvation
+		// instead of failing the metric.
+		progs := make([]metrics.ProgRate, len(benches))
+		for i, b := range benches {
+			u := sim.ProcessUseful(procName(b, i))
+			if u < 1 {
+				u = 1
+			}
+			progs[i] = metrics.ProgRate{Name: b, Single: singles[i], Multi: float64(u) / float64(r.Window)}
 		}
-		progs[i] = metrics.ProgRate{Name: b, Single: singles[i], Multi: float64(u) / float64(r.Window)}
-	}
-	name := jobspec.PolicyName(policy, serial)
-	antt, err := metrics.ANTT(progs)
-	if err != nil {
-		return MultiResult{}, fmt.Errorf("workloads: %s under %s: %w", MultiLabel(benches), name, err)
-	}
-	stp, err := metrics.STP(progs)
-	if err != nil {
-		return MultiResult{}, err
-	}
-	return MultiResult{
-		Benchmarks:   append([]string(nil), benches...),
-		Policy:       name,
-		ANTT:         antt,
-		STP:          stp,
-		Requests:     len(sim.Requests()),
-		BusyFraction: sim.SMBusyFraction(r.Window),
-	}, nil
+		name := jobspec.PolicyName(policy, serial)
+		antt, err := metrics.ANTT(progs)
+		if err != nil {
+			return MultiResult{}, fmt.Errorf("workloads: %s under %s: %w", label, name, err)
+		}
+		stp, err := metrics.STP(progs)
+		if err != nil {
+			return MultiResult{}, err
+		}
+		return MultiResult{
+			Benchmarks:   benches,
+			Policy:       name,
+			ANTT:         antt,
+			STP:          stp,
+			Requests:     len(sim.Requests()),
+			BusyFraction: sim.SMBusyFraction(r.Window),
+		}, nil
+	})
 }
 
 // procName names process i of a multiprogrammed run; the index keeps a

@@ -3,7 +3,6 @@ package workloads
 import (
 	"context"
 
-	"chimera/internal/engine"
 	"chimera/internal/jobspec"
 	"chimera/internal/metrics"
 	"chimera/internal/simjob"
@@ -45,9 +44,10 @@ type Recording struct {
 	Bench string
 }
 
-// Record executes the scenario opts describes with full tracing and
-// returns the recording. A cancelled ctx aborts the simulation within
-// one event and returns ctx's error (no partial Recording is produced).
+// Record executes the scenario opts describes with full tracing, as the
+// periodic spec it is, and returns the recording. A cancelled ctx aborts
+// the simulation within one event and returns ctx's error (no partial
+// Recording is produced).
 func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 	if opts.Bench == "" {
 		opts.Bench = "SAD"
@@ -58,12 +58,15 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	r, err := NewRunner(opts.Window, units.FromMicroseconds(15), opts.Seed)
+	r := NewEnv(nil)
+	r.Metrics = opts.Metrics
+	spec := jobspec.Periodic(opts.Bench, "").WithWindowUs(opts.Window.Microseconds()).WithSeed(opts.Seed)
+	res, events, err := NewExecutor(r).Record(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	r.Metrics = opts.Metrics
-	return r.record(ctx, opts.Bench, engine.ChimeraPolicy{})
+	return &Recording{Events: events, Periods: res.Trace.Periods, Violations: res.Trace.Violations,
+		Requests: res.Trace.Requests, Window: opts.Window, Bench: opts.Bench}, nil
 }
 
 // Record executes one periodic spec with its full event stream kept, on
@@ -78,36 +81,17 @@ func (e *Executor) Record(ctx context.Context, spec jobspec.Spec) (SpecResult, [
 	if err != nil {
 		return SpecResult{}, nil, err
 	}
-	rec, err := r.record(ctx, spec.Bench, policy)
+	col := trace.NewCollector()
+	sim, err := r.simulate(ctx, simjob.KindPeriodic, []string{spec.Bench}, policy, false, col)
 	if err != nil {
 		return SpecResult{}, nil, err
 	}
-	return SpecResult{Kind: spec.Kind, Trace: &TraceInfo{
-		Events:     len(rec.Events),
-		Periods:    rec.Periods,
-		Violations: rec.Violations,
-		Requests:   rec.Requests,
-	}}, rec.Events, nil
-}
-
-// record runs the periodic scenario once, uncached, keeping every event.
-func (r *Runner) record(ctx context.Context, bench string, policy engine.Policy) (*Recording, error) {
-	col := trace.NewCollector()
-	sim, err := r.simulate(ctx, simjob.KindPeriodic, []string{bench}, policy, false, col)
-	if err != nil {
-		return nil, err
-	}
-	out := &Recording{
-		Events:   col.Events(),
-		Requests: len(sim.Requests()),
-		Window:   r.Window,
-		Bench:    bench,
-	}
+	info := &TraceInfo{Events: len(col.Events()), Requests: len(sim.Requests())}
 	for _, p := range sim.PeriodRecords() {
-		out.Periods++
+		info.Periods++
 		if p.Violated {
-			out.Violations++
+			info.Violations++
 		}
 	}
-	return out, nil
+	return SpecResult{Kind: spec.Kind, Trace: info}, col.Events(), nil
 }

@@ -1,10 +1,9 @@
 package workloads
 
 import (
-	"context"
 	"testing"
 
-	"chimera/internal/engine"
+	"chimera/internal/jobspec"
 	"chimera/internal/units"
 )
 
@@ -13,10 +12,8 @@ func TestRunPeriodicSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := r.RunPeriodic(context.Background(), "BS", engine.ChimeraPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := mustRun(t, NewExecutor(r), jobspec.Periodic("BS", jobspec.PolicyChimera).WithWindowUs(8000).WithSeed(7))
+	res := out.Periodic
 	t.Logf("BS chimera: violations=%.2f overhead=%.3f periods=%d mix=%v", res.ViolationRate, res.Overhead, res.Periods, res.Mix)
 	if res.Periods == 0 {
 		t.Fatal("no periods")
@@ -28,15 +25,12 @@ func TestRunPairSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair := []string{"LUD", "HS"}
-	fcfs, _, err := r.RunMulti(context.Background(), pair, nil, true)
-	if err != nil {
-		t.Fatal(err)
+	e := NewExecutor(r)
+	pair := func(policy string) *PairResult {
+		res, _ := mustRun(t, e, jobspec.Pair("LUD", "HS", policy).WithWindowUs(8000).WithConstraintUs(30).WithSeed(7))
+		return res.Pair
 	}
-	ch, _, err := r.RunMulti(context.Background(), pair, engine.ChimeraPolicy{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fcfs, ch := pair(jobspec.PolicyFCFS), pair(jobspec.PolicyChimera)
 	t.Logf("FCFS antt=%.2f stp=%.2f; Chimera antt=%.2f stp=%.2f reqs=%d", fcfs.ANTT, fcfs.STP, ch.ANTT, ch.STP, ch.Requests)
 	if ch.ANTT >= fcfs.ANTT {
 		t.Errorf("Chimera ANTT %.2f should beat FCFS %.2f", ch.ANTT, fcfs.ANTT)

@@ -4,24 +4,25 @@
 // including the non-preemptive FCFS baseline and the stand-alone runs
 // that normalize ANTT/STP.
 //
-// A Runner has one ctx-first method per scenario family — SoloRate,
-// RunPeriodic and RunMulti — and every run, traced recordings included,
-// builds its engine in one place (Runner.simulate). ANTT and STP are
-// N-program metrics, so a §4.4 pair is simply the two-process RunMulti
-// run: a pair spec and a two-benchmark RunMulti call share one cached
-// result.
+// Executor is the one way a job runs: it takes a canonical
+// jobspec.Spec, derives a per-spec Runner from its environment Runner
+// (catalog, result cache, device, warm start, contention, telemetry and
+// fault plumbing) and runs the spec's scenario. Every run, traced
+// recordings included, builds its engine in one place
+// (Runner.simulate). ANTT and STP are N-program metrics, so a §4.4 pair
+// is simply the two-process multi run: a pair spec and a multi spec of
+// the same two benchmarks share one cached result.
 //
-// Every scenario run is routed through an internal/simjob pool: results
-// are memoized by their full Job identity (benchmark, policy, window,
-// constraint, seed, device config, catalog) in a cache shared across the
-// process, with singleflight semantics, so a Runner is safe for
-// concurrent use and the stand-alone baseline of a benchmark is
-// simulated once no matter how many exhibits ask for it. Solo jobs are
-// keyed and run with the constraint, warm statistics and contention β
-// fixed, since none of them can change a one-process run (Runner.solo).
-// Executor runs canonical jobspec.Specs through the same methods;
-// batches fan out with simjob.Map, results in enumeration order, so
-// output is byte-identical at any parallelism.
+// Every scenario run is routed through the environment's simjob cache:
+// results are memoized by their full Job identity (benchmark, policy,
+// window, constraint, seed, device config, catalog), with singleflight
+// semantics, so an Executor is safe for concurrent use and the
+// stand-alone baseline of a benchmark is simulated once no matter how
+// many exhibits ask for it. Solo jobs are keyed and run with the
+// constraint, warm statistics and contention β fixed, since none of
+// them can change a one-process run (Runner.solo). Batches fan out with
+// simjob.Map over the environment's pool, results in enumeration order,
+// so output is byte-identical at any parallelism.
 package workloads
 
 import (
@@ -53,9 +54,10 @@ func Launches(cat *kernels.Catalog, b *kernels.Benchmark) ([]engine.LaunchSpec, 
 	return out, nil
 }
 
-// Runner executes scenarios with a shared configuration. The
-// configuration fields must be set before the first run; once runs are
-// in flight the Runner may be used from any number of goroutines.
+// Runner is the environment an Executor runs specs in. Each spec
+// supplies Window, Constraint, Seed, Headroom and Estimator; the other
+// fields hold for every spec. Set them before the first run; once runs
+// are in flight the Runner may be shared by any number of goroutines.
 type Runner struct {
 	// Window is the simulated duration of each run.
 	Window units.Cycles
@@ -136,11 +138,17 @@ func NewRunnerWith(cat *kernels.Catalog, window, constraint units.Cycles, seed u
 	}, nil
 }
 
+// NewEnv builds the environment Runner an Executor runs specs in: the
+// shared Table 2 catalog with warm-started statistics, over cache (nil
+// means the process-shared cache). Every spec sets its own window,
+// constraint and seed, so they stay zero here, and the pool runs one
+// spec at a time (UsePool widens it for RunSpecs).
+func NewEnv(cache *simjob.Cache) *Runner {
+	return &Runner{Warm: true, cat: kernels.Load(), pool: simjob.NewPool(1, cache)}
+}
+
 // Catalog exposes the kernel catalog in use.
 func (r *Runner) Catalog() *kernels.Catalog { return r.cat }
-
-// Pool exposes the job pool scenario runs are scheduled on.
-func (r *Runner) Pool() *simjob.Pool { return r.pool }
 
 // UsePool replaces the Runner's job pool (and with it the result cache
 // and parallelism). Call before the first run; returns r for chaining.
@@ -291,10 +299,10 @@ func do[T any](ctx context.Context, r *Runner, job simjob.Job, fn func(context.C
 	return v.(T), executed, nil
 }
 
-// SoloRate returns the benchmark's stand-alone progress rate (useful
+// soloRate returns the benchmark's stand-alone progress rate (useful
 // warp instructions per cycle on the whole GPU), memoized per benchmark
 // on the solo Runner copy.
-func (r *Runner) SoloRate(ctx context.Context, bench string) (rate float64, executed bool, err error) {
+func (r *Runner) soloRate(ctx context.Context, bench string) (rate float64, executed bool, err error) {
 	s := r.solo()
 	return do(ctx, s, s.job(simjob.KindSolo, bench, nil, false), func(ctx context.Context) (float64, error) {
 		sim, err := s.simulate(ctx, simjob.KindSolo, []string{bench}, engine.ChimeraPolicy{}, false, nil)
@@ -364,74 +372,59 @@ type RequestOutcome struct {
 	HasTechnique bool
 }
 
-// RunPeriodic runs one benchmark against the periodic real-time task
-// under the given policy and returns violation and overhead metrics.
-// Results are memoized per job identity so figures sharing the same
-// runs (Fig 6 and Fig 7) pay for them once; executed reports whether
-// this call ran the simulation.
-func (r *Runner) RunPeriodic(ctx context.Context, bench string, policy engine.Policy) (res PeriodicResult, executed bool, err error) {
+// periodic runs one benchmark against the periodic real-time task
+// under the given policy and returns violation and overhead metrics,
+// memoized per job identity so figures sharing the same runs (Fig 6 and
+// Fig 7) pay for them once; executed reports whether this call ran the
+// simulation.
+func (r *Runner) periodic(ctx context.Context, bench string, policy engine.Policy) (PeriodicResult, bool, error) {
 	return do(ctx, r, r.job(simjob.KindPeriodic, bench, policy, false), func(ctx context.Context) (PeriodicResult, error) {
-		return r.runPeriodic(ctx, bench, policy)
+		soloRate, _, err := r.soloRate(ctx, bench)
+		if err != nil {
+			return PeriodicResult{}, err
+		}
+		sim, err := r.simulate(ctx, simjob.KindPeriodic, []string{bench}, policy, false, nil)
+		if err != nil {
+			return PeriodicResult{}, err
+		}
+		rt := PeriodicSpec(sim.Config().NumSMs)
+
+		res := PeriodicResult{Benchmark: bench, Policy: policy.Name()}
+		// The real-time task is entitled to SMs/NumSMs of the machine for
+		// Exec out of every Period: the benchmark's fair share of SM-time is
+		// the remainder of its stand-alone throughput.
+		solo := soloRate * float64(rt.Period)
+		share := 1 - float64(rt.SMs)/float64(sim.Config().NumSMs)*float64(rt.Exec)/float64(rt.Period)
+		fair := solo * share
+
+		var overheads []float64
+		var violated []bool
+		for _, p := range sim.PeriodRecords() {
+			violated = append(violated, p.Violated)
+			overheads = append(overheads, metrics.PeriodOverhead(solo, fair, float64(p.BenchUseful)))
+		}
+		res.Periods = len(violated)
+		res.ViolationRate = metrics.ViolationRate(violated)
+		res.Overhead = metrics.Mean(overheads)
+		for _, req := range sim.Requests() {
+			mix := req.Mix()
+			for t, n := range mix {
+				res.Mix[t] += n
+			}
+			if req.Forced > 0 {
+				res.ForcedRequests++
+			}
+			out := RequestOutcome{
+				LatencyUs: req.LatencyCycles.Microseconds(),
+				Completed: req.Completed,
+				Killed:    req.Killed,
+			}
+			if req.EstLatencyCycles > 0 && req.EstLatencyCycles < preempt.Infeasible {
+				out.EstLatencyUs = req.EstLatencyCycles / units.CyclesPerMicrosecond
+			}
+			out.Technique, out.HasTechnique = req.Dominant()
+			res.Outcomes = append(res.Outcomes, out)
+		}
+		return res, nil
 	})
-}
-
-func (r *Runner) runPeriodic(ctx context.Context, bench string, policy engine.Policy) (PeriodicResult, error) {
-	soloRate, _, err := r.SoloRate(ctx, bench)
-	if err != nil {
-		return PeriodicResult{}, err
-	}
-	sim, err := r.simulate(ctx, simjob.KindPeriodic, []string{bench}, policy, false, nil)
-	if err != nil {
-		return PeriodicResult{}, err
-	}
-	rt := PeriodicSpec(sim.Config().NumSMs)
-
-	res := PeriodicResult{Benchmark: bench, Policy: policy.Name()}
-	// The real-time task is entitled to SMs/NumSMs of the machine for
-	// Exec out of every Period: the benchmark's fair share of SM-time is
-	// the remainder of its stand-alone throughput.
-	solo := soloRate * float64(rt.Period)
-	share := 1 - float64(rt.SMs)/float64(sim.Config().NumSMs)*float64(rt.Exec)/float64(rt.Period)
-	fair := solo * share
-
-	var overheads []float64
-	var violated []bool
-	for _, p := range sim.PeriodRecords() {
-		violated = append(violated, p.Violated)
-		overheads = append(overheads, metrics.PeriodOverhead(solo, fair, float64(p.BenchUseful)))
-	}
-	res.Periods = len(violated)
-	res.ViolationRate = metrics.ViolationRate(violated)
-	res.Overhead = metrics.Mean(overheads)
-	for _, req := range sim.Requests() {
-		mix := req.Mix()
-		for t, n := range mix {
-			res.Mix[t] += n
-		}
-		if req.Forced > 0 {
-			res.ForcedRequests++
-		}
-		out := RequestOutcome{
-			LatencyUs: req.LatencyCycles.Microseconds(),
-			Completed: req.Completed,
-			Killed:    req.Killed,
-		}
-		if req.EstLatencyCycles > 0 && req.EstLatencyCycles < preempt.Infeasible {
-			out.EstLatencyUs = req.EstLatencyCycles / units.CyclesPerMicrosecond
-		}
-		out.Technique, out.HasTechnique = req.Dominant()
-		res.Outcomes = append(res.Outcomes, out)
-	}
-	return res, nil
-}
-
-// StandardPolicies returns the four §4 contenders in the paper's
-// presentation order: Switch, Drain, Flush, Chimera.
-func StandardPolicies() []engine.Policy {
-	return []engine.Policy{
-		engine.FixedPolicy{Technique: preempt.Switch},
-		engine.FixedPolicy{Technique: preempt.Drain},
-		engine.FixedPolicy{Technique: preempt.Flush},
-		engine.ChimeraPolicy{},
-	}
 }

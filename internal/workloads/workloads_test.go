@@ -10,7 +10,6 @@ import (
 	"chimera/internal/gpu"
 	"chimera/internal/jobspec"
 	"chimera/internal/kernels"
-	"chimera/internal/preempt"
 	"chimera/internal/simjob"
 	"chimera/internal/units"
 )
@@ -22,6 +21,16 @@ func newTestRunner(t *testing.T, windowUs, constraintUs float64) *Runner {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// mustRun executes spec on e and fails the test on error.
+func mustRun(t *testing.T, e *Executor, spec jobspec.Spec) (SpecResult, bool) {
+	t.Helper()
+	res, executed, err := e.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("%s %s: %v", spec.Kind, spec.Benchmarks(), err)
+	}
+	return res, executed
 }
 
 func TestNewRunnerValidation(t *testing.T) {
@@ -42,15 +51,11 @@ func TestLaunchesRejectsUnknownKernel(t *testing.T) {
 }
 
 func TestSoloRateMemoized(t *testing.T) {
-	r := newTestRunner(t, 3000, 15)
-	a, _, err := r.SoloRate(context.Background(), "HS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, executed, err := r.SoloRate(context.Background(), "HS")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewExecutor(newTestRunner(t, 3000, 15))
+	spec := jobspec.Solo("HS").WithWindowUs(3000).WithSeed(7)
+	res, _ := mustRun(t, e, spec)
+	again, executed := mustRun(t, e, spec)
+	a, b := res.SoloRate, again.SoloRate
 	if a != b || executed {
 		t.Errorf("memoized solo rate changed or re-ran: %v vs %v (executed=%v)", a, b, executed)
 	}
@@ -62,7 +67,7 @@ func TestSoloRateMemoized(t *testing.T) {
 // TestSoloRunIgnoresUnkeyedFields pins the premise of Runner.solo: a
 // solo run simulated under any constraint, with warm statistics on or
 // off and (Table 2 catalog) contention β 0 or 1, yields a rate
-// bit-identical to the one SoloRate computes with those fields fixed,
+// bit-identical to the one soloRate computes with those fields fixed,
 // for every benchmark of both catalogs.
 func TestSoloRunIgnoresUnkeyedFields(t *testing.T) {
 	ctx := context.Background()
@@ -87,7 +92,7 @@ func TestSoloRunIgnoresUnkeyedFields(t *testing.T) {
 						r.UsePool(simjob.NewPool(1, simjob.NewCache()))
 						r.Warm, r.Contention = warm, beta
 						if want == 0 {
-							if want, _, err = r.SoloRate(ctx, bench); err != nil {
+							if want, _, err = r.soloRate(ctx, bench); err != nil {
 								t.Fatalf("%s %s: %v", c.name, bench, err)
 							}
 						}
@@ -149,7 +154,7 @@ func TestTable1ConfigKeysAsZero(t *testing.T) {
 		r := withConfig(numSMs)
 		r.Window = units.FromMicroseconds(3000) // two evaluated periods
 		r.UsePool(simjob.NewPool(1, simjob.NewCache()))
-		res, err := r.runPeriodic(ctx, "HS", engine.ChimeraPolicy{})
+		res, _, err := r.periodic(ctx, "HS", engine.ChimeraPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,54 +179,41 @@ func TestPeriodicSpecHalvesTheMachine(t *testing.T) {
 }
 
 func TestRunPeriodicMemoized(t *testing.T) {
-	r := newTestRunner(t, 4000, 15)
-	a, _, err := r.RunPeriodic(context.Background(), "HS", engine.ChimeraPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := r.RunPeriodic(context.Background(), "HS", engine.ChimeraPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewExecutor(newTestRunner(t, 4000, 15))
+	spec := jobspec.Periodic("HS", jobspec.PolicyChimera).WithWindowUs(4000).WithSeed(7)
+	a, _ := mustRun(t, e, spec)
+	b, _ := mustRun(t, e, spec)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("memoized periodic result changed")
 	}
-	if a.Periods == 0 {
+	if a.Periodic.Periods == 0 {
 		t.Error("no periods recorded")
 	}
-	if a.Overhead < 0 || a.Overhead > 1 {
-		t.Errorf("overhead %v out of range", a.Overhead)
+	if a.Periodic.Overhead < 0 || a.Periodic.Overhead > 1 {
+		t.Errorf("overhead %v out of range", a.Periodic.Overhead)
 	}
 }
 
 func TestChimeraBeatsSwitchOnViolations(t *testing.T) {
 	// On a strictly idempotent benchmark whose switch time exceeds 15µs
 	// (HS: 19.7µs), the switch baseline violates while Chimera flushes.
-	r := newTestRunner(t, 6000, 15)
-	sw, _, err := r.RunPeriodic(context.Background(), "HS", engine.FixedPolicy{Technique: preempt.Switch})
-	if err != nil {
-		t.Fatal(err)
+	e := NewExecutor(newTestRunner(t, 6000, 15))
+	sw, _ := mustRun(t, e, jobspec.Periodic("HS", jobspec.PolicySwitch).WithWindowUs(6000).WithSeed(7))
+	ch, _ := mustRun(t, e, jobspec.Periodic("HS", jobspec.PolicyChimera).WithWindowUs(6000).WithSeed(7))
+	if ch.Periodic.ViolationRate >= sw.Periodic.ViolationRate {
+		t.Errorf("Chimera violations %.2f not better than switch %.2f", ch.Periodic.ViolationRate, sw.Periodic.ViolationRate)
 	}
-	ch, _, err := r.RunPeriodic(context.Background(), "HS", engine.ChimeraPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.ViolationRate >= sw.ViolationRate {
-		t.Errorf("Chimera violations %.2f not better than switch %.2f", ch.ViolationRate, sw.ViolationRate)
-	}
-	if ch.ViolationRate != 0 {
-		t.Errorf("Chimera violated %.2f on idempotent HS", ch.ViolationRate)
+	if ch.Periodic.ViolationRate != 0 {
+		t.Errorf("Chimera violated %.2f on idempotent HS", ch.Periodic.ViolationRate)
 	}
 }
 
 func TestRunPairSelfPair(t *testing.T) {
 	// A benchmark paired with itself must split the machine ~evenly:
 	// ANTT near 2 under FCFS and well below that with preemption.
-	r := newTestRunner(t, 4000, 30)
-	ch, _, err := r.RunMulti(context.Background(), []string{"HS", "HS"}, engine.ChimeraPolicy{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewExecutor(newTestRunner(t, 4000, 30))
+	res, _ := mustRun(t, e, jobspec.Pair("HS", "HS", jobspec.PolicyChimera).WithWindowUs(4000).WithConstraintUs(30).WithSeed(7))
+	ch := res.Pair
 	if ch.ANTT < 1 || ch.ANTT > 4 {
 		t.Errorf("self-pair ANTT = %v", ch.ANTT)
 	}
@@ -233,34 +225,17 @@ func TestRunPairSelfPair(t *testing.T) {
 func TestPreemptiveBeatsFCFSWithLongPartner(t *testing.T) {
 	// MUM's 20ms blocks monopolize the GPU under FCFS; any preemptive
 	// policy must improve ANTT for the pair.
-	r := newTestRunner(t, 8000, 30)
-	pair := []string{"HS", "MUM"}
-	fcfs, _, err := r.RunMulti(context.Background(), pair, nil, true)
-	if err != nil {
-		t.Fatal(err)
+	e := NewExecutor(newTestRunner(t, 8000, 30))
+	pair := func(policy string) *PairResult {
+		res, _ := mustRun(t, e, jobspec.Pair("HS", "MUM", policy).WithWindowUs(8000).WithConstraintUs(30).WithSeed(7))
+		return res.Pair
 	}
-	ch, _, err := r.RunMulti(context.Background(), pair, engine.ChimeraPolicy{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fcfs, ch := pair(jobspec.PolicyFCFS), pair(jobspec.PolicyChimera)
 	if ch.ANTT >= fcfs.ANTT {
 		t.Errorf("Chimera ANTT %.2f not better than FCFS %.2f", ch.ANTT, fcfs.ANTT)
 	}
 	if fcfs.Requests != 0 {
 		t.Errorf("FCFS issued %d preemption requests", fcfs.Requests)
-	}
-}
-
-func TestStandardPolicies(t *testing.T) {
-	ps := StandardPolicies()
-	if len(ps) != 4 {
-		t.Fatalf("%d policies", len(ps))
-	}
-	want := []string{"Switch", "Drain", "Flush", "Chimera"}
-	for i, p := range ps {
-		if p.Name() != want[i] {
-			t.Errorf("policy %d = %s, want %s", i, p.Name(), want[i])
-		}
 	}
 }
 
@@ -277,10 +252,12 @@ func TestPolicyName(t *testing.T) {
 }
 
 func TestRunMulti(t *testing.T) {
-	r := newTestRunner(t, 6000, 30)
-	res, _, err := r.RunMulti(context.Background(), []string{"HS", "SAD", "BT"}, engine.ChimeraPolicy{}, false)
-	if err != nil {
-		t.Fatal(err)
+	e := NewExecutor(newTestRunner(t, 6000, 30))
+	spec := jobspec.Spec{Kind: jobspec.KindMulti, Bench: "HS+SAD+BT"}.WithWindowUs(6000).WithConstraintUs(30).WithSeed(7)
+	out, _ := mustRun(t, e, spec)
+	res := out.Multi
+	if res == nil || out.Pair != nil {
+		t.Fatalf("multi spec result = %+v, want the multi payload only", out)
 	}
 	if res.STP <= 0 || res.STP > 3.01 {
 		t.Errorf("3-way STP = %v", res.STP)
@@ -294,8 +271,10 @@ func TestRunMulti(t *testing.T) {
 	if res.Policy != "Chimera" || len(res.Benchmarks) != 3 {
 		t.Errorf("result metadata wrong: %+v", res)
 	}
-	if _, _, err := r.RunMulti(context.Background(), nil, engine.ChimeraPolicy{}, false); err == nil {
-		t.Error("empty benchmark set accepted")
+	for _, bench := range []string{"", "HS", "HS+NOPE"} {
+		if _, _, err := e.Run(context.Background(), jobspec.Spec{Kind: jobspec.KindMulti, Bench: bench}); err == nil {
+			t.Errorf("multi spec over %q accepted", bench)
+		}
 	}
 }
 
