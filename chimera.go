@@ -53,10 +53,6 @@ func DefaultConfig() Config { return gpu.DefaultConfig() }
 // occupancy, grid, timing model and idempotence properties.
 type KernelParams = gpu.KernelParams
 
-// KernelStats carries the measured statistics Chimera's estimator
-// consumes (§3.2).
-type KernelStats = gpu.KernelStats
-
 // KernelEstimate is the estimator-visible view of a kernel.
 type KernelEstimate = gpu.KernelEstimate
 

@@ -145,7 +145,7 @@ func main() {
 	flag.Float64Var(&o.rate, "rate", 50, "open loop: mean arrival rate in jobs/sec")
 	flag.Uint64Var(&o.seed, "seed", 1, "open loop: arrival-process seed")
 	flag.StringVar(&o.record, "record", "", "append a JSONL workload trace to FILE")
-	flag.StringVar(&o.kind, "kind", server.KindSolo, "scenario kind (solo, periodic, pair)")
+	flag.StringVar(&o.kind, "kind", jobspec.KindSolo, "scenario kind (solo, periodic, pair)")
 	flag.StringVar(&o.bench, "bench", "SAD", "benchmark")
 	flag.StringVar(&o.benchB, "bench-b", "MUM", "second benchmark for pair jobs")
 	flag.Float64Var(&o.windowUs, "window-us", 100, "simulated µs per job")
@@ -175,9 +175,9 @@ func main() {
 func (o *options) specFor(i int64) jobspec.Spec {
 	var spec jobspec.Spec
 	switch o.kind {
-	case server.KindPeriodic:
+	case jobspec.KindPeriodic:
 		spec = jobspec.Periodic(o.bench, o.policy)
-	case server.KindPair:
+	case jobspec.KindPair:
 		spec = jobspec.Pair(o.bench, o.benchB, o.policy)
 	default:
 		spec = jobspec.Solo(o.bench)

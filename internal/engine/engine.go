@@ -77,14 +77,14 @@ type Options struct {
 	// forever — a cold-start artifact, not a phenomenon the paper
 	// evaluates. Leave false to study the cold-start behaviour itself.
 	WarmStats bool
-	// Estimator, when set, replaces the built-in measured-statistics
-	// path (the paper's §3.2 estimator over gpu.KernelStats) as the
-	// source of the runtime estimates preemption planning consumes:
-	// the engine feeds it every per-TB completion event and consults
-	// it at every preemption decision. Nil keeps the built-in path —
-	// with WarmStats that is the Table-2 oracle, bit for bit.
-	// Estimators carry per-run state; never share one across runs.
-	Estimator predict.Estimator
+	// EstimateWindow is the window of the per-kernel running estimate
+	// preemption planning consumes (§3.2): the engine feeds it every
+	// per-TB completion and applies it at every preemption decision.
+	// Zero averages every completed block — the paper's measured
+	// statistics, with WarmStats the Table-2 oracle; predict.DefaultK
+	// freezes it after that many blocks — the online predictor
+	// (predict.ForName maps a spec's estimator name to its window).
+	EstimateWindow int64
 	// Tracer, when set, receives the simulation's observable events
 	// (launches, requests, per-block preemptions, handovers, deadline
 	// outcomes). The event schema is documented in docs/observability.md.
@@ -129,9 +129,9 @@ type Simulation struct {
 	active    []*kernelInstance
 	serialQ   []*kernelInstance
 
-	statsByLabel map[string]*gpu.KernelStats
-	requests     []*RequestRecord
-	periodic     *periodicTask
+	estByLabel map[string]*predict.Running
+	requests   []*RequestRecord
+	periodic   *periodicTask
 
 	nextKID gpu.KernelID
 	arrival int
@@ -143,9 +143,10 @@ type Simulation struct {
 
 	// m holds the resolved metric handles when Options.Metrics is set.
 	m *simMetrics
-	// predictObs counts this run's estimator observations; RunContext
-	// adds it to the predict/observations counter once, when the event
-	// loop stops (docs/performance.md, "Direct emission").
+	// predictObs counts this run's block completions fed to the
+	// estimates; RunContext adds it to the predict/observations counter
+	// once, when the event loop stops (docs/performance.md, "Direct
+	// emission").
 	predictObs int64
 
 	// activeTransfers counts in-flight context save/restore streams for
@@ -268,10 +269,10 @@ func New(opts Options) *Simulation {
 		panic(err)
 	}
 	s := &Simulation{
-		cfg:          opts.Config,
-		opts:         opts,
-		statsByLabel: make(map[string]*gpu.KernelStats),
-		rnd:          rng.New(opts.Seed ^ 0xc0ffee),
+		cfg:        opts.Config,
+		opts:       opts,
+		estByLabel: make(map[string]*predict.Running),
+		rnd:        rng.New(opts.Seed ^ 0xc0ffee),
 	}
 	if opts.Metrics != nil {
 		s.m = newSimMetrics(opts.Metrics)
@@ -306,14 +307,15 @@ func (s *Simulation) emit(e trace.Event) {
 	}
 }
 
-// statsFor returns the shared per-kernel statistics record.
-func (s *Simulation) statsFor(label string) *gpu.KernelStats {
-	st, ok := s.statsByLabel[label]
+// estimateFor returns the running estimate shared by every launch of
+// the labelled kernel.
+func (s *Simulation) estimateFor(label string) *predict.Running {
+	est, ok := s.estByLabel[label]
 	if !ok {
-		st = &gpu.KernelStats{}
-		s.statsByLabel[label] = st
+		est = &predict.Running{Window: s.opts.EstimateWindow}
+		s.estByLabel[label] = est
 	}
-	return st
+	return est
 }
 
 // launchKernel creates and activates a kernel instance.
@@ -331,18 +333,15 @@ func (s *Simulation) launchKernel(p *process, l LaunchSpec, priority int, now un
 		arrival:     s.arrival,
 		outstanding: l.Grid,
 		smSet:       make([]*smUnit, s.cfg.NumSMs),
-		stats:       s.statsFor(l.Params.Label),
+		est:         s.estimateFor(l.Params.Label),
 		rng:         s.rnd.Split(),
 		cpiMu:       rng.LogNormalMu(l.Params.BaseCPI, l.Params.CPISigma),
 		breachInst:  l.Params.BreachInst(),
 	}
 	s.nextKID++
 	s.arrival++
-	if s.opts.WarmStats && k.stats.CompletedTBs == 0 {
-		k.stats.RecordCompletion(l.Params.InstsPerTB, l.Params.TBExecCycles())
-		if e := s.opts.Estimator; e != nil && e.Estimate(l.Params.Label).Observations == 0 {
-			e.Observe(l.Params.Label, l.Params.InstsPerTB, l.Params.TBExecCycles())
-		}
+	if s.opts.WarmStats && k.est.Estimate().Observations == 0 {
+		k.est.Observe(l.Params.InstsPerTB, l.Params.TBExecCycles())
 	}
 	s.active = append(s.active, k)
 	if s.opts.Serial {
@@ -374,11 +373,8 @@ func (s *Simulation) tbComplete(tb *threadBlock, now units.Cycles) {
 	tb.sync(now)
 	tb.phase = tbDone
 	tb.doneEv = eventq.Handle{}
-	k.stats.RecordCompletion(tb.insts, tb.runCycles)
-	if e := s.opts.Estimator; e != nil {
-		e.Observe(k.params.Label, tb.insts, tb.runCycles)
-		s.predictObs++
-	}
+	k.est.Observe(tb.insts, tb.runCycles)
+	s.predictObs++
 	sm.removeResident(tb, now)
 	tb.sm = nil
 	k.outstanding--
@@ -719,7 +715,7 @@ func (s *Simulation) issuePreemption(requester, victim *kernelInstance, n int, n
 	if len(in.SMs) == 0 {
 		return 0
 	}
-	in.Est = s.kernelEstimate(victim)
+	in.Est = victim.estimate(s.cfg)
 	planningBound := s.opts.Constraint
 	if s.opts.Headroom < planningBound {
 		planningBound -= s.opts.Headroom
@@ -924,11 +920,6 @@ func (s *Simulation) ProcessWasted(name string) int64 {
 		}
 	}
 	return 0
-}
-
-// KernelStatsFor exposes the accumulated statistics of one kernel label.
-func (s *Simulation) KernelStatsFor(label string) *gpu.KernelStats {
-	return s.statsFor(label)
 }
 
 // Config returns the device configuration in use.

@@ -35,16 +35,16 @@ func TestConservationSoloCompletion(t *testing.T) {
 	sim.AddProcess(ProcessSpec{Name: "P", Launches: []LaunchSpec{l}})
 	sim.Run(units.FromMicroseconds(500_000))
 
-	st := sim.KernelStatsFor("K")
-	if st.CompletedTBs != 300 {
-		t.Errorf("completed %d blocks, want 300", st.CompletedTBs)
+	// No warm seed: the estimate holds exactly the completed blocks.
+	if n := sim.estByLabel["K"].Estimate().Observations; n != 300 {
+		t.Errorf("completed %d blocks, want 300", n)
 	}
 	want := int64(300 * 10000)
 	if got := sim.ProcessUseful("P"); got != want {
 		t.Errorf("useful = %d, want %d", got, want)
 	}
-	if st.WastedInsts != 0 {
-		t.Errorf("solo run wasted %d", st.WastedInsts)
+	if w := sim.ProcessWasted("P"); w != 0 {
+		t.Errorf("solo run wasted %d", w)
 	}
 }
 

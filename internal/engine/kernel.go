@@ -45,9 +45,9 @@ type kernelInstance struct {
 	slot    int
 	slotGen uint64
 
-	// stats aggregates the §3.2 estimator inputs; shared per kernel
-	// label across launches.
-	stats *gpu.KernelStats
+	// est is the running estimate of the §3.2 cost-model inputs;
+	// shared per kernel label across launches.
+	est *predict.Running
 
 	rng *rng.Source
 	// cpiMu is the lognormal location of the block CPI distribution
@@ -151,44 +151,18 @@ func (k *kernelInstance) sampleCPI() float64 {
 	return cpi
 }
 
-// estimate assembles the estimator-visible view of this kernel (§3.2):
-// measured statistics plus statically known switch timings.
+// estimate assembles the estimator-visible view of this kernel (§3.2)
+// for preemption planning: the running estimate, applied once its
+// confidence reaches predict.DefaultConfidenceGate, over the statically
+// known switch timings. Below the gate the cost models keep their
+// conservative fallbacks.
 func (k *kernelInstance) estimate(cfg gpu.Config) gpu.KernelEstimate {
 	e := gpu.KernelEstimate{
 		SMSwitchCycles:   k.params.SwitchCycles(cfg),
 		TBSwitchCycles:   k.params.TBSwitchCycles(cfg),
 		StrictIdempotent: k.params.StrictIdempotent,
 	}
-	e.AvgInstsPerTB, e.HasInsts = k.stats.AvgInstsPerTB()
-	e.AvgCPI, e.HasCPI = k.stats.AvgCPI()
-	if k.stats.CompletedTBs > 0 {
-		e.AvgCyclesPerTB = float64(k.stats.CyclesFromCompleted) / float64(k.stats.CompletedTBs)
-		e.HasCycles = true
-	}
-	if e.HasCPI && e.AvgCPI > 0 {
-		e.SMIPC = float64(k.params.TBsPerSM) / e.AvgCPI
-		e.HasIPC = true
-	}
-	return e
-}
-
-// kernelEstimate assembles the estimator-visible view of a kernel for
-// preemption planning: the built-in measured-statistics path (§3.2 over
-// gpu.KernelStats — with WarmStats, the Table-2 oracle) when no
-// pluggable estimator is armed, otherwise the Options.Estimator
-// prediction applied over the statically known switch timings. The
-// confidence gate keeps the cost models on their conservative fallbacks
-// until the predictor has seen enough of its observation window.
-func (s *Simulation) kernelEstimate(k *kernelInstance) gpu.KernelEstimate {
-	if s.opts.Estimator == nil {
-		return k.estimate(s.cfg)
-	}
-	e := gpu.KernelEstimate{
-		SMSwitchCycles:   k.params.SwitchCycles(s.cfg),
-		TBSwitchCycles:   k.params.TBSwitchCycles(s.cfg),
-		StrictIdempotent: k.params.StrictIdempotent,
-	}
-	s.opts.Estimator.Estimate(k.params.Label).Apply(&e, predict.DefaultConfidenceGate)
+	k.est.Estimate().Apply(&e, predict.DefaultConfidenceGate)
 	if e.HasCPI && e.AvgCPI > 0 {
 		e.SMIPC = float64(k.params.TBsPerSM) / e.AvgCPI
 		e.HasIPC = true

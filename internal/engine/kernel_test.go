@@ -6,6 +6,7 @@ import (
 
 	"chimera/internal/gpu"
 	"chimera/internal/rng"
+	"chimera/internal/sched/predict"
 	"chimera/internal/units"
 )
 
@@ -17,7 +18,7 @@ func testInstance(params gpu.KernelParams, grid int) *kernelInstance {
 		grid:        grid,
 		outstanding: grid,
 		smSet:       make([]*smUnit, sim.cfg.NumSMs),
-		stats:       &gpu.KernelStats{},
+		est:         &predict.Running{},
 		rng:         rng.New(1),
 		cpiMu:       rng.LogNormalMu(params.BaseCPI, params.CPISigma),
 		breachInst:  params.BreachInst(),
@@ -134,7 +135,7 @@ func TestEstimateVisibility(t *testing.T) {
 		t.Error("idempotence flag wrong")
 	}
 
-	k.stats.RecordCompletion(1000, 4000)
+	k.est.Observe(1000, 4000)
 	est = k.estimate(cfg)
 	if !est.HasInsts || !est.HasCPI || !est.HasIPC || !est.HasCycles {
 		t.Error("warm kernel missing statistics")
@@ -224,8 +225,8 @@ func TestThreadBlockSyncAccounting(t *testing.T) {
 	k.process = proc
 	tb := &threadBlock{kernel: k, insts: 1000, cpi: 4, phase: tbRunning, startAt: 0}
 	tb.sync(400)
-	if tb.executed != 100 || k.stats.IssuedInsts != 100 || proc.issued != 100 {
-		t.Errorf("sync accounting: executed=%d issued=%d proc=%d", tb.executed, k.stats.IssuedInsts, proc.issued)
+	if tb.executed != 100 || proc.issued != 100 {
+		t.Errorf("sync accounting: executed=%d issued=%d", tb.executed, proc.issued)
 	}
 	if tb.startAt != 400 || tb.runCycles != 400 {
 		t.Errorf("segment bookkeeping: startAt=%v runCycles=%v", tb.startAt, tb.runCycles)

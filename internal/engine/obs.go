@@ -46,8 +46,8 @@ type simMetrics struct {
 	// policySheds counts SMs the policy was offered but declined to
 	// take (deadline-aware policies shed demand they cannot serve
 	// within the constraint); predictObs counts thread-block completion
-	// events fed to a pluggable runtime estimator (Options.Estimator),
-	// added once per run from Simulation.predictObs.
+	// events fed to the per-kernel running estimates, added once per run
+	// from Simulation.predictObs.
 	policySheds *metrics.Counter
 	predictObs  *metrics.Counter
 }
@@ -85,7 +85,7 @@ const (
 	// but declined to preempt (shed demand).
 	MetricPolicySheds = "sched/policy_sheds"
 	// MetricPredictObservations counts thread-block completions fed to
-	// a pluggable runtime estimator (Options.Estimator).
+	// the per-kernel running estimates (Options.EstimateWindow).
 	MetricPredictObservations = "predict/observations"
 )
 

@@ -298,7 +298,6 @@ func (sm *smUnit) executePlan(plan preempt.SMPlan, req *RequestRecord, stall, no
 		case preempt.Drain:
 			tb.draining = true
 			h.outstanding++
-			k.stats.Preemptions[preempt.Drain]++
 			req.mix[preempt.Drain]++
 			if sm.sim.tracing {
 				sm.sim.emit(trace.Event{At: now, Kind: trace.DrainTB, Kernel: k.params.Label, SM: int(sm.id), TB: tb.index,
@@ -310,7 +309,6 @@ func (sm *smUnit) executePlan(plan preempt.SMPlan, req *RequestRecord, stall, no
 			tb.cancelDone(&sm.sim.q)
 			h.frozen = append(h.frozen, tb)
 			saveCycles += k.params.TBSwitchCycles(sm.sim.cfg)
-			k.stats.Preemptions[preempt.Switch]++
 			req.mix[preempt.Switch]++
 			sm.sim.emit(trace.Event{At: now, Kind: trace.SaveTB, Kernel: k.params.Label, SM: int(sm.id), TB: tb.index,
 				Insts: tb.executed,
@@ -370,7 +368,6 @@ func (sm *smUnit) escalate(now units.Cycles) bool {
 		// The drain constituent is replaced by a stronger technique
 		// either way; re-attribute its counts.
 		h.outstanding--
-		k.stats.Preemptions[preempt.Drain]--
 		h.req.mix[preempt.Drain]--
 		changed = true
 		if sm.sim.flushLegal(tb, now) {
@@ -384,7 +381,6 @@ func (sm *smUnit) escalate(now units.Cycles) bool {
 		h.frozen = append(h.frozen, tb)
 		batch = append(batch, tb)
 		saveCycles += k.params.TBSwitchCycles(sm.sim.cfg)
-		k.stats.Preemptions[preempt.Switch]++
 		h.req.mix[preempt.Switch]++
 		sm.sim.emit(trace.Event{At: now, Kind: trace.SaveTB, Kernel: k.params.Label, SM: int(sm.id), TB: tb.index,
 			Insts: tb.executed,
@@ -405,9 +401,7 @@ func (sm *smUnit) escalate(now units.Cycles) bool {
 func (sm *smUnit) flushTB(tb *threadBlock, now units.Cycles, req *RequestRecord) {
 	k := sm.kernel
 	tb.sync(now)
-	k.stats.WastedInsts += tb.executed
 	k.process.addWasted(tb.executed)
-	k.stats.Preemptions[preempt.Flush]++
 	if req != nil {
 		req.mix[preempt.Flush]++
 	}

@@ -109,7 +109,7 @@ func (tb *threadBlock) remainingCycles(now units.Cycles) units.Cycles {
 }
 
 // sync commits progress up to cycle now: the executed counter advances,
-// the delta is charged to the kernel's issued-instruction account, and a
+// the delta is charged to the process's issued-instruction account, and a
 // new segment starts at now. Only meaningful while running.
 func (tb *threadBlock) sync(now units.Cycles) {
 	if tb.phase != tbRunning || tb.frozen {
@@ -118,7 +118,6 @@ func (tb *threadBlock) sync(now units.Cycles) {
 	cur := tb.executedAt(now)
 	delta := cur - tb.executed
 	if delta > 0 {
-		tb.kernel.stats.IssuedInsts += delta
 		tb.kernel.process.addIssued(delta)
 	}
 	if now > tb.startAt {

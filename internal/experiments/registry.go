@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"chimera/internal/tablefmt"
 )
@@ -11,40 +10,44 @@ import (
 // the paper's exhibits at the given scale.
 type Runner func(Scale) ([]*tablefmt.Table, error)
 
-// registry maps exhibit names to their harnesses.
-var registry = map[string]Runner{
-	"table1": func(Scale) ([]*tablefmt.Table, error) {
+// registry lists every exhibit with its harness in the paper's
+// presentation order: the order of Names, `chimerasim list` and `all`.
+var registry = []struct {
+	name string
+	run  Runner
+}{
+	{"table1", func(Scale) ([]*tablefmt.Table, error) {
 		return []*tablefmt.Table{Table1()}, nil
-	},
-	"table2": func(Scale) ([]*tablefmt.Table, error) {
+	}},
+	{"table2", func(Scale) ([]*tablefmt.Table, error) {
 		t, err := Table2()
 		if err != nil {
 			return nil, err
 		}
 		return []*tablefmt.Table{t}, nil
-	},
-	"fig2": func(Scale) ([]*tablefmt.Table, error) {
+	}},
+	{"fig2", func(Scale) ([]*tablefmt.Table, error) {
 		return []*tablefmt.Table{Fig2()}, nil
-	},
-	"fig3": func(Scale) ([]*tablefmt.Table, error) {
+	}},
+	{"fig3", func(Scale) ([]*tablefmt.Table, error) {
 		return []*tablefmt.Table{Fig3()}, nil
-	},
-	"fig6":       one(Fig6),
-	"fig7":       one(Fig7),
-	"fig8":       one(Fig8),
-	"fig9":       one(Fig9),
-	"fig10":      one(Fig10),
-	"fig11":      one(Fig11),
-	"allpairs":   one(AllPairs),
-	"latency":    PreemptionLatency,
-	"ablation":   Ablations,
-	"contention": Contention,
-	"scaling":    Scaling,
-	"estacc":     EstimationAccuracy,
-	"calibrated": Calibrated,
-	"gpusize":    GPUSize,
-	"seeds":      Seeds,
-	"shootout":   PolicyShootout,
+	}},
+	{"fig6", one(Fig6)},
+	{"fig7", one(Fig7)},
+	{"fig8", one(Fig8)},
+	{"fig9", one(Fig9)},
+	{"fig10", one(Fig10)},
+	{"fig11", one(Fig11)},
+	{"latency", PreemptionLatency},
+	{"allpairs", one(AllPairs)},
+	{"ablation", Ablations},
+	{"contention", Contention},
+	{"scaling", Scaling},
+	{"estacc", EstimationAccuracy},
+	{"calibrated", Calibrated},
+	{"gpusize", GPUSize},
+	{"seeds", Seeds},
+	{"shootout", PolicyShootout},
 }
 
 func one(f func(Scale) (*tablefmt.Table, error)) Runner {
@@ -57,44 +60,33 @@ func one(f func(Scale) (*tablefmt.Table, error)) Runner {
 	}
 }
 
-// Names lists the registered experiments in a stable order matching the
-// paper's presentation.
+// Names lists the registered experiments in the paper's presentation
+// order.
 func Names() []string {
-	preferred := []string{"table1", "table2", "fig2", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "latency", "allpairs", "ablation", "contention", "scaling", "estacc", "calibrated", "gpusize", "seeds", "shootout"}
-	seen := make(map[string]bool, len(preferred))
-	var names []string
-	for _, n := range preferred {
-		if _, ok := registry[n]; ok {
-			names = append(names, n)
-			seen[n] = true
-		}
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
-	var rest []string
-	for n := range registry {
-		if !seen[n] {
-			rest = append(rest, n)
-		}
-	}
-	sort.Strings(rest)
-	return append(names, rest...)
+	return names
 }
 
 // Run executes one experiment by name.
 func Run(name string, s Scale) ([]*tablefmt.Table, error) {
-	r, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+	for _, e := range registry {
+		if e.name == name {
+			return e.run(s)
+		}
 	}
-	return r(s)
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 }
 
 // RunAll executes every experiment in presentation order.
 func RunAll(s Scale) ([]*tablefmt.Table, error) {
 	var out []*tablefmt.Table
-	for _, name := range Names() {
-		tables, err := Run(name, s)
+	for _, e := range registry {
+		tables, err := e.run(s)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", e.name, err)
 		}
 		out = append(out, tables...)
 	}

@@ -1,7 +1,8 @@
 // Package gpu defines the static model of the simulated GPU: the device
 // configuration of Table 1, per-kernel parameters derived from Table 2,
-// the runtime statistics Chimera's cost estimator consumes (§3.2), and the
-// snapshot types through which the scheduler observes SMs.
+// the kernel estimate Chimera's cost models consume (§3.2; the running
+// means behind it live in internal/sched/predict), and the snapshot
+// types through which the scheduler observes SMs.
 //
 // The package is deliberately free of simulation machinery — it is the
 // shared vocabulary between the discrete-event engine (internal/engine),

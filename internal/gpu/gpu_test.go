@@ -129,31 +129,6 @@ func TestKernelParamsValidateRejects(t *testing.T) {
 	}
 }
 
-func TestKernelStatsAverages(t *testing.T) {
-	var s KernelStats
-	if _, ok := s.AvgInstsPerTB(); ok {
-		t.Error("empty stats claim an instruction average")
-	}
-	if _, ok := s.AvgCPI(); ok {
-		t.Error("empty stats claim a CPI average")
-	}
-	s.RecordCompletion(1000, 4000)
-	s.RecordCompletion(2000, 10000)
-	if avg, ok := s.AvgInstsPerTB(); !ok || avg != 1500 {
-		t.Errorf("AvgInstsPerTB = %v/%v", avg, ok)
-	}
-	if cpi, ok := s.AvgCPI(); !ok || math.Abs(cpi-14000.0/3000.0) > 1e-12 {
-		t.Errorf("AvgCPI = %v/%v", cpi, ok)
-	}
-}
-
-func TestKernelStatsUseful(t *testing.T) {
-	s := KernelStats{IssuedInsts: 1000, WastedInsts: 300}
-	if got := s.UsefulInsts(); got != 700 {
-		t.Errorf("UsefulInsts = %d", got)
-	}
-}
-
 func TestObservedCPI(t *testing.T) {
 	tb := TBSnapshot{Executed: 1000, RunCycles: 4200}
 	if cpi, ok := tb.ObservedCPI(); !ok || math.Abs(cpi-4.2) > 1e-12 {

@@ -50,10 +50,11 @@ type SMSnapshot struct {
 // statically known context-switch timings.
 type KernelEstimate struct {
 	// AvgInstsPerTB, AvgCPI and AvgCyclesPerTB are the measured
-	// averages; the Has flags report whether any thread block has
-	// completed yet. When absent, the estimator substitutes the
-	// conservative maximum (§3.2). AvgCyclesPerTB only feeds the
-	// cycle-based drain-estimator ablation §3.2 argues against.
+	// averages; the Has flags report whether the kernel's running
+	// estimate is usable yet (predict.Estimate.Apply sets them). When
+	// absent, the estimator substitutes the conservative maximum
+	// (§3.2). AvgCyclesPerTB only feeds the cycle-based drain-estimator
+	// ablation §3.2 argues against.
 	AvgInstsPerTB  float64
 	HasInsts       bool
 	AvgCPI         float64

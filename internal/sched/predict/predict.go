@@ -1,5 +1,5 @@
-// Package predict implements online runtime prediction for kernels:
-// the estimator layer that feeds Chimera's §3.2 cost models.
+// Package predict implements the per-kernel runtime estimates that feed
+// Chimera's §3.2 cost models.
 //
 // The paper drives its cost models from hardware-measured per-thread-
 // block statistics, warm-started from the Table-2 oracle (the engine's
@@ -9,24 +9,14 @@
 // kernel (structural runtime prediction): blocks of one kernel are
 // structurally alike, so a small observed prefix pins down the mean.
 //
-// This package captures both shapes behind one interface:
-//
-//   - Estimator: the contract the engine (and, through the
-//     gpu.KernelEstimate it fills, the internal/preempt cost model)
-//     consumes. Observations flow in from the engine's per-TB
-//     completion events; estimates flow out at every preemption
-//     decision.
-//   - Measured: the paper's estimator — a running mean over every
-//     completed block, arithmetic-identical to gpu.KernelStats. Warm-
-//     seeded by the engine it reproduces the Table-2 oracle bit for
-//     bit (the metamorphic guarantee predict's tests pin down).
-//   - Structural: the online predictor — freezes its estimate after
-//     the first K completed blocks and reports a confidence that
-//     gates when the cost model may leave its conservative fallback.
-//
-// Estimators are per-simulation state: construct a fresh one per run
-// (they are deterministic functions of the observation stream, never of
-// wall clock or global randomness).
+// Both are one type, Running: a running mean over a kernel's completed
+// thread blocks. With no window every completed block counts — the
+// paper's measured statistics, the oracle. With a window of K blocks the
+// sums freeze after the first K and confidence ramps as n/K — the online
+// predictor. The engine keeps one Running per kernel label, feeds it
+// every per-TB completion and applies its Estimate at every preemption
+// decision. A Running is a deterministic function of its observation
+// stream, never of wall clock or global randomness.
 package predict
 
 import (
@@ -35,25 +25,6 @@ import (
 	"chimera/internal/gpu"
 	"chimera/internal/units"
 )
-
-// Estimator observes completed thread blocks and produces per-kernel
-// runtime estimates. Implementations must be deterministic functions of
-// the observation stream: same observations in, same estimates out.
-// The engine feeds Observe from its per-TB completion events and calls
-// Estimate at every preemption decision; the estimate is applied onto
-// the gpu.KernelEstimate the internal/preempt cost models consume.
-type Estimator interface {
-	// Name is the canonical estimator name ("oracle", "online", …)
-	// used in job specs and cache identities.
-	Name() string
-	// Observe folds one completed thread block of the labelled kernel
-	// into the estimator's state.
-	Observe(label string, insts int64, cycles units.Cycles)
-	// Estimate reports the estimator's current view of the labelled
-	// kernel. A kernel never observed yields the zero Estimate
-	// (Observations == 0, Confidence == 0).
-	Estimate(label string) Estimate
-}
 
 // Estimate is one kernel's predicted runtime statistics, in the units
 // the §3.2 cost models consume.
@@ -68,14 +39,13 @@ type Estimate struct {
 	// Observations counts the completed blocks folded in (including
 	// any synthetic warm-start seed).
 	Observations int64
-	// Confidence in [0, 1] reports how settled the prediction is:
-	// Measured reports 1 after any observation; Structural ramps
-	// linearly over its first K blocks.
+	// Confidence in [0, 1] reports how settled the prediction is: 1
+	// after any observation with no window, n/K over a window of K.
 	Confidence float64
 }
 
 // Apply copies the estimate onto the cost-model input, setting the Has*
-// flags only when the estimator is confident enough for the cost models
+// flags only when the estimate is confident enough for the cost models
 // to leave their conservative §3.2 fallbacks (Confidence >= gate). The
 // statically known switch timings on e are left untouched.
 func (p Estimate) Apply(e *gpu.KernelEstimate, gate float64) {
@@ -90,9 +60,10 @@ func (p Estimate) Apply(e *gpu.KernelEstimate, gate float64) {
 // Estimator names accepted in job specs (jobspec.Spec.Estimator).
 const (
 	// NameOracle selects the paper's warm-started measured statistics
-	// (Table-2 oracle): the engine's built-in gpu.KernelStats path.
+	// (Table-2 oracle): a running mean over every completed block.
 	NameOracle = "oracle"
-	// NameOnline selects the structural online predictor.
+	// NameOnline selects the structural online predictor: a running
+	// mean over the first DefaultK completed blocks.
 	NameOnline = "online"
 )
 
@@ -106,134 +77,67 @@ const DefaultK = 8
 // conservative fallbacks (half the window observed).
 const DefaultConfidenceGate = 0.5
 
-// ForName constructs a fresh estimator instance for a canonical name.
-// The empty string and NameOracle return nil: the oracle is the
-// engine's built-in measured-statistics path, not a wrapper, so oracle
-// runs execute exactly the code they always did (the bit-identical
-// guarantee `make verify-identical` enforces).
-func ForName(name string) (Estimator, error) {
+// ForName maps a spec's canonical estimator name to its window: 0 for
+// the empty string and NameOracle, DefaultK for NameOnline.
+func ForName(name string) (window int64, err error) {
 	switch name {
 	case "", NameOracle:
-		return nil, nil
+		return 0, nil
 	case NameOnline:
-		return NewStructural(DefaultK), nil
+		return DefaultK, nil
 	default:
-		return nil, fmt.Errorf("unknown estimator %q", name)
+		return 0, fmt.Errorf("unknown estimator %q", name)
 	}
 }
 
-// kernelObs is the per-label accumulator shared by both estimators.
-// Sums are kept in the integer domain (exactly like gpu.KernelStats) so
-// the derived means are bit-identical to the engine's measured path.
-type kernelObs struct {
+// Running is one kernel's running estimate. The cost models never read
+// ground-truth KernelParams for quantities the paper measures at
+// runtime: they read a Running, which starts empty and converges as
+// thread blocks complete, and until then they fall back to conservative
+// maxima (§3.2). Sums stay in the integer domain and are divided once
+// per Estimate, so equal observation streams give bit-identical means.
+// Window 0 averages every observed block; a window of K freezes the
+// sums after K blocks, so one late pathological block cannot perturb
+// every later scheduling decision.
+type Running struct {
+	// Window is the number of blocks after which the estimate freezes;
+	// 0 means never.
+	Window int64
+
 	n      int64
 	insts  int64
 	cycles units.Cycles
 }
 
-func (o *kernelObs) estimate(confidence float64) Estimate {
-	if o == nil || o.n == 0 {
+// Observe folds one completed thread block into the estimate, unless
+// the window is already full: its warp instructions and the cycles it
+// ran (execution time only, excluding restore halts).
+func (r *Running) Observe(insts int64, cycles units.Cycles) {
+	if r.Window > 0 && r.n >= r.Window {
+		return
+	}
+	r.n++
+	r.insts += insts
+	r.cycles += cycles
+}
+
+// Estimate reports the current means. A Running never observed yields
+// the zero Estimate (Observations == 0, Confidence == 0).
+func (r *Running) Estimate() Estimate {
+	if r.n == 0 {
 		return Estimate{}
 	}
 	est := Estimate{
-		InstsPerTB:   float64(o.insts) / float64(o.n),
-		CyclesPerTB:  float64(o.cycles) / float64(o.n),
-		Observations: o.n,
-		Confidence:   confidence,
+		InstsPerTB:   float64(r.insts) / float64(r.n),
+		CyclesPerTB:  float64(r.cycles) / float64(r.n),
+		Observations: r.n,
+		Confidence:   1,
 	}
-	if o.insts > 0 {
-		est.CPI = float64(o.cycles) / float64(o.insts)
+	if r.Window > 0 {
+		est.Confidence = float64(r.n) / float64(r.Window)
+	}
+	if r.insts > 0 {
+		est.CPI = float64(r.cycles) / float64(r.insts)
 	}
 	return est
-}
-
-// Measured is the paper's estimator as an explicit Estimator
-// implementation: a running mean over every observed block, mirroring
-// gpu.KernelStats arithmetic exactly. Fed the same observation stream
-// as the engine's built-in path (warm seed plus every completion) it
-// yields bit-identical estimates — the property the metamorphic test
-// relies on. Confidence is 1 after the first observation.
-type Measured struct {
-	byLabel map[string]*kernelObs
-}
-
-// NewMeasured returns an empty measured estimator.
-func NewMeasured() *Measured {
-	return &Measured{byLabel: make(map[string]*kernelObs)}
-}
-
-// Name implements Estimator.
-func (m *Measured) Name() string { return NameOracle }
-
-// Observe implements Estimator.
-func (m *Measured) Observe(label string, insts int64, cycles units.Cycles) {
-	o := m.byLabel[label]
-	if o == nil {
-		o = &kernelObs{}
-		m.byLabel[label] = o
-	}
-	o.n++
-	o.insts += insts
-	o.cycles += cycles
-}
-
-// Estimate implements Estimator.
-func (m *Measured) Estimate(label string) Estimate {
-	o := m.byLabel[label]
-	if o == nil || o.n == 0 {
-		return Estimate{}
-	}
-	return o.estimate(1)
-}
-
-// Structural is the online structural runtime predictor: it averages
-// the first K completed thread blocks per kernel and then freezes.
-// Blocks of one kernel share code structure, so the frozen prefix mean
-// predicts the rest of the grid; freezing keeps one late pathological
-// block from perturbing every later scheduling decision, and bounds the
-// predictor's state. Confidence ramps linearly from 0 to 1 across the
-// window (n/K), so Estimate.Apply's gate holds the cost models on their
-// conservative fallbacks until enough of the window has been seen.
-type Structural struct {
-	// K is the per-kernel observation window (DefaultK if built through
-	// NewStructural).
-	K       int64
-	byLabel map[string]*kernelObs
-}
-
-// NewStructural returns an online structural predictor with window k
-// (values < 1 are clamped to 1).
-func NewStructural(k int64) *Structural {
-	if k < 1 {
-		k = 1
-	}
-	return &Structural{K: k, byLabel: make(map[string]*kernelObs)}
-}
-
-// Name implements Estimator.
-func (s *Structural) Name() string { return NameOnline }
-
-// Observe implements Estimator; observations beyond the first K per
-// label are ignored (the estimate is frozen).
-func (s *Structural) Observe(label string, insts int64, cycles units.Cycles) {
-	o := s.byLabel[label]
-	if o == nil {
-		o = &kernelObs{}
-		s.byLabel[label] = o
-	}
-	if o.n >= s.K {
-		return
-	}
-	o.n++
-	o.insts += insts
-	o.cycles += cycles
-}
-
-// Estimate implements Estimator.
-func (s *Structural) Estimate(label string) Estimate {
-	o := s.byLabel[label]
-	if o == nil || o.n == 0 {
-		return Estimate{}
-	}
-	return o.estimate(float64(o.n) / float64(s.K))
 }

@@ -15,16 +15,21 @@ type obs struct {
 	Cycles uint64
 }
 
-// feed replays a stream into an estimator under one label, clamping the
-// generated values into the engine's domain (non-negative instruction
-// counts; cycles small enough that summing a stream cannot overflow).
-func feed(e Estimator, label string, stream []obs) {
+// clamp maps a generated observation into the engine's domain:
+// non-negative instruction counts, and cycles small enough that summing
+// a stream cannot overflow.
+func (o obs) clamp() (int64, units.Cycles) {
+	insts := o.Insts
+	if insts < 0 {
+		insts = -insts
+	}
+	return insts % (1 << 40), units.Cycles(o.Cycles % (1 << 40))
+}
+
+// feed replays a stream into an estimate.
+func feed(r *Running, stream []obs) {
 	for _, o := range stream {
-		insts := o.Insts
-		if insts < 0 {
-			insts = -insts
-		}
-		e.Observe(label, insts%(1<<40), units.Cycles(o.Cycles%(1<<40)))
+		r.Observe(o.clamp())
 	}
 }
 
@@ -53,24 +58,25 @@ func wellFormed(t *testing.T, est Estimate) {
 	}
 }
 
-// TestEstimateWellFormedQuick drives both estimators with arbitrary
-// observation streams: no stream may ever produce a NaN, infinite or
-// negative estimate, and confidence stays in [0, 1].
+// TestEstimateWellFormedQuick drives the oracle (no window) and online
+// (windowed) estimates with arbitrary observation streams: no stream may
+// ever produce a NaN, infinite or negative estimate, and confidence
+// stays in [0, 1].
 func TestEstimateWellFormedQuick(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mk   func() Estimator
+		name   string
+		window int64
 	}{
-		{"measured", func() Estimator { return NewMeasured() }},
-		{"structural", func() Estimator { return NewStructural(DefaultK) }},
-		{"structural-k1", func() Estimator { return NewStructural(1) }},
+		{"measured", 0},
+		{"structural", DefaultK},
+		{"structural-k1", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prop := func(stream []obs) bool {
-				e := tc.mk()
-				feed(e, "k", stream)
-				wellFormed(t, e.Estimate("k"))
-				wellFormed(t, e.Estimate("never-observed"))
+				r := &Running{Window: tc.window}
+				feed(r, stream)
+				wellFormed(t, r.Estimate())
+				wellFormed(t, (&Running{Window: tc.window}).Estimate())
 				return true
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -82,25 +88,25 @@ func TestEstimateWellFormedQuick(t *testing.T) {
 
 // TestMonotoneConvergence feeds a constant stream: the estimate must
 // equal the constants exactly at every step (a mean of identical values
-// is the value), and Structural's confidence must rise monotonically to
+// is the value), and the windowed confidence must rise monotonically to
 // 1 at K and stay there.
 func TestMonotoneConvergence(t *testing.T) {
 	const insts, cycles = 1200, 4800
-	s := NewStructural(DefaultK)
-	m := NewMeasured()
+	s := &Running{Window: DefaultK}
+	m := &Running{}
 	prevConf := 0.0
 	for i := 1; i <= 3*DefaultK; i++ {
-		s.Observe("k", insts, cycles)
-		m.Observe("k", insts, cycles)
+		s.Observe(insts, cycles)
+		m.Observe(insts, cycles)
 		for _, v := range []struct {
 			name string
 			est  Estimate
-		}{{"structural", s.Estimate("k")}, {"measured", m.Estimate("k")}} {
+		}{{"structural", s.Estimate()}, {"measured", m.Estimate()}} {
 			if v.est.InstsPerTB != insts || v.est.CyclesPerTB != cycles || v.est.CPI != float64(cycles)/float64(insts) {
 				t.Fatalf("%s step %d: estimate %+v drifted off the constant stream", v.name, i, v.est)
 			}
 		}
-		conf := s.Estimate("k").Confidence
+		conf := s.Estimate().Confidence
 		if conf < prevConf {
 			t.Fatalf("step %d: structural confidence fell %v -> %v", i, prevConf, conf)
 		}
@@ -109,8 +115,8 @@ func TestMonotoneConvergence(t *testing.T) {
 		}
 		prevConf = conf
 	}
-	if got := m.Estimate("k").Confidence; got != 1 {
-		t.Fatalf("measured confidence %v, want 1", got)
+	if got := m.Estimate(); got.Confidence != 1 || got.Observations != 3*DefaultK {
+		t.Fatalf("measured estimate %+v, want confidence 1 over %d observations", got, 3*DefaultK)
 	}
 }
 
@@ -118,61 +124,89 @@ func TestMonotoneConvergence(t *testing.T) {
 // past the window neither move the estimate nor the observation count.
 func TestStructuralFreeze(t *testing.T) {
 	const k = 4
-	s := NewStructural(k)
+	s := &Running{Window: k}
 	for i := 0; i < k; i++ {
-		s.Observe("k", 100, 400)
+		s.Observe(100, 400)
 	}
-	frozen := s.Estimate("k")
+	frozen := s.Estimate()
 	if frozen.Observations != k || frozen.Confidence != 1 {
 		t.Fatalf("after window: %+v, want %d observations at confidence 1", frozen, k)
 	}
 	for i := 0; i < 10; i++ {
-		s.Observe("k", 999_999, 1) // wildly different tail blocks
+		s.Observe(999_999, 1) // wildly different tail blocks
 	}
-	if got := s.Estimate("k"); got != frozen {
+	if got := s.Estimate(); got != frozen {
 		t.Fatalf("estimate moved after freeze: %+v -> %+v", frozen, got)
 	}
 }
 
-// TestMeasuredMatchesKernelStats is the arithmetic-equivalence property
-// the engine's metamorphic test builds on: fed the same observation
-// stream, Measured's estimate is bit-identical to the means derived
-// from gpu.KernelStats (both keep integer sums and divide once).
+// TestMeasuredMatchesKernelStats pins the oracle's arithmetic: with no
+// window, every observation counts, and the means are the test's own
+// integer sums divided once — the paper's measured statistics, bit for
+// bit.
 func TestMeasuredMatchesKernelStats(t *testing.T) {
 	prop := func(stream []obs) bool {
-		m := NewMeasured()
-		var stats gpu.KernelStats
+		r := &Running{}
+		var n, sumInsts int64
+		var sumCycles units.Cycles
 		for _, o := range stream {
-			insts := o.Insts
-			if insts < 0 {
-				insts = -insts
-			}
-			insts %= 1 << 40
-			cycles := units.Cycles(o.Cycles % (1 << 40))
-			m.Observe("k", insts, cycles)
-			stats.RecordCompletion(insts, cycles)
+			insts, cycles := o.clamp()
+			r.Observe(insts, cycles)
+			n++
+			sumInsts += insts
+			sumCycles += cycles
 		}
-		est := m.Estimate("k")
-		if avg, ok := stats.AvgInstsPerTB(); ok {
-			if est.InstsPerTB != avg {
-				t.Fatalf("InstsPerTB %v != KernelStats %v", est.InstsPerTB, avg)
-			}
-		} else if est.Observations != 0 {
-			t.Fatalf("empty stats but estimate %+v", est)
+		est := r.Estimate()
+		if est.Observations != n {
+			t.Fatalf("Observations %d, fed %d", est.Observations, n)
 		}
-		if avg, ok := stats.AvgCPI(); ok && est.CPI != avg {
-			t.Fatalf("CPI %v != KernelStats %v", est.CPI, avg)
-		}
-		if stats.CompletedTBs > 0 {
-			want := float64(stats.CyclesFromCompleted) / float64(stats.CompletedTBs)
-			if est.CyclesPerTB != want {
-				t.Fatalf("CyclesPerTB %v != KernelStats %v", est.CyclesPerTB, want)
+		if n == 0 {
+			if est != (Estimate{}) {
+				t.Fatalf("empty stream but estimate %+v", est)
 			}
+			return true
+		}
+		if want := float64(sumInsts) / float64(n); est.InstsPerTB != want {
+			t.Fatalf("InstsPerTB %v, want %v", est.InstsPerTB, want)
+		}
+		if want := float64(sumCycles) / float64(n); est.CyclesPerTB != want {
+			t.Fatalf("CyclesPerTB %v, want %v", est.CyclesPerTB, want)
+		}
+		if sumInsts > 0 {
+			if want := float64(sumCycles) / float64(sumInsts); est.CPI != want {
+				t.Fatalf("CPI %v, want %v", est.CPI, want)
+			}
+		}
+		if est.Confidence != 1 {
+			t.Fatalf("Confidence %v, want 1", est.Confidence)
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKernelStatsAverages pins the measured means the cost models see:
+// an empty estimate has none, and two blocks give exact means.
+func TestKernelStatsAverages(t *testing.T) {
+	var r Running
+	var e gpu.KernelEstimate
+	r.Estimate().Apply(&e, DefaultConfidenceGate)
+	if e.HasInsts || e.HasCPI || e.HasCycles {
+		t.Errorf("empty estimate claims averages: %+v", e)
+	}
+	r.Observe(1000, 4000)
+	r.Observe(2000, 10000)
+	r.Estimate().Apply(&e, DefaultConfidenceGate)
+	if !e.HasInsts || e.AvgInstsPerTB != 1500 {
+		t.Errorf("AvgInstsPerTB = %v/%v", e.AvgInstsPerTB, e.HasInsts)
+	}
+	if !e.HasCPI || math.Abs(e.AvgCPI-14000.0/3000.0) > 1e-12 {
+		t.Errorf("AvgCPI = %v/%v", e.AvgCPI, e.HasCPI)
+	}
+	if !e.HasCycles || e.AvgCyclesPerTB != 7000 {
+		t.Errorf("AvgCyclesPerTB = %v/%v", e.AvgCyclesPerTB, e.HasCycles)
 	}
 }
 
@@ -204,41 +238,38 @@ func TestApplyGate(t *testing.T) {
 	}
 }
 
-// TestForName pins the spec-name mapping, in particular that oracle
-// mode resolves to a nil estimator — the engine's unchanged built-in
-// path, which is what keeps oracle runs bit-identical.
+// TestForName pins the spec-name mapping: the oracle (and the empty
+// default) averages every block, online freezes after DefaultK, and
+// anything else is an error.
 func TestForName(t *testing.T) {
-	for _, name := range []string{"", NameOracle} {
-		e, err := ForName(name)
-		if err != nil || e != nil {
-			t.Fatalf("ForName(%q) = %v, %v; want nil, nil", name, e, err)
+	for _, tc := range []struct {
+		name   string
+		window int64
+	}{{"", 0}, {NameOracle, 0}, {NameOnline, DefaultK}} {
+		window, err := ForName(tc.name)
+		if err != nil || window != tc.window {
+			t.Errorf("ForName(%q) = %d, %v; want %d, nil", tc.name, window, err, tc.window)
 		}
-	}
-	e, err := ForName(NameOnline)
-	if err != nil {
-		t.Fatalf("ForName(online): %v", err)
-	}
-	s, ok := e.(*Structural)
-	if !ok || s.K != DefaultK {
-		t.Fatalf("ForName(online) = %#v, want *Structural with K=%d", e, DefaultK)
 	}
 	if _, err := ForName("bogus"); err == nil {
 		t.Fatal("ForName(bogus) succeeded")
 	}
 }
 
-// TestLabelsIndependent verifies per-label isolation: observing one
-// kernel never perturbs another's estimate.
+// TestLabelsIndependent pins that an estimate holds no state outside
+// itself: the engine keeps one Running per kernel label, and two of
+// them fed interleaved streams report exactly what each reports alone.
 func TestLabelsIndependent(t *testing.T) {
-	for _, e := range []Estimator{NewMeasured(), NewStructural(DefaultK)} {
-		e.Observe("a", 100, 400)
-		e.Observe("b", 7, 7000)
-		a, b := e.Estimate("a"), e.Estimate("b")
-		if a.InstsPerTB != 100 || a.CyclesPerTB != 400 {
-			t.Fatalf("%s: label a contaminated: %+v", e.Name(), a)
+	for _, window := range []int64{0, DefaultK} {
+		a, b := &Running{Window: window}, &Running{Window: window}
+		a.Observe(100, 400)
+		b.Observe(7, 7000)
+		a.Observe(100, 400)
+		if got := a.Estimate(); got.InstsPerTB != 100 || got.CyclesPerTB != 400 || got.Observations != 2 {
+			t.Fatalf("window %d: label a contaminated: %+v", window, got)
 		}
-		if b.InstsPerTB != 7 || b.CyclesPerTB != 7000 {
-			t.Fatalf("%s: label b contaminated: %+v", e.Name(), b)
+		if got := b.Estimate(); got.InstsPerTB != 7 || got.CyclesPerTB != 7000 || got.Observations != 1 {
+			t.Fatalf("window %d: label b contaminated: %+v", window, got)
 		}
 	}
 }

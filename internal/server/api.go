@@ -26,55 +26,6 @@ import (
 // 1000 µs, constraint 15 µs, seed 1).
 type JobSpec = jobspec.Spec
 
-// Scenario kinds accepted in JobSpec.Kind (re-exported from jobspec).
-const (
-	// KindSolo measures one benchmark's stand-alone progress rate.
-	KindSolo = jobspec.KindSolo
-	// KindPeriodic runs a benchmark against the §4.1 periodic real-time
-	// task and reports violation/overhead metrics.
-	KindPeriodic = jobspec.KindPeriodic
-	// KindPair runs two benchmarks concurrently (§4.4) and reports
-	// ANTT/STP.
-	KindPair = jobspec.KindPair
-	// KindMulti runs two or more benchmarks, "+"-joined in Bench,
-	// concurrently and reports ANTT, STP and the SM-busy fraction.
-	KindMulti = jobspec.KindMulti
-)
-
-// Policy names accepted in JobSpec.Policy (re-exported from jobspec,
-// which also names the design-choice variants, e.g.
-// jobspec.PolicyFlushStrict).
-const (
-	// PolicyChimera is Algorithm 1 — the default.
-	PolicyChimera = jobspec.PolicyChimera
-	// PolicySwitch, PolicyDrain and PolicyFlush are the single-technique
-	// baselines.
-	PolicySwitch = jobspec.PolicySwitch
-	// PolicyDrain drains every block (see PolicySwitch).
-	PolicyDrain = jobspec.PolicyDrain
-	// PolicyFlush flushes idempotent blocks (see PolicySwitch).
-	PolicyFlush = jobspec.PolicyFlush
-	// PolicyEDF is the deadline-ordered, preemption-cost-aware policy
-	// (docs/scheduling.md).
-	PolicyEDF = jobspec.PolicyEDF
-	// PolicySLO sheds demand no technique can serve within the deadline
-	// (docs/scheduling.md).
-	PolicySLO = jobspec.PolicySLO
-	// PolicyFCFS is the non-preemptive serial baseline (pair and multi
-	// jobs only).
-	PolicyFCFS = jobspec.PolicyFCFS
-)
-
-// Estimator names accepted in JobSpec.Estimator (re-exported from
-// jobspec; see docs/scheduling.md).
-const (
-	// EstimatorOracle is the default warm-started measured-statistics
-	// path (Table-2 oracle).
-	EstimatorOracle = jobspec.EstimatorOracle
-	// EstimatorOnline is the structural online runtime predictor.
-	EstimatorOnline = jobspec.EstimatorOnline
-)
-
 // JobState is a job's lifecycle phase.
 type JobState string
 

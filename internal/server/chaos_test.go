@@ -19,6 +19,7 @@ import (
 
 	"chimera/internal/engine"
 	"chimera/internal/faults"
+	"chimera/internal/jobspec"
 	"chimera/internal/metrics"
 	"chimera/internal/server"
 	"chimera/internal/server/client"
@@ -72,7 +73,7 @@ func TestChaosExactlyOnceUnderFaults(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < jobs; i++ {
 		spec := server.JobSpec{
-			Kind:     server.KindSolo,
+			Kind:     jobspec.KindSolo,
 			Bench:    "SAD",
 			WindowUs: 100,
 			// Distinct seeds make every submission a distinct simjob, so
@@ -184,9 +185,9 @@ func TestChaosEscalationCountersMatchPlan(t *testing.T) {
 	// stalls scale off them) and the watchdog fires well before the
 	// periodic task's deadline kill.
 	st, err := c.SubmitWait(context.Background(), server.JobSpec{
-		Kind:         server.KindPeriodic,
+		Kind:         jobspec.KindPeriodic,
 		Bench:        "BS",
-		Policy:       server.PolicyDrain,
+		Policy:       jobspec.PolicyDrain,
 		WindowUs:     4000,
 		ConstraintUs: 600,
 		Seed:         7,
@@ -217,8 +218,8 @@ func TestChaosEscalationCountersMatchPlan(t *testing.T) {
 // same stalls. Whichever spelling a fresh server runs first, both
 // submissions then read the same ANTT, STP and request count.
 func TestChaosPairAndMultiSpellingsDrawSameStalls(t *testing.T) {
-	pair := server.JobSpec{Kind: server.KindPair, Bench: "LUD", BenchB: "HS", WindowUs: 2000, Seed: 3}
-	multi := server.JobSpec{Kind: server.KindMulti, Bench: "LUD+HS", WindowUs: 2000, Seed: 3}
+	pair := server.JobSpec{Kind: jobspec.KindPair, Bench: "LUD", BenchB: "HS", WindowUs: 2000, Seed: 3}
+	multi := server.JobSpec{Kind: jobspec.KindMulti, Bench: "LUD+HS", WindowUs: 2000, Seed: 3}
 	type outcome struct {
 		antt, stp float64
 		requests  int

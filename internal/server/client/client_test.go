@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"chimera/internal/jobspec"
 	"chimera/internal/server"
 )
 
@@ -176,7 +177,7 @@ func TestPostNotRetriedOnTransportError(t *testing.T) {
 			return nil, fmt.Errorf("broken pipe mid-request")
 		})}))
 	recordedSleeps(c)
-	_, err := c.Submit(context.Background(), server.JobSpec{Kind: server.KindSolo, Bench: "SAD"})
+	_, err := c.Submit(context.Background(), server.JobSpec{Kind: jobspec.KindSolo, Bench: "SAD"})
 	if err == nil {
 		t.Fatal("expected transport failure")
 	}
@@ -201,7 +202,7 @@ func TestPostNotRetriedOnTransportError(t *testing.T) {
 			return http.DefaultTransport.RoundTrip(r)
 		})}))
 	sleeps := recordedSleeps(dead)
-	_, err = dead.Submit(context.Background(), server.JobSpec{Kind: server.KindSolo, Bench: "SAD"})
+	_, err = dead.Submit(context.Background(), server.JobSpec{Kind: jobspec.KindSolo, Bench: "SAD"})
 	var opErr *net.OpError
 	if !errors.As(err, &opErr) || opErr.Op != "dial" {
 		t.Fatalf("err = %v, want the dial error", err)
@@ -224,7 +225,7 @@ func TestPostNotRetriedAfterCommit(t *testing.T) {
 
 	c := New(ts.URL, WithMaxAttempts(4))
 	recordedSleeps(c)
-	_, err := c.Submit(context.Background(), server.JobSpec{Kind: server.KindSolo, Bench: "SAD"})
+	_, err := c.Submit(context.Background(), server.JobSpec{Kind: jobspec.KindSolo, Bench: "SAD"})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("err = %v, want 500 APIError", err)
@@ -250,7 +251,7 @@ func TestPostRetriedOnBackpressure(t *testing.T) {
 
 	c := New(ts.URL, WithRand(func() float64 { return 0 }))
 	recordedSleeps(c)
-	st, err := c.Submit(context.Background(), server.JobSpec{Kind: server.KindSolo, Bench: "SAD"})
+	st, err := c.Submit(context.Background(), server.JobSpec{Kind: jobspec.KindSolo, Bench: "SAD"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestEndToEnd(t *testing.T) {
 	c := New(ts.URL)
 	ctx := context.Background()
 
-	st, err := c.Submit(ctx, server.JobSpec{Kind: server.KindSolo, Bench: "SAD", WindowUs: 100})
+	st, err := c.Submit(ctx, server.JobSpec{Kind: jobspec.KindSolo, Bench: "SAD", WindowUs: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("bad result %+v", res)
 	}
 
-	long, err := c.Submit(ctx, server.JobSpec{Kind: server.KindPeriodic, Bench: "SAD", WindowUs: 60e6})
+	long, err := c.Submit(ctx, server.JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 60e6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func fetchResult(t *testing.T, ts *httptest.Server, id string) ([]byte, int) {
 
 // shortSpec is a fast solo scenario (small window keeps tests quick).
 func shortSpec() JobSpec {
-	return JobSpec{Kind: KindSolo, Bench: "SAD", WindowUs: 100}
+	return JobSpec{Kind: jobspec.KindSolo, Bench: "SAD", WindowUs: 100}
 }
 
 // TestSubmitAndResult: a 202 carries the job's status, then the job runs
@@ -151,7 +151,7 @@ func shortSpec() JobSpec {
 // idle worker can already be done when its 202 is rendered.
 func TestSubmitAndResult(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	long, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
+	long, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit long: got %d", code)
 	}
@@ -174,7 +174,7 @@ func TestSubmitAndResult(t *testing.T) {
 	if err := json.Unmarshal(fin.Result, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Kind != KindSolo || res.SoloRate <= 0 {
+	if res.Kind != jobspec.KindSolo || res.SoloRate <= 0 {
 		t.Fatalf("bad result: %+v", res)
 	}
 	body, code := fetchResult(t, ts, st.ID)
@@ -230,7 +230,7 @@ func TestResultBytesMatchExecutor(t *testing.T) {
 // second submission marked deduped.
 func TestConcurrentDedup(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	spec := JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 2000}
+	spec := JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 2000}
 
 	var wg sync.WaitGroup
 	ids := make([]string, 2)
@@ -284,7 +284,7 @@ func TestConcurrentDedup(t *testing.T) {
 func TestCancelRunningJob(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	// A huge window would run for a long time if not cancelled.
-	st, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
+	st, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: got %d", code)
 	}
@@ -335,18 +335,18 @@ func TestCancelRunningJob(t *testing.T) {
 func TestQueueFullBackpressure(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1})
 	// Occupy the worker with a long job and the queue with another.
-	first, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
+	first, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit 1: got %d", code)
 	}
 	// Wait for the worker to pick up the first job so the queue is empty.
 	awaitRunning(t, ts, first.ID)
-	second, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "MUM", WindowUs: 60e6}, "")
+	second, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "MUM", WindowUs: 60e6}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit 2: got %d", code)
 	}
 
-	body, err := json.Marshal(JobSpec{Kind: KindSolo, Bench: "ST", WindowUs: 100})
+	body, err := json.Marshal(JobSpec{Kind: jobspec.KindSolo, Bench: "ST", WindowUs: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,12 +380,12 @@ func TestQueueFullBackpressure(t *testing.T) {
 // inflates server/queue_depth.
 func TestCancelQueuedJobFreesSlot(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1})
-	long, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
+	long, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit long: got %d", code)
 	}
 	awaitRunning(t, ts, long.ID)
-	queued, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "MUM", WindowUs: 60e6}, "")
+	queued, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "MUM", WindowUs: 60e6}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit queued: got %d", code)
 	}
@@ -410,7 +410,7 @@ func TestCancelQueuedJobFreesSlot(t *testing.T) {
 
 func TestJobDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	st, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 60e6, TimeoutMs: 50}, "")
+	st, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 60e6, TimeoutMs: 50}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: got %d", code)
 	}
@@ -477,7 +477,7 @@ func TestWaitSubmission(t *testing.T) {
 
 func TestSSEProgress(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, SSEInterval: 20 * time.Millisecond})
-	st, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 5000}, "")
+	st, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 5000}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: got %d", code)
 	}
@@ -525,12 +525,12 @@ func TestSSEProgress(t *testing.T) {
 // streamed job is queued and its stream opens with a status frame.
 func TestSSEStatsKeys(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	long, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
+	long, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit long: got %d", code)
 	}
 	awaitRunning(t, ts, long.ID)
-	queued, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "MUM", WindowUs: 60e6}, "")
+	queued, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "MUM", WindowUs: 60e6}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit queued: got %d", code)
 	}
@@ -576,7 +576,7 @@ func TestSSEStatsKeys(t *testing.T) {
 
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	st, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 3000, Trace: true}, "?wait=1")
+	st, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 3000, Trace: true}, "?wait=1")
 	if code != http.StatusOK {
 		t.Fatalf("submit: got %d", code)
 	}
@@ -630,7 +630,7 @@ func TestTraceEndpoint(t *testing.T) {
 // result's Mix.
 func TestTraceMatchesUntracedSpec(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	spec := JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 20000, ConstraintUs: 5, HeadroomUs: 1}
+	spec := JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 20000, ConstraintUs: 5, HeadroomUs: 1}
 
 	spec.Trace = true
 	st, code := postJob(t, ts, spec, "?wait=1")
@@ -711,7 +711,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestMetricsCountEvictions(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, CacheCap: 1})
 	for _, bench := range []string{"SAD", "MUM", "BS"} {
-		if _, code := postJob(t, ts, JobSpec{Kind: KindSolo, Bench: bench, WindowUs: 100}, "?wait=1"); code != http.StatusOK {
+		if _, code := postJob(t, ts, JobSpec{Kind: jobspec.KindSolo, Bench: bench, WindowUs: 100}, "?wait=1"); code != http.StatusOK {
 			t.Fatalf("submit %s: got %d", bench, code)
 		}
 	}
@@ -730,7 +730,7 @@ func TestPriorityOrdering(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	// Block the worker, then queue a low- and a high-priority job; the
 	// high-priority one must start (and finish) first.
-	blocker, code := postJob(t, ts, JobSpec{Kind: KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
+	blocker, code := postJob(t, ts, JobSpec{Kind: jobspec.KindPeriodic, Bench: "SAD", WindowUs: 60e6}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit blocker: got %d", code)
 	}
@@ -753,11 +753,11 @@ func TestPriorityOrdering(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	low, code := postJob(t, ts, JobSpec{Kind: KindSolo, Bench: "MUM", WindowUs: 100, Priority: 1}, "")
+	low, code := postJob(t, ts, JobSpec{Kind: jobspec.KindSolo, Bench: "MUM", WindowUs: 100, Priority: 1}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit low: got %d", code)
 	}
-	high, code := postJob(t, ts, JobSpec{Kind: KindSolo, Bench: "ST", WindowUs: 100, Priority: 9}, "")
+	high, code := postJob(t, ts, JobSpec{Kind: jobspec.KindSolo, Bench: "ST", WindowUs: 100, Priority: 9}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("submit high: got %d", code)
 	}
@@ -783,7 +783,7 @@ func TestListJobs(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	var ids []string
 	for i := 0; i < 3; i++ {
-		st, code := postJob(t, ts, JobSpec{Kind: KindSolo, Bench: "SAD", WindowUs: 100, Seed: uint64(i + 1)}, "")
+		st, code := postJob(t, ts, JobSpec{Kind: jobspec.KindSolo, Bench: "SAD", WindowUs: 100, Seed: uint64(i + 1)}, "")
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %d: got %d", i, code)
 		}

@@ -14,6 +14,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"chimera/internal/jobspec"
 )
 
 func TestShedHopeless(t *testing.T) {
@@ -21,7 +23,7 @@ func TestShedHopeless(t *testing.T) {
 
 	// Warm the service-time EWMA with one real completed job: the shed
 	// predicate deliberately admits everything until it has evidence.
-	st, code := postJob(t, ts, JobSpec{Kind: KindSolo, Bench: "SAD", WindowUs: 100, DeadlineMs: 60_000}, "")
+	st, code := postJob(t, ts, JobSpec{Kind: jobspec.KindSolo, Bench: "SAD", WindowUs: 100, DeadlineMs: 60_000}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("warm submit: got %d, want 202", code)
 	}
@@ -39,7 +41,7 @@ func TestShedHopeless(t *testing.T) {
 		t.Fatalf("completed job did not warm the service-time estimate (%v)", warmed)
 	}
 
-	body, err := json.Marshal(JobSpec{Kind: KindSolo, Bench: "SAD", WindowUs: 100, DeadlineMs: 5_000})
+	body, err := json.Marshal(JobSpec{Kind: jobspec.KindSolo, Bench: "SAD", WindowUs: 100, DeadlineMs: 5_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestShedHopeless(t *testing.T) {
 	if _, code := postJob(t, ts, shortSpec(), ""); code != http.StatusAccepted {
 		t.Fatalf("deadline-free submit after shed: got %d, want 202", code)
 	}
-	ok, code := postJob(t, ts, JobSpec{Kind: KindSolo, Bench: "SAD", WindowUs: 100, DeadlineMs: 60_000}, "")
+	ok, code := postJob(t, ts, JobSpec{Kind: jobspec.KindSolo, Bench: "SAD", WindowUs: 100, DeadlineMs: 60_000}, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("feasible-deadline submit: got %d, want 202", code)
 	}
@@ -91,8 +93,8 @@ func TestShedHopeless(t *testing.T) {
 func TestDeadlinePoliciesServed(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	for _, spec := range []JobSpec{
-		{Kind: KindPeriodic, Bench: "SAD", Policy: PolicyEDF, WindowUs: 300, ConstraintUs: 15, DeadlineMs: 60_000, Estimator: EstimatorOnline},
-		{Kind: KindPeriodic, Bench: "SAD", Policy: PolicySLO, WindowUs: 300, ConstraintUs: 15, DeadlineMs: 60_000, Estimator: EstimatorOracle},
+		{Kind: jobspec.KindPeriodic, Bench: "SAD", Policy: jobspec.PolicyEDF, WindowUs: 300, ConstraintUs: 15, DeadlineMs: 60_000, Estimator: jobspec.EstimatorOnline},
+		{Kind: jobspec.KindPeriodic, Bench: "SAD", Policy: jobspec.PolicySLO, WindowUs: 300, ConstraintUs: 15, DeadlineMs: 60_000, Estimator: jobspec.EstimatorOracle},
 	} {
 		st, code := postJob(t, ts, spec, "")
 		if code != http.StatusAccepted {

@@ -1,8 +1,13 @@
 package workloads
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"chimera/internal/engine"
@@ -224,4 +229,75 @@ func TestSpecHashIsSimJobIdentity(t *testing.T) {
 	if job.Policy != jobspec.PolicyKey(engine.FixedPolicy{Technique: 1}, false) {
 		t.Errorf("derived job policy key %q", job.Policy)
 	}
+}
+
+// TestOnlineEstimatorGolden pins the online estimator's results, which
+// no exhibit, chaos or replay campaign, smoke or benchmark workload
+// runs: every benchmark's periodic spec under eight policies at a
+// 3000 µs window and a 10 µs constraint, with estimator "online". Each
+// golden row holds, in policy order, the first 8 hex digits of the
+// SHA-256 of each spec's result payload (its JSON encoding). The oracle
+// runs of the same specs must differ from the online ones somewhere, so
+// the golden pins something the oracle identity gates do not.
+func TestOnlineEstimatorGolden(t *testing.T) {
+	policies := []string{
+		jobspec.PolicyChimera, jobspec.PolicySwitch, jobspec.PolicyDrain, jobspec.PolicyFlush,
+		jobspec.PolicyEDF, jobspec.PolicySLO, jobspec.PolicyChimeraOptimistic, jobspec.PolicyChimeraCycleEst,
+	}
+	golden := map[string]string{
+		"BS":  "6c1a17e5 ed58e525 c80e3c4c 59c2654e 661be277 c8ca0354 0955374a 29b19b78",
+		"BT":  "92e9d112 f0c023b5 14b61436 d08e6c79 4b761340 5de8f4f4 2e177115 eebccae0",
+		"BP":  "98d11573 07eb79ba a867002a 0855b543 0c3bfd6c b9ca5c29 e70a3fba b2621b1b",
+		"CP":  "676b7c15 d6cec52d 3eaada19 dcef26f1 307dcfed c0b52f18 e144b0f1 e24593e8",
+		"FWT": "5800defb b07b0722 dd8541ef 39406ee6 35f8c168 ec5ec326 ea9f86e9 d3e61dea",
+		"HW":  "4fddb5e1 58b36aaa eb9928ae d0436283 99f4a443 9150c9d7 db953aa9 229e0a91",
+		"HS":  "83f2d211 277faa44 3c936963 3522d6c3 a2708ebc eb0d37ad 314ea743 b4059998",
+		"KM":  "47f395eb 96fef65d 289b78c8 cf0a66fc 1b81460a f6d3a4f1 e98e8102 c4502a58",
+		"LC":  "4f200b1b 5dd3d3b1 bd52a2f1 2db012f8 6d5fed24 1fa1b562 246778ad 8ebb75fd",
+		"LUD": "b92a6b35 36b7b5d4 9c704a6a ce7d940d 8f0101db 115ee717 0450bd65 e2bf370f",
+		"MUM": "fe257902 2a25866a 5d8b92ea c77d92d0 44a99882 0952a83c e72e1e63 04ac8b5f",
+		"NW":  "4c25f667 811a951d dc660ea8 c9849df8 5fce706c 8dc56088 6e7a84bf 06bade4b",
+		"SAD": "a9d813e0 a095f985 0cb35e39 d3f900fa 2978b51a ae15df2c 009a97f1 4d2f6348",
+		"ST":  "a8860386 831da56c bcea1c1e 0111aa71 b3426033 2fabb7c4 8a608a95 40e9ab70",
+	}
+	e := newTestExecutor(t)
+	benches := e.base.Catalog().BenchmarkNames()
+	var specs []jobspec.Spec
+	for _, bench := range benches {
+		for _, policy := range policies {
+			spec := jobspec.Periodic(bench, policy).WithWindowUs(3000).WithConstraintUs(10)
+			specs = append(specs, spec.WithEstimator(jobspec.EstimatorOnline), spec)
+		}
+	}
+	out, err := e.RunSpecs(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := 0
+	for i, bench := range benches {
+		row := make([]string, len(policies))
+		for j := range policies {
+			at := 2 * (i*len(policies) + j)
+			online, err := json.Marshal(out[at])
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := json.Marshal(out[at+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(online)
+			row[j] = hex.EncodeToString(sum[:4])
+			if !bytes.Equal(online, oracle) {
+				differ++
+			}
+		}
+		if got := strings.Join(row, " "); got != golden[bench] {
+			t.Errorf("%s: online payload digests\n got %q\nwant %q", bench, got, golden[bench])
+		}
+	}
+	if differ == 0 {
+		t.Error("every online payload equals its oracle payload")
+	}
+	t.Logf("online differs from oracle in %d of %d specs", differ, len(specs)/2)
 }

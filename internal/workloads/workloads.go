@@ -97,11 +97,11 @@ type Runner struct {
 	// anything beyond the simulation parameters — typically an active
 	// fault plan's fingerprint. Empty for clean runs.
 	Variant string
-	// Estimator selects the runtime-estimate source preemption planning
-	// consumes ("" or jobspec's "oracle" = the engine's built-in
-	// warm-started measured statistics; "online" = the structural
-	// predictor, engine.Options.Estimator). A fresh estimator instance
-	// is constructed per engine run; non-default estimators fold into
+	// Estimator selects the runtime estimate preemption planning
+	// consumes ("" or jobspec's "oracle" = warm-started measured
+	// statistics over every completed block; "online" = the structural
+	// predictor), as the window predict.ForName maps it to
+	// (engine.Options.EstimateWindow). Non-default estimators fold into
 	// the cache identity of preemption-bearing scenarios.
 	Estimator string
 
@@ -227,7 +227,7 @@ func (r *Runner) job(kind simjob.Kind, benches string, policy engine.Policy, ser
 // recordings included: it runs benches as looping processes for the
 // Runner's window under its configuration and returns the finished
 // simulation. Periodic runs add the §4.1 real-time task and plan
-// against Headroom; preempting runs get a fresh estimator instance;
+// against Headroom; preempting runs take the Runner's estimator;
 // multiprogrammed processes are named by procName. A cancelled ctx
 // aborts the run within one event.
 func (r *Runner) simulate(ctx context.Context, kind simjob.Kind, benches []string, policy engine.Policy, serial bool, tracer trace.Recorder) (*engine.Simulation, error) {
@@ -263,11 +263,11 @@ func (r *Runner) simulate(ctx context.Context, kind simjob.Kind, benches []strin
 		opts.Headroom = r.Headroom
 	}
 	if kind != simjob.KindSolo {
-		est, err := predict.ForName(r.Estimator)
+		window, err := predict.ForName(r.Estimator)
 		if err != nil {
 			return nil, fmt.Errorf("workloads: %w", err)
 		}
-		opts.Estimator = est
+		opts.EstimateWindow = window
 	}
 	sim := engine.New(opts)
 	for _, p := range procs {
