@@ -86,18 +86,24 @@ benchdiff:
 # bit-reproducible (two runs byte-identical) and must still match the
 # checked-in quick tables (results_quick.txt, every exhibit) and
 # canonical trace (one traced scenario) — the proof that perf work
-# (pooling, batching, queue swaps) changed no observable behavior.
-# Tables are stdout only; the trace summary line goes to stderr.
+# (pooling, batching, queue swaps, shared warm-ups) changed no
+# observable behavior. The second sweep runs on one worker with the
+# fused multiply-add math kernels off (math.Exp switches to an FMA
+# polynomial at run time on CPUs with AVX and FMA, and every fresh
+# block's CPI draw calls it), so the gate also sees a dependence on
+# worker count, on which run computes a shared warm-up, or on the
+# host's FMA. Tables are stdout only; the trace summary line goes to
+# stderr.
 VERIFY_DIR ?= /tmp/chimera-verify
 verify-identical:
 	mkdir -p $(VERIFY_DIR)/a $(VERIFY_DIR)/b
 	$(GO) run ./cmd/chimerasim -quick -trace trace.json all > $(VERIFY_DIR)/a/results.txt && mv trace.json $(VERIFY_DIR)/a/trace.json
-	$(GO) run ./cmd/chimerasim -quick -trace trace.json all > $(VERIFY_DIR)/b/results.txt && mv trace.json $(VERIFY_DIR)/b/trace.json
+	GODEBUG=cpu.fma=off $(GO) run ./cmd/chimerasim -quick -j 1 -trace trace.json all > $(VERIFY_DIR)/b/results.txt && mv trace.json $(VERIFY_DIR)/b/trace.json
 	cmp $(VERIFY_DIR)/a/results.txt $(VERIFY_DIR)/b/results.txt
 	cmp $(VERIFY_DIR)/a/trace.json $(VERIFY_DIR)/b/trace.json
 	cmp $(VERIFY_DIR)/a/results.txt results_quick.txt
 	cmp $(VERIFY_DIR)/a/trace.json trace_canonical.json
-	@echo "verify-identical: two quick sweeps byte-identical and equal to results_quick.txt and trace_canonical.json"
+	@echo "verify-identical: two quick sweeps (the second at -j 1 without FMA) byte-identical and equal to results_quick.txt and trace_canonical.json"
 
 # Full-scale identity gate: every exhibit at the recorded EXPERIMENTS.md
 # scale must print exactly the checked-in results_full.txt. Quick
@@ -212,6 +218,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpec -fuzztime $(FUZZTIME) ./internal/jobspec/
 	$(GO) test -run '^$$' -fuzz FuzzReadTrace -fuzztime $(FUZZTIME) ./internal/jobspec/
 	$(GO) test -run '^$$' -fuzz FuzzRunBlocks -fuzztime $(FUZZTIME) ./internal/smsim/
+	$(GO) test -run '^$$' -fuzz FuzzWarmupFork -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzFrontSubmit -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/cluster/
 
 examples:

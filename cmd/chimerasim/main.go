@@ -29,6 +29,8 @@
 //	-metrics        dump latency histograms and scheduler counters
 //	-metrics-prom   dump the metrics registry in Prometheus text format
 //	                (the same renderer as chimerad's /metrics endpoint)
+//	-cpuprofile FILE write a CPU profile of the whole run to FILE
+//	                (go tool pprof); standard output is unchanged
 //
 // With -trace, -metrics or -metrics-prom the experiment list may be
 // empty: the command then only records the scenario and/or dumps the
@@ -43,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -65,6 +68,7 @@ func main() {
 	traceUs := flag.Float64("trace-us", 5000, "simulated µs of the traced scenario")
 	metricsOut := flag.Bool("metrics", false, "dump latency histograms and scheduler counters after the run")
 	metricsProm := flag.Bool("metrics-prom", false, "dump the metrics registry in Prometheus text format (same renderer as chimerad /metrics)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -72,6 +76,18 @@ func main() {
 	if len(args) == 0 && *traceFile == "" && !*metricsOut && !*metricsProm {
 		usage()
 		os.Exit(2)
+	}
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "chimerasim: cpuprofile: %v\n", err)
+			exit(1)
+		}
+		defer stop()
+		exit = func(code int) {
+			stop()
+			os.Exit(code)
+		}
 	}
 
 	scale := chimera.DefaultScale()
@@ -112,7 +128,7 @@ func main() {
 		tables, err := chimera.RunExperiment(name, scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chimerasim: %s: %v\n", name, err)
-			os.Exit(1)
+			exit(1)
 		}
 		switch {
 		case *jsonOut:
@@ -125,13 +141,13 @@ func main() {
 				}
 				if err := t.Render(os.Stdout); err != nil {
 					fmt.Fprintf(os.Stderr, "chimerasim: %s: %v\n", name, err)
-					os.Exit(1)
+					exit(1)
 				}
 			}
 		default:
 			if err := chimera.RenderTables(os.Stdout, tables); err != nil {
 				fmt.Fprintf(os.Stderr, "chimerasim: %s: %v\n", name, err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 		if *verbose {
@@ -141,7 +157,7 @@ func main() {
 	if *jsonOut {
 		if err := chimera.RenderTablesJSON(os.Stdout, collected); err != nil {
 			fmt.Fprintf(os.Stderr, "chimerasim: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
@@ -152,7 +168,7 @@ func main() {
 	if *traceFile != "" {
 		if err := writeTrace(*traceFile, *traceBench, *traceUs, *seed, reg); err != nil {
 			fmt.Fprintf(os.Stderr, "chimerasim: trace: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	if reg != nil {
@@ -161,16 +177,39 @@ func main() {
 			fmt.Println("== Metrics ==")
 			if err := reg.Render(os.Stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "chimerasim: metrics: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 		if *metricsProm {
 			if err := reg.WritePrometheus(os.Stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "chimerasim: metrics: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 	}
+}
+
+// exit ends the process with code; with -cpuprofile it first completes
+// the profile.
+var exit = os.Exit
+
+// startCPUProfile starts profiling into path and returns the function
+// that stops profiling and closes the file.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "chimerasim: cpuprofile: %v\n", err)
+		}
+	}, nil
 }
 
 // writeTrace records one fully-traced §4.1 contention scenario and

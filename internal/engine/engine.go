@@ -140,6 +140,9 @@ type Simulation struct {
 	rebalancing    bool
 	rebalanceAgain bool
 	started        bool
+	// forked marks a simulation built by Warmup.Fork, which resumes
+	// where its warm-up paused instead of starting at cycle 0.
+	forked bool
 
 	// m holds the resolved metric handles when Options.Metrics is set.
 	m *simMetrics
@@ -814,7 +817,8 @@ func (s *Simulation) watchdogCheck(rec *RequestRecord, now units.Cycles) {
 }
 
 // Run starts every process at cycle 0 and executes events until the
-// window closes. It may be called once.
+// window closes; a fork (Warmup.Fork) resumes where its warm-up paused
+// instead. It may be called once.
 func (s *Simulation) Run(window units.Cycles) {
 	_ = s.RunContext(context.Background(), window)
 }
@@ -833,22 +837,13 @@ func (s *Simulation) RunContext(ctx context.Context, window units.Cycles) error 
 		panic("engine: Run called twice")
 	}
 	s.started = true
-	for _, p := range s.processes {
-		p.advance(0)
+	if !s.forked {
+		s.launch()
+	} else if window < s.q.Now() {
+		panic(fmt.Sprintf("engine: fork run to %v, before its warm-up's end at %v", window, s.q.Now()))
 	}
-	if s.periodic != nil {
-		s.periodic.arm()
-	}
-	_, cancelled := s.q.RunUntilDone(window, ctx.Done())
-	if s.m != nil && s.predictObs > 0 {
-		s.m.predictObs.Add(s.predictObs)
-	}
-	if cancelled {
-		s.q.Clear()
-		if s.m != nil {
-			s.m.canceled.Add(1)
-		}
-		return ctx.Err()
+	if err := s.runUntil(ctx, window); err != nil {
+		return err
 	}
 	// Commit in-flight block progress so throughput accounting covers
 	// the whole window, and finalize the periodic task's records.
@@ -859,6 +854,35 @@ func (s *Simulation) RunContext(ctx context.Context, window units.Cycles) error 
 	}
 	if s.periodic != nil {
 		s.periodic.finalize(window)
+	}
+	return nil
+}
+
+// launch starts every process at cycle 0 and arms the periodic task.
+func (s *Simulation) launch() {
+	for _, p := range s.processes {
+		p.advance(0)
+	}
+	if s.periodic != nil {
+		s.periodic.arm()
+	}
+}
+
+// runUntil executes events up to cycle limit and adds this run's block
+// completions to the predict/observations counter. A cancelled run
+// clears every pending event, counts itself in sim/canceled_runs and
+// returns ctx.Err().
+func (s *Simulation) runUntil(ctx context.Context, limit units.Cycles) error {
+	_, cancelled := s.q.RunUntilDone(limit, ctx.Done())
+	if s.m != nil && s.predictObs > 0 {
+		s.m.predictObs.Add(s.predictObs)
+	}
+	if cancelled {
+		s.q.Clear()
+		if s.m != nil {
+			s.m.canceled.Add(1)
+		}
+		return ctx.Err()
 	}
 	return nil
 }

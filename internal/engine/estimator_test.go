@@ -102,8 +102,43 @@ func TestOnlineEstimatorObserves(t *testing.T) {
 // counter must match the observations the per-kernel estimates hold
 // (with no window and no warm seed, one per completion), both for a run
 // that reaches the end of its window and for one cancelled at its first
-// kernel finish.
+// kernel finish. A shared warm-up counts its completions once, when it
+// is simulated, and each of two forks counts from zero only what it
+// simulates after the warm-up.
 func TestPredictObservationsPublished(t *testing.T) {
+	held := func(sim *Simulation) (n int64) {
+		for _, est := range sim.estByLabel {
+			n += est.Estimate().Observations
+		}
+		return n
+	}
+	heldWarm := func(w *Warmup) (n int64) {
+		for _, est := range w.est {
+			n += est.Estimate().Observations
+		}
+		return n
+	}
+	c := catalogCase(t, "SAD")
+	c.warm = false
+	c.window = units.FromMicroseconds(5000)
+	warmReg := metrics.NewRegistry()
+	w := c.warmUp(t, warmReg)
+	if got, want := warmReg.Counter(MetricPredictObservations).Value(), heldWarm(w); got != want || want == 0 {
+		t.Errorf("warm-up: predict/observations = %d, estimates hold %d", got, want)
+	}
+	for i, solo := range []bool{false, true} {
+		c.fork.Solo = solo
+		reg := metrics.NewRegistry()
+		c.fork.Metrics = reg
+		f := c.forked(w)
+		if got, want := reg.Counter(MetricPredictObservations).Value(), held(f)-heldWarm(w); got != want || want == 0 {
+			t.Errorf("fork %d: predict/observations = %d, the fork's own completions %d", i, got, want)
+		}
+	}
+	if got, want := warmReg.Counter(MetricPredictObservations).Value(), heldWarm(w); got != want {
+		t.Errorf("forking moved the warm-up's predict/observations to %d, want %d", got, want)
+	}
+
 	for _, cancelled := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
 		reg := metrics.NewRegistry()
@@ -129,15 +164,12 @@ func TestPredictObservationsPublished(t *testing.T) {
 		if cancelled != errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled=%v: RunContext error = %v", cancelled, err)
 		}
-		var held int64
-		for _, est := range sim.estByLabel {
-			held += est.Estimate().Observations
-		}
-		if held == 0 {
+		n := held(sim)
+		if n == 0 {
 			t.Fatalf("cancelled=%v: the estimates hold no observation", cancelled)
 		}
-		if got := reg.Counter(MetricPredictObservations).Value(); got != held {
-			t.Errorf("cancelled=%v: predict/observations = %d, estimates hold %d", cancelled, got, held)
+		if got := reg.Counter(MetricPredictObservations).Value(); got != n {
+			t.Errorf("cancelled=%v: predict/observations = %d, estimates hold %d", cancelled, got, n)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"chimera/internal/eventq"
 	"chimera/internal/gpu"
 	"chimera/internal/trace"
 	"chimera/internal/units"
@@ -53,6 +54,9 @@ type periodicTask struct {
 
 	current   *kernelInstance
 	usefulAt0 int64
+	// next is the pending arrival of the next instance, which WarmUp
+	// finds among the pending events so that forks can re-arm it.
+	next eventq.Handle
 }
 
 // AddPeriodicTask registers the §4.1 real-time task. The background
@@ -103,7 +107,7 @@ func (s *Simulation) AddPeriodicTask(spec PeriodicSpec) {
 // arm schedules the first instance one period into the run, giving the
 // background benchmark a warm-up interval.
 func (t *periodicTask) arm() {
-	t.sim.q.Schedule(t.spec.Period, t.fire)
+	t.next = t.sim.q.Schedule(t.spec.Period, t.fire)
 }
 
 // fire launches one task instance: it closes the previous period's
@@ -121,7 +125,7 @@ func (t *periodicTask) fire(now units.Cycles) {
 	t.sim.q.Schedule(now+t.sim.opts.Constraint, func(at units.Cycles) {
 		t.deadlineCheck(k, idx, at)
 	})
-	t.sim.q.Schedule(now+t.spec.Period, t.fire)
+	t.next = t.sim.q.Schedule(now+t.spec.Period, t.fire)
 }
 
 // deadlineCheck runs at launch+constraint: if any of the task's SMs has

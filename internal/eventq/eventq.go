@@ -29,7 +29,12 @@
 // memoizable: no state crosses from one job to the next.
 package eventq
 
-import "chimera/internal/units"
+import (
+	"cmp"
+	"slices"
+
+	"chimera/internal/units"
+)
 
 // Handle names one scheduled event for Cancel. The zero Handle names
 // no event, and a Handle whose event has fired, been dropped after
@@ -258,6 +263,39 @@ func (q *Queue) RunUntilDone(limit units.Cycles, done <-chan struct{}) (n int, c
 		q.now = limit
 	}
 	return n, false
+}
+
+// Pending is one pending event as AppendPending reports it: the cycle
+// it fires at and the Handle Schedule returned for it.
+type Pending struct {
+	At     units.Cycles
+	Handle Handle
+}
+
+// AppendPending appends every pending (scheduled, not yet fired, not
+// cancelled) event to dst in dispatch order, by cycle and then schedule
+// order, and returns the extended slice. It only reads the queue: any
+// number of goroutines may call it at once on a queue that none of them
+// runs. A caller that re-schedules the events in this order into
+// another queue reproduces their dispatch order there, since events
+// scheduled later still sort after them within a cycle.
+func (q *Queue) AppendPending(dst []Pending) []Pending {
+	live := make([]heapEntry, 0, q.live)
+	for _, e := range q.heap {
+		if !q.slots[e.slot].cancelled {
+			live = append(live, e)
+		}
+	}
+	slices.SortFunc(live, func(a, b heapEntry) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	for _, e := range live {
+		dst = append(dst, Pending{At: e.at, Handle: Handle{slot: e.slot, gen: q.slots[e.slot].gen}})
+	}
+	return dst
 }
 
 // Clear cancels and discards every pending event, leaving the queue

@@ -1,7 +1,9 @@
 package eventq
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"chimera/internal/units"
@@ -60,10 +62,23 @@ func (m *model) pending() int {
 	return n
 }
 
+// pendingOrder returns the pending events in dispatch order: by cycle,
+// insertion order within a cycle.
+func (m *model) pendingOrder() []*modelEvent {
+	var out []*modelEvent
+	for _, e := range m.events {
+		if !e.cancelled && !e.fired {
+			out = append(out, e)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b *modelEvent) int { return cmp.Compare(a.at, b.at) })
+	return out
+}
+
 // FuzzEventQ interprets the fuzz input as a little opcode program over a
 // Queue — schedule, cancel, step, run-until, clear — and checks every
-// observable (fire order, clock, pending count) against the reference
-// model after each operation.
+// observable (fire order, clock, pending count, the pending list in
+// dispatch order) against the reference model after each operation.
 func FuzzEventQ(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 0, 0, 3, 2, 0, 3, 3})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 4, 10, 5, 6})
@@ -165,6 +180,18 @@ func FuzzEventQ(f *testing.F) {
 			}
 			if q.Len() != m.pending() {
 				t.Fatalf("Len() = %d, model has %d pending", q.Len(), m.pending())
+			}
+			// AppendPending lists exactly the model's pending events, in
+			// the order the model would dispatch them.
+			want := m.pendingOrder()
+			got := q.AppendPending(nil)
+			if len(got) != len(want) {
+				t.Fatalf("AppendPending listed %d events, model has %d pending", len(got), len(want))
+			}
+			for j, e := range want {
+				if got[j].At != e.at || got[j].Handle != handles[e.id] {
+					t.Fatalf("AppendPending[%d] = %+v, model expected event %d at %v", j, got[j], e.id, e.at)
+				}
 			}
 		}
 

@@ -65,6 +65,10 @@ type Cache struct {
 
 	hookMu sync.RWMutex
 	hook   func(Job)
+
+	// side is the second cache kept beside this one (Side).
+	sideOnce sync.Once
+	side     *Cache
 }
 
 // entry is one in-flight or completed computation.
@@ -107,6 +111,24 @@ func (c *Cache) SetLimit(n int) {
 	}
 	c.limit = n
 	c.enforceLimitLocked()
+}
+
+// Side returns the second cache kept beside this one, made on first
+// use, with its LRU cap raised to at least n completed entries. It
+// memoizes intermediate states that several jobs build on but that are
+// no job's result (workloads keeps its simulated warm-ups there). It
+// has its own entries, counters and exec hook, so this cache's Stats,
+// its job keys and the fault plane's injection point (SetExecHook) see
+// only results. It lives as long as this cache does.
+func (c *Cache) Side(n int) *Cache {
+	c.sideOnce.Do(func() { c.side = NewCache() })
+	side := c.side
+	side.mu.Lock()
+	if n > side.limit {
+		side.limit = n
+	}
+	side.mu.Unlock()
+	return side
 }
 
 // enforceLimitLocked evicts LRU-tail entries until within the cap.

@@ -13,6 +13,7 @@ import (
 // carry its own Pool while sharing the process-wide cache.
 type Pool struct {
 	sem   chan struct{}
+	width int
 	cache *Cache
 }
 
@@ -26,8 +27,11 @@ func NewPool(parallelism int, cache *Cache) *Pool {
 	if cache == nil {
 		cache = SharedCache()
 	}
-	return &Pool{sem: make(chan struct{}, parallelism), cache: cache}
+	return &Pool{sem: make(chan struct{}, parallelism), width: parallelism, cache: cache}
 }
+
+// Width is the most tasks the pool runs at once.
+func (p *Pool) Width() int { return p.width }
 
 // Cache exposes the pool's result cache. Jobs are computed through it
 // (Cache.DoContext) on the calling goroutine without consuming a worker

@@ -9,7 +9,9 @@
 // (catalog, result cache, device, warm start, contention, telemetry and
 // fault plumbing) and runs the spec's scenario. Every run, traced
 // recordings included, builds its engine in one place
-// (Runner.simulate). ANTT and STP are N-program metrics, so a §4.4 pair
+// (Runner.simulate); an untraced single-process run longer than one
+// task period forks a warm-up shared through a memo beside the result
+// cache (Runner.fork). ANTT and STP are N-program metrics, so a §4.4 pair
 // is simply the two-process multi run: a pair spec and a multi spec of
 // the same two benchmarks share one cached result.
 //
@@ -79,9 +81,11 @@ type Runner struct {
 	Config gpu.Config
 	// Metrics, when set, is forwarded to every engine run this Runner
 	// executes. Only runs that actually execute observe into it — a
-	// cache or singleflight hit replays no events — so treat it as live
-	// engine telemetry, not as a per-result record (PeriodicResult's
-	// Outcomes carry the cache-safe form).
+	// cache or singleflight hit replays no events, and a run forked from
+	// a shared warm-up observes only what it simulates after it, the
+	// warm-up having been observed once, by the run that simulated it —
+	// so treat it as live engine telemetry, not as a per-result record
+	// (PeriodicResult's Outcomes carry the cache-safe form).
 	Metrics *metrics.Registry
 	// Watchdog arms the engine's preemption watchdog: a request still
 	// incomplete at Watchdog× its estimated latency has its techniques
@@ -228,8 +232,9 @@ func (r *Runner) job(kind simjob.Kind, benches string, policy engine.Policy, ser
 // Runner's window under its configuration and returns the finished
 // simulation. Periodic runs add the §4.1 real-time task and plan
 // against Headroom; preempting runs take the Runner's estimator;
-// multiprogrammed processes are named by procName. A cancelled ctx
-// aborts the run within one event.
+// multiprogrammed processes are named by procName. An untraced
+// single-process run longer than one task period continues a shared
+// warm-up (fork). A cancelled ctx aborts the run within one event.
 func (r *Runner) simulate(ctx context.Context, kind simjob.Kind, benches []string, policy engine.Policy, serial bool, tracer trace.Recorder) (*engine.Simulation, error) {
 	procs := make([]engine.ProcessSpec, len(benches))
 	for i, bench := range benches {
@@ -269,6 +274,9 @@ func (r *Runner) simulate(ctx context.Context, kind simjob.Kind, benches []strin
 		}
 		opts.EstimateWindow = window
 	}
+	if tracer == nil && len(procs) == 1 && r.Window > taskPeriod {
+		return r.fork(ctx, kind == simjob.KindSolo, procs[0], opts)
+	}
 	sim := engine.New(opts)
 	for _, p := range procs {
 		sim.AddProcess(p)
@@ -276,6 +284,60 @@ func (r *Runner) simulate(ctx context.Context, kind simjob.Kind, benches []strin
 	if kind == simjob.KindPeriodic {
 		sim.AddPeriodicTask(PeriodicSpec(sim.Config().NumSMs))
 	}
+	if err := sim.RunContext(ctx, r.Window); err != nil {
+		return nil, err
+	}
+	return sim, nil
+}
+
+// fork runs a single-process scenario as a fork of the warm-up its
+// benchmark shares with every other single-process run on this device,
+// seed and catalog: the run up to the §4.1 task's first instance, which
+// no policy, constraint, headroom, contention β, watchdog or stall can
+// change (engine.Warmup). The warm-up comes from the memo beside the
+// result cache, simulated on first use; a periodic run forks the
+// warm-up of its own warm start and estimate window. A solo run never
+// reads an estimate, so it forks the warm, oracle warm-up with the task
+// dropped.
+func (r *Runner) fork(ctx context.Context, solo bool, proc engine.ProcessSpec, opts engine.Options) (*engine.Simulation, error) {
+	warm := engine.Options{Config: opts.Config, Seed: opts.Seed, WarmStats: opts.WarmStats, EstimateWindow: opts.EstimateWindow, Metrics: opts.Metrics}
+	if solo {
+		warm.WarmStats, warm.EstimateWindow = true, 0
+	}
+	key := simjob.Job{
+		Kind:       simjob.KindPeriodic,
+		Benchmarks: proc.Name,
+		Seed:       warm.Seed,
+		Warm:       warm.WarmStats,
+		Config:     warm.Config,
+		Catalog:    r.cat,
+		Variant:    fmt.Sprintf("warm-up|est-window=%d", warm.EstimateWindow),
+	}
+	if engine.RunsAsTable1(key.Config) {
+		key.Config = gpu.Config{}
+	}
+	// One warm-up per catalog benchmark, since the exhibits cycle through
+	// all of them, plus one for each run the pool has in flight.
+	memo := r.pool.Cache().Side(len(r.cat.Benchmarks()) + r.pool.Width())
+	v, err := memo.DoContext(ctx, key, func(ctx context.Context) (any, error) {
+		sim := engine.New(warm)
+		sim.AddProcess(proc)
+		sim.AddPeriodicTask(PeriodicSpec(sim.Config().NumSMs))
+		return sim.WarmUp(ctx)
+	})
+	if err != nil {
+		return nil, err
+	}
+	sim := v.(*engine.Warmup).Fork(engine.ForkOptions{
+		Policy:         opts.Policy,
+		Constraint:     opts.Constraint,
+		Headroom:       opts.Headroom,
+		ContentionBeta: opts.ContentionBeta,
+		WatchdogK:      opts.WatchdogK,
+		FaultStall:     opts.FaultStall,
+		Metrics:        opts.Metrics,
+		Solo:           solo,
+	})
 	if err := sim.RunContext(ctx, r.Window); err != nil {
 		return nil, err
 	}
@@ -317,11 +379,16 @@ func (r *Runner) soloRate(ctx context.Context, bench string) (rate float64, exec
 	})
 }
 
+// taskPeriod is the §4.1 task's period. Its first instance arrives one
+// period into a run, so that much of every single-process run is the
+// benchmark alone.
+const taskPeriod units.Cycles = 1000 * units.CyclesPerMicrosecond
+
 // PeriodicSpec returns the §4.1 synthetic real-time task: launched every
 // 1 ms, preempting half of the SMs, executing for 200 µs.
 func PeriodicSpec(numSMs int) engine.PeriodicSpec {
 	return engine.PeriodicSpec{
-		Period: units.FromMicroseconds(1000),
+		Period: taskPeriod,
 		Exec:   units.FromMicroseconds(200),
 		SMs:    numSMs / 2,
 	}
