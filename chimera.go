@@ -169,10 +169,12 @@ type SimOptions = engine.Options
 type Policy = engine.Policy
 
 // ChimeraPolicy is Algorithm 1 as a simulation policy; FixedPolicy
-// applies one technique uniformly (the §4 baselines).
+// applies one technique uniformly (the §4 baselines); FCFS runs kernels
+// one at a time without preemption (the §4.4 baseline).
 type (
 	ChimeraPolicy = engine.ChimeraPolicy
 	FixedPolicy   = engine.FixedPolicy
+	FCFS          = engine.FCFS
 )
 
 // LaunchSpec and ProcessSpec describe an application's kernel launches.

@@ -159,8 +159,8 @@ func run(o options) error {
 			Self: o.self,
 			Ring: cluster.NewRing(peers, 0),
 			// Peer fetches sit on the job hot path; a short transport
-			// deadline on top of the server's 250 ms lookup bound keeps a
-			// dead peer from ever stalling admission.
+			// deadline on top of the cluster's 250 ms lookup bound keeps
+			// a dead peer from ever stalling admission.
 			Fetch: cluster.NewHTTPFetch(&http.Client{Timeout: time.Second}),
 		}
 		fmt.Printf("chimerad cluster ring over %d replicas (self %s)\n", cfg.Cluster.Ring.Len(), o.self)

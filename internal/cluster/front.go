@@ -59,11 +59,6 @@ type FrontConfig struct {
 	Fetch FetchFunc
 }
 
-// cacheTimeout bounds one peer-cache lookup on the front's paths: a
-// slow peer must never cost more than this before the job is simply
-// routed for recompute.
-const cacheTimeout = 250 * time.Millisecond
-
 // probeTimeout bounds one member's health probe. Probes run one member
 // after another, so a replica that accepts connections but never
 // answers would otherwise hold up the verdicts on every member sorted
@@ -93,7 +88,7 @@ type Front struct {
 	inflight atomic.Int64
 	// results memoizes finished payloads a peer served, so a repeat
 	// costs no replica round trip.
-	results *memo
+	results *Results
 	// catalog is the one chimerad validates submissions against, so the
 	// front rejects exactly the specs a replica would.
 	catalog *kernels.Catalog
@@ -119,7 +114,7 @@ func NewFront(cfg FrontConfig) *Front {
 		ring:    NewRing(cfg.Replicas, 0),
 		mem:     NewMembership(cfg.Replicas),
 		reg:     reg,
-		results: newMemo(memoBudget),
+		results: NewResults(),
 		catalog: kernels.Load(),
 
 		cRouted:    reg.Counter(MetricFrontRouted),
@@ -303,7 +298,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// dedup rule.
 	cacheable := r.URL.Query().Get("wait") == "1" && !spec.Trace
 	if cacheable {
-		if payload, ok := f.results.get(hash); ok {
+		if payload, ok := f.results.Get(hash); ok {
 			f.cCacheHits.Add(1)
 			f.cMemoHits.Add(1)
 			f.writeCacheStatus(w, hash, spec, payload)
@@ -362,17 +357,15 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	frontError(w, http.StatusServiceUnavailable, "front: every replica refused the job")
 }
 
-// fetchResult asks one member's peer cache for hash. A payload counts
-// only if it is a result (ValidPayload); it is then memoized, so the
-// next request for hash touches no replica.
+// fetchResult asks one member's peer cache for hash (fetchPeer) and
+// memoizes the result it gets, so the next request for hash touches no
+// replica.
 func (f *Front) fetchResult(ctx context.Context, member, hash string) ([]byte, bool) {
-	cctx, cancel := context.WithTimeout(ctx, cacheTimeout)
-	payload, err := f.fetch(cctx, member, hash)
-	cancel()
-	if err != nil || !ValidPayload(payload) {
+	payload, err := fetchPeer(ctx, f.fetch, member, hash)
+	if err != nil {
 		return nil, false
 	}
-	f.results.put(hash, payload)
+	f.results.Put(hash, payload)
 	return payload, true
 }
 
@@ -493,7 +486,7 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 // serveFromCache answers status/result reads for "cache.<hash>" IDs
 // from the memo, or else by re-consulting the hash owners.
 func (f *Front) serveFromCache(w http.ResponseWriter, r *http.Request, hash, suffix string) {
-	payload, ok := f.results.get(hash)
+	payload, ok := f.results.Get(hash)
 	if !ok {
 		payload, ok = f.lookupCache(r.Context(), hash)
 	}

@@ -74,7 +74,7 @@ func FuzzFrontSubmit(f *testing.F) {
 		front.results.mu.Lock()
 		defer front.results.mu.Unlock()
 		for el := front.results.lru.Front(); el != nil; el = el.Next() {
-			if e := el.Value.(*memoEntry); !ValidPayload(e.payload) {
+			if e := el.Value.(*resultEntry); !ValidPayload(e.payload) {
 				t.Fatalf("memo holds %q under %s, which is not a JobResult", e.payload, e.hash)
 			}
 		}

@@ -5,36 +5,39 @@ import (
 	"sync"
 )
 
-// memoBudget bounds the payload and hash bytes a Front's result memo
-// holds. A solo result and its hash take about 60 bytes, so the budget
-// holds tens of thousands of them.
-const memoBudget = 4 << 20
+// resultsBudget bounds the payload and hash bytes one Results holds. A
+// periodic result of 2,000 µs, the largest of the common spec shapes,
+// takes at most 429 bytes plus its 16-byte hash, so the budget holds
+// over 9,000 of them; a solo result takes about 60 bytes.
+const resultsBudget = 4 << 20
 
-// memo is the front's bounded in-process store of finished result
-// payloads, keyed by jobspec content hash: an LRU under a byte budget.
-// A content hash names one deterministic result, so an entry never goes
-// stale; eviction exists only to bound memory. Payloads are kept exactly
-// as the peer served them.
-type memo struct {
+// Results is a concurrency-safe store of finished result payloads,
+// kept verbatim and keyed by jobspec content hash: an LRU under a 4 MiB
+// budget of payload and hash bytes. A content hash names one
+// deterministic result, so an entry never goes stale; eviction only
+// bounds memory. The front memoizes what peers served in one, and each
+// replica indexes its own finished results in one for its peer route.
+type Results struct {
 	mu     sync.Mutex
 	budget int
 	size   int
-	lru    *list.List // *memoEntry, most recently used first
+	lru    *list.List // *resultEntry, most recently used first
 	byHash map[string]*list.Element
 }
 
-type memoEntry struct {
+type resultEntry struct {
 	hash    string
 	payload []byte
 }
 
-func newMemo(budget int) *memo {
-	return &memo{budget: budget, lru: list.New(), byHash: make(map[string]*list.Element)}
+// NewResults returns an empty store.
+func NewResults() *Results {
+	return &Results{budget: resultsBudget, lru: list.New(), byHash: make(map[string]*list.Element)}
 }
 
-// get returns the payload memoized for hash and marks it most recently
+// Get returns the payload stored for hash and marks it most recently
 // used.
-func (m *memo) get(hash string) ([]byte, bool) {
+func (m *Results) Get(hash string) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	el, ok := m.byHash[hash]
@@ -42,12 +45,14 @@ func (m *memo) get(hash string) ([]byte, bool) {
 		return nil, false
 	}
 	m.lru.MoveToFront(el)
-	return el.Value.(*memoEntry).payload, true
+	return el.Value.(*resultEntry).payload, true
 }
 
-// put memoizes payload under hash, evicting least recently used entries
-// past the budget. A payload larger than the whole budget is not kept.
-func (m *memo) put(hash string, payload []byte) {
+// Put stores payload under hash, evicting least recently used entries
+// past the budget. A hash already stored keeps its payload and only
+// becomes most recently used; a payload larger than the whole budget is
+// not kept.
+func (m *Results) Put(hash string, payload []byte) {
 	cost := len(hash) + len(payload)
 	if cost > m.budget {
 		return
@@ -58,11 +63,11 @@ func (m *memo) put(hash string, payload []byte) {
 		m.lru.MoveToFront(el)
 		return
 	}
-	m.byHash[hash] = m.lru.PushFront(&memoEntry{hash: hash, payload: payload})
+	m.byHash[hash] = m.lru.PushFront(&resultEntry{hash: hash, payload: payload})
 	m.size += cost
 	for m.size > m.budget {
 		tail := m.lru.Back()
-		e := tail.Value.(*memoEntry)
+		e := tail.Value.(*resultEntry)
 		m.lru.Remove(tail)
 		delete(m.byHash, e.hash)
 		m.size -= len(e.hash) + len(e.payload)

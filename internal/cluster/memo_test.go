@@ -13,44 +13,45 @@ import (
 	"chimera/internal/jobspec"
 )
 
-// memoHashes lists the memo's hashes, most recently used first.
-func memoHashes(m *memo) []string {
+// memoHashes lists the store's hashes, most recently used first.
+func memoHashes(m *Results) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []string
 	for el := m.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*memoEntry).hash)
+		out = append(out, el.Value.(*resultEntry).hash)
 	}
 	return out
 }
 
 func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	// Each entry costs 1 hash byte + 9 payload bytes; three fit.
-	m := newMemo(30)
+	m := NewResults()
+	m.budget = 30
 	for _, h := range []string{"a", "b", "c"} {
-		m.put(h, []byte("payload-"+h))
+		m.Put(h, []byte("payload-"+h))
 	}
-	if _, ok := m.get("a"); !ok { // a becomes most recently used
+	if _, ok := m.Get("a"); !ok { // a becomes most recently used
 		t.Fatal("a missing before the budget was reached")
 	}
-	m.put("d", []byte("payload-d")) // evicts b, the least recently used
+	m.Put("d", []byte("payload-d")) // evicts b, the least recently used
 	if got := strings.Join(memoHashes(m), ""); got != "dac" {
 		t.Errorf("memo order %q, want dac", got)
 	}
-	if _, ok := m.get("b"); ok {
+	if _, ok := m.Get("b"); ok {
 		t.Error("b survived eviction")
 	}
 	if m.size != 30 {
 		t.Errorf("size %d, want 30", m.size)
 	}
 	// A repeat put refreshes recency and keeps the first payload.
-	m.put("c", []byte("payload-x"))
-	if p, _ := m.get("c"); string(p) != "payload-c" {
+	m.Put("c", []byte("payload-x"))
+	if p, _ := m.Get("c"); string(p) != "payload-c" {
 		t.Errorf("c = %q, want the first payload", p)
 	}
 	// A payload larger than the whole budget is never kept.
-	m.put("e", make([]byte, 30))
-	if _, ok := m.get("e"); ok || m.size != 30 {
+	m.Put("e", make([]byte, 30))
+	if _, ok := m.Get("e"); ok || m.size != 30 {
 		t.Errorf("oversized payload kept (size %d)", m.size)
 	}
 }

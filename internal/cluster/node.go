@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"chimera/internal/workloads"
 )
@@ -30,9 +31,8 @@ type FetchFunc func(ctx context.Context, member, hash string) ([]byte, error)
 
 // NewHTTPFetch returns a FetchFunc speaking the HTTP peer-cache
 // protocol against member base URLs ("http://host:port"). The caller
-// bounds each fetch through ctx — peer-cache reads sit on the job hot
-// path, so daemons wrap them in a short deadline and treat any error
-// as a miss.
+// bounds each fetch through ctx; Node.Lookup and the front bound theirs
+// by lookupTimeout and treat any error as a miss.
 func NewHTTPFetch(hc *http.Client) FetchFunc {
 	if hc == nil {
 		hc = http.DefaultClient
@@ -76,11 +76,32 @@ func drainResponse(resp *http.Response) {
 
 // ValidPayload reports whether a peer-cache payload decodes as a
 // finished job result (workloads.SpecResult, chimerad's JobResult).
-// Replicas and the front accept a peer payload only if it does, and
-// treat any other as a miss, so bytes that are not a result are never
-// served or stored.
+// Replicas and the front accept a peer payload only if it does
+// (fetchPeer), so bytes that are not a result are never served or
+// stored.
 func ValidPayload(payload []byte) bool {
 	return json.Unmarshal(payload, new(workloads.SpecResult)) == nil
+}
+
+// lookupTimeout bounds one peer-cache fetch, on a replica's job path and
+// on the front's: a slow or dead peer costs at most this before the job
+// is computed or routed.
+const lookupTimeout = 250 * time.Millisecond
+
+// fetchPeer is the one peer-cache fetch of replicas and the front: it
+// asks member for hash's finished result through fetch, bounded by
+// lookupTimeout, and fails on a payload that is not a result.
+func fetchPeer(ctx context.Context, fetch FetchFunc, member, hash string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, lookupTimeout)
+	defer cancel()
+	payload, err := fetch(ctx, member, hash)
+	if err != nil {
+		return nil, err
+	}
+	if !ValidPayload(payload) {
+		return nil, fmt.Errorf("cluster: peer cache %s: payload is not a result", member)
+	}
+	return payload, nil
 }
 
 // Node is one replica's view of the fleet: its own advertised base
@@ -103,10 +124,11 @@ type Node struct {
 
 // Lookup asks the hash's first non-self member in Ring.Sequence order —
 // the owner, or its successor when this replica owns the hash — for a
-// finished result. It returns the payload and the member that served
-// it; ErrCacheMiss when that peer missed (or there is none); and the
-// fetch error otherwise. A nil error never means "compute anyway", and
-// any error means exactly that.
+// finished result (fetchPeer). It returns the payload and the member
+// that served it; ErrCacheMiss when that peer missed (or there is
+// none); and the fetch error otherwise, a payload that is not a result
+// included. A nil error never means "compute anyway", and any error
+// means exactly that.
 func (n *Node) Lookup(ctx context.Context, hash string) (payload []byte, from string, err error) {
 	if n == nil || n.Ring == nil || n.Fetch == nil {
 		return nil, "", ErrCacheMiss
@@ -115,7 +137,7 @@ func (n *Node) Lookup(ctx context.Context, hash string) (payload []byte, from st
 		if member == n.Self {
 			continue
 		}
-		b, err := n.Fetch(ctx, member, hash)
+		b, err := fetchPeer(ctx, n.Fetch, member, hash)
 		if err != nil {
 			return nil, "", err
 		}

@@ -21,6 +21,7 @@ func TestPolicyNames(t *testing.T) {
 		{FixedPolicy{Technique: preempt.Switch}, "Switch"},
 		{FixedPolicy{Technique: preempt.Flush}, "Flush"},
 		{FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true}, "Flush(strict)"},
+		{FCFS{}, "FCFS"},
 	}
 	for _, c := range cases {
 		if got := c.policy.Name(); got != c.want {
@@ -161,7 +162,7 @@ func TestSerialRunsAllLaunchesInOrder(t *testing.T) {
 	// FCFS interleaves the two processes' launch queues by arrival:
 	// A0 (launched at 0), B0 (launched at 0), then A1 (launched when A0
 	// finished, i.e. after B0 entered the queue)...
-	sim := New(Options{Serial: true, Seed: 58})
+	sim := New(Options{Policy: FCFS{}, Seed: 58})
 	a := tinyKernel("A", 1000, 1, 0, 2, 60, 1)
 	b := tinyKernel("B", 1000, 1, 0, 2, 60, 1)
 	sim.AddProcess(ProcessSpec{Name: "PA", Launches: []LaunchSpec{a, a}})

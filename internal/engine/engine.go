@@ -51,8 +51,8 @@ type ProcessSpec struct {
 type Options struct {
 	Config gpu.Config
 	// Policy executes preemption requests; nil means no preemptive
-	// multitasking is available (combine with Serial for the FCFS
-	// baseline).
+	// multitasking is available, and FCFS runs kernels one at a time,
+	// whole-GPU, in launch order (§4.4).
 	Policy Policy
 	// Constraint is the preemption latency bound attached to every
 	// request.
@@ -65,9 +65,6 @@ type Options struct {
 	Headroom units.Cycles
 	// Seed drives all stochastic choices (per-block CPI samples).
 	Seed uint64
-	// Serial switches to the non-preemptive FCFS baseline: kernels run
-	// one at a time, whole-GPU, in launch order (§4.4).
-	Serial bool
 	// WarmStats seeds each kernel's measured statistics with one
 	// synthetic completed thread block at the kernel's mean timing. The
 	// paper's runs restart benchmarks until a billion instructions, so
@@ -127,7 +124,9 @@ type Simulation struct {
 
 	processes []*process
 	active    []*kernelInstance
-	serialQ   []*kernelInstance
+	// serial marks a run under FCFS, whose kernels queue in serialQ.
+	serial  bool
+	serialQ []*kernelInstance
 
 	estByLabel map[string]*predict.Running
 	requests   []*RequestRecord
@@ -281,6 +280,7 @@ func New(opts Options) *Simulation {
 		s.m = newSimMetrics(opts.Metrics)
 	}
 	s.tracing = opts.Tracer != nil
+	_, s.serial = opts.Policy.(FCFS)
 	for i := 0; i < s.cfg.NumSMs; i++ {
 		sm := &smUnit{id: gpu.SMID(i), sim: s}
 		s.sms = append(s.sms, sm)
@@ -347,7 +347,7 @@ func (s *Simulation) launchKernel(p *process, l LaunchSpec, priority int, now un
 		k.est.Observe(l.Params.InstsPerTB, l.Params.TBExecCycles())
 	}
 	s.active = append(s.active, k)
-	if s.opts.Serial {
+	if s.serial {
 		s.serialQ = append(s.serialQ, k)
 	}
 	if s.tracing {
@@ -561,7 +561,7 @@ func (s *Simulation) rebalance(now units.Cycles) {
 
 //chimera:hot
 func (s *Simulation) rebalanceOnce(now units.Cycles) {
-	if s.opts.Serial {
+	if s.serial {
 		s.rebalanceSerial(now)
 		return
 	}

@@ -142,7 +142,7 @@ func TestPeriodicTaskDrainBaselineOnLongKernel(t *testing.T) {
 func TestSerialFCFSNeverPreempts(t *testing.T) {
 	// BP and HS launch sub-millisecond kernels, so FCFS alternates both
 	// processes within the window.
-	sim := New(Options{Serial: true, Seed: 5})
+	sim := New(Options{Policy: FCFS{}, Seed: 5})
 	sim.AddProcess(ProcessSpec{Name: "BP", Launches: launchesFor(t, "BP"), Loop: true})
 	sim.AddProcess(ProcessSpec{Name: "HS", Launches: launchesFor(t, "HS"), Loop: true})
 	sim.Run(units.FromMicroseconds(5000))

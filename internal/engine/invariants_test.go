@@ -303,7 +303,7 @@ func TestSerialFCFSOrdering(t *testing.T) {
 	// finished: with a window shorter than A's kernel, B gets nothing.
 	a := tinyKernel("A", 1_000_000, 4, 0, 4, 120, 1) // ~2.9ms
 	b := tinyKernel("B", 1000, 3, 0, 6, 180, 1)
-	sim := New(Options{Serial: true, Seed: 10})
+	sim := New(Options{Policy: FCFS{}, Seed: 10})
 	sim.AddProcess(ProcessSpec{Name: "PA", Launches: []LaunchSpec{a}, Loop: true})
 	sim.AddProcess(ProcessSpec{Name: "PB", Launches: []LaunchSpec{b}, Loop: true})
 	sim.Run(units.FromMicroseconds(2000))
@@ -316,7 +316,7 @@ func TestSerialFCFSOrdering(t *testing.T) {
 }
 
 func TestNoPolicyNoPreemption(t *testing.T) {
-	// Without a policy (and without Serial) kernels still share free
+	// Without a policy (FCFS or preemptive) kernels still share free
 	// SMs spatially, but no preemption request can ever be issued.
 	a := tinyKernel("A", 50000, 4, 0, 4, 480, 1)
 	b := tinyKernel("B", 5000, 3, 0, 6, 180, 1)

@@ -70,6 +70,20 @@ func (p ChimeraPolicy) Select(req core.Request, in core.Input) core.Selection {
 	return core.Select(req, in)
 }
 
+// FCFS is the non-preemptive first-come-first-served baseline of §4.4:
+// kernels run one at a time, whole-GPU, in launch order. A run under
+// FCFS issues no preemption request, so the engine never calls Select.
+type FCFS struct{}
+
+// Name implements Policy.
+func (FCFS) Name() string { return "FCFS" }
+
+// Relaxed implements Policy; FCFS flushes nothing.
+func (FCFS) Relaxed() bool { return true }
+
+// Select implements Policy: it takes no SM.
+func (FCFS) Select(core.Request, core.Input) core.Selection { return core.Selection{} }
+
 // FixedPolicy applies one technique to every thread block of the victim —
 // the single-technique baselines of §4. SMs are taken in ascending ID
 // order: a baseline has no cost model to prefer one SM over another.

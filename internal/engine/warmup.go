@@ -110,7 +110,7 @@ type warmEvent struct {
 // WarmUp runs the simulation up to its periodic task's first instance,
 // one cycle before the instance arrives, and returns its state there.
 // The simulation must have exactly one process and a periodic task and
-// must not be Serial; it cannot be run afterwards. A cancelled WarmUp
+// must not run under FCFS; it cannot be run afterwards. A cancelled WarmUp
 // returns ctx.Err() like RunContext. The warm-up's metrics, its
 // predict/observations included, go to Options.Metrics once, here. It
 // panics if the run reaches state that cannot exist before the task's
@@ -121,8 +121,8 @@ func (s *Simulation) WarmUp(ctx context.Context) (*Warmup, error) {
 	if s.started {
 		panic("engine: WarmUp after Run")
 	}
-	if len(s.processes) != 1 || s.periodic == nil || s.opts.Serial {
-		panic("engine: WarmUp needs one process, a periodic task and no Serial")
+	if len(s.processes) != 1 || s.periodic == nil || s.serial {
+		panic("engine: WarmUp needs one process, a periodic task and a policy other than FCFS")
 	}
 	if s.periodic.spec.Period < 1 {
 		panic("engine: WarmUp of a periodic task with no period")
@@ -226,8 +226,12 @@ func (s *Simulation) warmup() *Warmup {
 // pending events are re-armed in their original dispatch order on a
 // queue whose clock stands where the warm-up paused, so the events the
 // fork schedules later sort after them within a cycle, as they would
-// have in the warm-up's own queue.
+// have in the warm-up's own queue. A Warmup keeps no FCFS queue, so o's
+// policy must not be FCFS.
 func (w *Warmup) Fork(o ForkOptions) *Simulation {
+	if _, fcfs := o.Policy.(FCFS); fcfs {
+		panic("engine: Fork under FCFS")
+	}
 	opts := w.opts
 	opts.Policy, opts.Constraint, opts.Headroom = o.Policy, o.Constraint, o.Headroom
 	opts.ContentionBeta, opts.WatchdogK, opts.FaultStall = o.ContentionBeta, o.WatchdogK, o.FaultStall

@@ -248,6 +248,11 @@ func TestWarmUpMisuse(t *testing.T) {
 	plain := New(Options{})
 	plain.AddProcess(ProcessSpec{Name: c.bench, Launches: c.launches, Loop: true})
 	mustPanic("WarmUp without a periodic task", func() { _, _ = plain.WarmUp(context.Background()) })
+	fcfs := New(Options{Policy: FCFS{}})
+	fcfs.AddProcess(ProcessSpec{Name: c.bench, Launches: c.launches, Loop: true})
+	fcfs.AddPeriodicTask(c.task(fcfs.Config().NumSMs))
+	mustPanic("WarmUp under FCFS", func() { _, _ = fcfs.WarmUp(context.Background()) })
+	mustPanic("a fork under FCFS", func() { w.Fork(ForkOptions{Policy: FCFS{}}) })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -125,8 +125,8 @@ var standardPolicies = []string{jobspec.PolicySwitch, jobspec.PolicyDrain, jobsp
 func labels(policies []string) []string {
 	out := make([]string, len(policies))
 	for i, name := range policies {
-		p, serial, _ := jobspec.ParsePolicy(name) // the exhibits pass jobspec's own names
-		out[i] = jobspec.PolicyName(p, serial)
+		p, _ := jobspec.ParsePolicy(name) // the exhibits pass jobspec's own names
+		out[i] = p.Name()
 	}
 	return out
 }

@@ -110,12 +110,12 @@ func TestExhibitsShareRuns(t *testing.T) {
 		return out
 	}
 	periodic := func(policy string, constraintUs float64) func(simjob.Job) bool {
-		p, serial, err := jobspec.ParsePolicy(policy)
+		p, err := jobspec.ParsePolicy(policy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return func(j simjob.Job) bool {
-			return j.Kind == simjob.KindPeriodic && j.Policy == jobspec.PolicyKey(p, serial) &&
+			return j.Kind == simjob.KindPeriodic && j.Policy == jobspec.PolicyKey(p) &&
 				j.Constraint == units.FromMicroseconds(constraintUs) && j.Headroom == 0 && j.Warm
 		}
 	}

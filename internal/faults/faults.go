@@ -185,14 +185,14 @@ func Key(parts ...string) uint64 {
 // JobKey is the decision identity of a simjob.Job. It hashes the
 // simulation parameters but not the catalog pointer (unstable across
 // processes) so the same logical job draws the same faults in every
-// process running the plan.
+// process running the plan. Its serial= field marks the FCFS policy.
 func JobKey(j simjob.Job) uint64 {
 	return Key(
 		j.Kind.String(),
 		j.Benchmarks,
 		j.Policy,
 		fmt.Sprintf("serial=%t|w=%d|c=%d|h=%d|seed=%d|warm=%t|beta=%g|cfg=%+v|var=%s",
-			j.Serial, j.Window, j.Constraint, j.Headroom, j.Seed, j.Warm,
+			j.Policy == "FCFS", j.Window, j.Constraint, j.Headroom, j.Seed, j.Warm,
 			j.Contention, j.Config, j.Variant),
 	)
 }

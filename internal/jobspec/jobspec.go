@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"chimera/internal/engine"
 	"chimera/internal/kernels"
 	"chimera/internal/units"
 )
@@ -212,11 +213,11 @@ func (s *Spec) Validate(cat *kernels.Catalog) error {
 	} else if s.BenchB != "" {
 		return fmt.Errorf("bench_b is only valid for pair jobs")
 	}
-	_, serial, err := ParsePolicy(s.Policy)
+	p, err := ParsePolicy(s.Policy)
 	if err != nil {
 		return err
 	}
-	if serial && s.Kind != KindPair && s.Kind != KindMulti {
+	if _, fcfs := p.(engine.FCFS); fcfs && s.Kind != KindPair && s.Kind != KindMulti {
 		return fmt.Errorf("policy %q is only valid for pair and multi jobs", PolicyFCFS)
 	}
 	if s.WindowUs < 0 || s.ConstraintUs < 0 {
@@ -304,7 +305,7 @@ func Periodic(bench, policy string) Spec {
 }
 
 // Pair returns a spec running two benchmarks concurrently (§4.4) under
-// the named policy ("" = chimera, "fcfs" = the serial baseline).
+// the named policy ("" = chimera, "fcfs" = the non-preemptive baseline).
 func Pair(a, b, policy string) Spec {
 	return Spec{Kind: KindPair, Bench: a, BenchB: b, Policy: policy}
 }

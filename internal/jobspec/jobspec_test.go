@@ -49,31 +49,30 @@ func TestPolicyAliasRoundTrip(t *testing.T) {
 		alias  string
 		canon  string
 		policy engine.Policy
-		serial bool
 	}{
-		{"chimera", PolicyChimera, engine.ChimeraPolicy{}, false},
-		{"Chimera", PolicyChimera, engine.ChimeraPolicy{}, false},
-		{"CHIMERA", PolicyChimera, engine.ChimeraPolicy{}, false},
-		{"switch", PolicySwitch, engine.FixedPolicy{Technique: preempt.Switch}, false},
-		{"Switch", PolicySwitch, engine.FixedPolicy{Technique: preempt.Switch}, false},
-		{"drain", PolicyDrain, engine.FixedPolicy{Technique: preempt.Drain}, false},
-		{"Drain", PolicyDrain, engine.FixedPolicy{Technique: preempt.Drain}, false},
-		{"flush", PolicyFlush, engine.FixedPolicy{Technique: preempt.Flush}, false},
-		{"Flush", PolicyFlush, engine.FixedPolicy{Technique: preempt.Flush}, false},
-		{"edf", PolicyEDF, sched.EDF{}, false},
-		{"EDF", PolicyEDF, sched.EDF{}, false},
-		{"slo", PolicySLO, sched.SLO{}, false},
-		{"SLO", PolicySLO, sched.SLO{}, false},
-		{"fcfs", PolicyFCFS, nil, true},
-		{"FCFS", PolicyFCFS, nil, true},
-		{"chimera(optimistic)", PolicyChimeraOptimistic, engine.ChimeraPolicy{OptimisticCold: true}, false},
-		{"Chimera(optimistic)", PolicyChimeraOptimistic, engine.ChimeraPolicy{OptimisticCold: true}, false},
-		{"chimera(cycle-est)", PolicyChimeraCycleEst, engine.ChimeraPolicy{CycleBased: true}, false},
-		{"Chimera(cycle-est)", PolicyChimeraCycleEst, engine.ChimeraPolicy{CycleBased: true}, false},
-		{"chimera(per-sm)", PolicyChimeraPerSM, engine.ChimeraPolicy{PerSMUniform: true}, false},
-		{"Chimera(per-SM)", PolicyChimeraPerSM, engine.ChimeraPolicy{PerSMUniform: true}, false},
-		{"flush(strict)", PolicyFlushStrict, engine.FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true}, false},
-		{"Flush(strict)", PolicyFlushStrict, engine.FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true}, false},
+		{"chimera", PolicyChimera, engine.ChimeraPolicy{}},
+		{"Chimera", PolicyChimera, engine.ChimeraPolicy{}},
+		{"CHIMERA", PolicyChimera, engine.ChimeraPolicy{}},
+		{"switch", PolicySwitch, engine.FixedPolicy{Technique: preempt.Switch}},
+		{"Switch", PolicySwitch, engine.FixedPolicy{Technique: preempt.Switch}},
+		{"drain", PolicyDrain, engine.FixedPolicy{Technique: preempt.Drain}},
+		{"Drain", PolicyDrain, engine.FixedPolicy{Technique: preempt.Drain}},
+		{"flush", PolicyFlush, engine.FixedPolicy{Technique: preempt.Flush}},
+		{"Flush", PolicyFlush, engine.FixedPolicy{Technique: preempt.Flush}},
+		{"edf", PolicyEDF, sched.EDF{}},
+		{"EDF", PolicyEDF, sched.EDF{}},
+		{"slo", PolicySLO, sched.SLO{}},
+		{"SLO", PolicySLO, sched.SLO{}},
+		{"fcfs", PolicyFCFS, engine.FCFS{}},
+		{"FCFS", PolicyFCFS, engine.FCFS{}},
+		{"chimera(optimistic)", PolicyChimeraOptimistic, engine.ChimeraPolicy{OptimisticCold: true}},
+		{"Chimera(optimistic)", PolicyChimeraOptimistic, engine.ChimeraPolicy{OptimisticCold: true}},
+		{"chimera(cycle-est)", PolicyChimeraCycleEst, engine.ChimeraPolicy{CycleBased: true}},
+		{"Chimera(cycle-est)", PolicyChimeraCycleEst, engine.ChimeraPolicy{CycleBased: true}},
+		{"chimera(per-sm)", PolicyChimeraPerSM, engine.ChimeraPolicy{PerSMUniform: true}},
+		{"Chimera(per-SM)", PolicyChimeraPerSM, engine.ChimeraPolicy{PerSMUniform: true}},
+		{"flush(strict)", PolicyFlushStrict, engine.FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true}},
+		{"Flush(strict)", PolicyFlushStrict, engine.FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true}},
 	}
 	for _, c := range cases {
 		canon, err := CanonicalPolicy(c.alias)
@@ -83,23 +82,22 @@ func TestPolicyAliasRoundTrip(t *testing.T) {
 		if canon != c.canon {
 			t.Errorf("CanonicalPolicy(%q) = %q, want %q", c.alias, canon, c.canon)
 		}
-		p, serial, err := ParsePolicy(c.alias)
+		p, err := ParsePolicy(c.alias)
 		if err != nil {
 			t.Fatalf("ParsePolicy(%q): %v", c.alias, err)
 		}
-		if p != c.policy || serial != c.serial {
-			t.Errorf("ParsePolicy(%q) = (%v, %v), want (%v, %v)", c.alias, p, serial, c.policy, c.serial)
+		if p != c.policy {
+			t.Errorf("ParsePolicy(%q) = %v, want %v", c.alias, p, c.policy)
 		}
 		// Display name must itself be an accepted alias that re-parses to
 		// the same policy.
-		name := PolicyName(p, serial)
-		p2, serial2, err := ParsePolicy(name)
+		name := p.Name()
+		p2, err := ParsePolicy(name)
 		if err != nil {
-			t.Fatalf("ParsePolicy(PolicyName(%q) = %q): %v", c.alias, name, err)
+			t.Fatalf("ParsePolicy(%q's Name() = %q): %v", c.alias, name, err)
 		}
-		if p2 != p || serial2 != serial {
-			t.Errorf("alias %q: display name %q re-parsed to (%v, %v), want (%v, %v)",
-				c.alias, name, p2, serial2, p, serial)
+		if p2 != p {
+			t.Errorf("alias %q: display name %q re-parsed to %v, want %v", c.alias, name, p2, p)
 		}
 	}
 	// The canonical list and the case set above must agree, and every
@@ -108,18 +106,18 @@ func TestPolicyAliasRoundTrip(t *testing.T) {
 		t.Errorf("PolicyNames() has %d entries, want %d", got, want)
 	}
 	for _, name := range PolicyNames() {
-		p, serial, err := ParsePolicy(name)
+		p, err := ParsePolicy(name)
 		if err != nil {
-			t.Errorf("canonical policy %q does not parse: %v", name, err)
+			t.Fatalf("canonical policy %q does not parse: %v", name, err)
 		}
-		if label := PolicyName(p, serial); strings.ToLower(label) != name {
+		if label := p.Name(); strings.ToLower(label) != name {
 			t.Errorf("canonical policy %q has display label %q", name, label)
 		}
 	}
 	// Only ASCII case folds: strings.EqualFold alone would also take the
 	// long s (U+017F) for "s" and the Kelvin sign (U+212A) for "k".
 	for _, name := range []string{"vaporware", "\u017Fwitch", "ſlo", "", "chimera ", "chimera(per-sm"} {
-		if _, _, err := ParsePolicy(name); err == nil {
+		if _, err := ParsePolicy(name); err == nil {
 			t.Errorf("ParsePolicy accepted %q", name)
 		}
 	}
@@ -130,17 +128,14 @@ func TestPolicyAliasRoundTrip(t *testing.T) {
 // to the historical workloads encoding (cache identities survive the
 // refactor).
 func TestPolicyKey(t *testing.T) {
-	if k := PolicyKey(nil, true); k != "FCFS" {
-		t.Errorf("PolicyKey(nil, true) = %q, want FCFS", k)
+	if k := PolicyKey(engine.FCFS{}); k != "FCFS" {
+		t.Errorf("PolicyKey(FCFS{}) = %q, want FCFS", k)
 	}
-	if k := PolicyKey(nil, false); k != "none" {
-		t.Errorf("PolicyKey(nil, false) = %q, want none", k)
-	}
-	base := PolicyKey(engine.ChimeraPolicy{}, false)
+	base := PolicyKey(engine.ChimeraPolicy{})
 	if base != "engine.ChimeraPolicy{StrictIdempotence:false OptimisticCold:false CycleBased:false PerSMUniform:false}" {
 		t.Errorf("PolicyKey(ChimeraPolicy{}) = %q changed encoding — this invalidates every cached identity", base)
 	}
-	ablation := PolicyKey(engine.ChimeraPolicy{OptimisticCold: true}, false)
+	ablation := PolicyKey(engine.ChimeraPolicy{OptimisticCold: true})
 	if base == ablation {
 		t.Error("PolicyKey does not distinguish ablation flags")
 	}
@@ -305,11 +300,11 @@ func TestSpecHashGolden(t *testing.T) {
 		}
 		// A display-label spelling of the policy keys the same.
 		alias := g.spec
-		p, serial, err := ParsePolicy(alias.Policy)
+		p, err := ParsePolicy(alias.Policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if alias.Policy = PolicyName(p, serial); alias.Hash() != g.hash {
+		if alias.Policy = p.Name(); alias.Hash() != g.hash {
 			t.Errorf("%s %s under %q: alias hash %s, want %s", alias.Kind, alias.Benchmarks(), alias.Policy, alias.Hash(), g.hash)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // Canonical policy names accepted in Spec.Policy. Each is its policy's
-// display label (PolicyName) lower-cased, and parsing accepts any
+// display label (engine.Policy.Name) lower-cased, and parsing accepts any
 // ASCII-case spelling of it, so a label read back from a rendered
 // table or a recorded trace ("Chimera", "Flush(strict)") round-trips.
 const (
@@ -48,8 +48,7 @@ const (
 	PolicyFlushStrict = "flush(strict)"
 )
 
-// policies is the one policy table, in PolicyNames order; nil is the
-// serial FCFS baseline.
+// policies is the one policy table, in PolicyNames order.
 var policies = []engine.Policy{
 	engine.ChimeraPolicy{},
 	engine.FixedPolicy{Technique: preempt.Switch},
@@ -57,7 +56,7 @@ var policies = []engine.Policy{
 	engine.FixedPolicy{Technique: preempt.Flush},
 	sched.EDF{},
 	sched.SLO{},
-	nil,
+	engine.FCFS{},
 	engine.ChimeraPolicy{OptimisticCold: true},
 	engine.ChimeraPolicy{CycleBased: true},
 	engine.ChimeraPolicy{PerSMUniform: true},
@@ -70,7 +69,7 @@ var policies = []engine.Policy{
 var canonical = func() []string {
 	names := make([]string, len(policies))
 	for i, p := range policies {
-		names[i] = strings.ToLower(PolicyName(p, p == nil))
+		names[i] = strings.ToLower(p.Name())
 	}
 	return names
 }()
@@ -127,42 +126,26 @@ func CanonicalPolicy(name string) (string, error) {
 }
 
 // ParsePolicy maps a policy name (canonical or display alias) onto an
-// engine policy; serial reports the FCFS baseline (nil policy, serial
-// execution). This is the single policy-parsing implementation in the
-// repository — the server, executor, replayer and CLI all call it.
-func ParsePolicy(name string) (p engine.Policy, serial bool, err error) {
+// engine policy. This is the single policy-parsing implementation in
+// the repository — the server, executor, replayer and CLI all call it.
+func ParsePolicy(name string) (engine.Policy, error) {
 	i, err := lookupPolicy(name)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return policies[i], policies[i] == nil, nil
+	return policies[i], nil
 }
 
 // PolicyNames lists every accepted canonical policy name.
 func PolicyNames() []string { return slices.Clone(canonical) }
 
-// PolicyName is the display label used in result tables ("Chimera",
-// "Switch", "FCFS", …); a nil non-serial policy renders as "none".
-func PolicyName(p engine.Policy, serial bool) string {
-	if serial {
-		return "FCFS"
-	}
-	if p == nil {
-		return "none"
-	}
-	return p.Name()
-}
-
 // PolicyKey uniquely identifies a policy configuration for job caching.
-// Unlike PolicyName it must distinguish every ablation flag
+// Unlike the policy's Name it must distinguish every ablation flag
 // combination, so it encodes the policy's concrete type and full field
-// values.
-func PolicyKey(p engine.Policy, serial bool) string {
-	if serial {
+// values; FCFS, which has none, keys as "FCFS".
+func PolicyKey(p engine.Policy) string {
+	if _, fcfs := p.(engine.FCFS); fcfs {
 		return "FCFS"
-	}
-	if p == nil {
-		return "none"
 	}
 	return fmt.Sprintf("%T%+v", p, p)
 }

@@ -62,6 +62,11 @@ func TestMetricNamesDocumented(t *testing.T) {
 			server.MetricJobLatency,
 			server.MetricJobRetries,
 			server.MetricShedHopeless,
+			server.MetricRecordErrors,
+			server.MetricPeerHits,
+			server.MetricPeerMisses,
+			server.MetricPeerErrors,
+			server.MetricPeerServed,
 		}},
 		{"../../docs/cluster.md", []string{
 			cluster.MetricFrontRouted,

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"chimera/internal/cluster"
 	"chimera/internal/faults"
 	"chimera/internal/jobspec"
 	"chimera/internal/sched"
@@ -294,14 +293,14 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (payload []byte, exe
 		// Fleet short-circuit: answer from this replica's own
 		// finished-result index, else from the hash owner's payload
 		// byte-for-byte, so fleet-served and locally-computed results
-		// stay byte-identical. A payload that is not a result
-		// (cluster.ValidPayload) is a miss — the local compute below is
-		// always a correct fallback.
+		// stay byte-identical. A payload that is not a result fails the
+		// lookup (Node.Lookup) — the local compute below is always a
+		// correct fallback.
 		hash := spec.Hash()
-		if payload, ok := s.lookupResult(hash); ok {
+		if payload, ok := s.results.Get(hash); ok {
 			return payload, false, nil, nil
 		}
-		if payload, ok := s.peerLookup(ctx, hash); ok && cluster.ValidPayload(payload) {
+		if payload, ok := s.peerLookup(ctx, hash); ok {
 			return payload, false, nil, nil
 		}
 	}
@@ -378,7 +377,7 @@ func (s *Server) finish(j *job, payload []byte, executed bool, events []trace.Ev
 		if !j.spec.Trace && s.cleanResults() {
 			// Feed the peer-cache index so other replicas (and the
 			// front) can serve this result without recomputing.
-			s.storeResult(j.spec.Hash(), payload)
+			s.results.Put(j.spec.Hash(), payload)
 		}
 	case StateCanceled:
 		s.cCanceled.Add(1)

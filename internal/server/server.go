@@ -79,16 +79,6 @@ type Config struct {
 	Cluster *cluster.Node
 }
 
-const (
-	// peerTimeout bounds one peer-cache lookup on the job path: a slow
-	// or dead peer costs at most this before the job is recomputed
-	// locally.
-	peerTimeout = 250 * time.Millisecond
-	// resultIndexCap bounds the finished-result index the peer-cache
-	// route serves from, in entries (FIFO eviction).
-	resultIndexCap = 4096
-)
-
 // Server is the chimerad service core: admission queue, workers, job
 // table and HTTP handlers. Create with New, mount Handler on an
 // http.Server, stop with Shutdown.
@@ -114,13 +104,11 @@ type Server struct {
 	// admission.
 	ewmaServiceMs float64
 
-	// The finished-result index behind GET /internal/cache/{hash}:
-	// spec hash → terminal JobResult payload, FIFO-bounded by
-	// resultIndexCap. Peers (and the front) read it through the
-	// cluster peer-cache protocol instead of recomputing.
-	idxMu    sync.Mutex
-	resIdx   map[string][]byte
-	resOrder []string
+	// results is the finished-result index behind GET
+	// /internal/cache/{hash}: spec hash → terminal JobResult payload.
+	// Peers (and the front) read it through the cluster peer-cache
+	// protocol instead of recomputing.
+	results *cluster.Results
 
 	cSubmitted    *metrics.Counter
 	cCompleted    *metrics.Counter
@@ -174,8 +162,10 @@ const (
 	// MetricPeerMisses counts peer-cache lookups where no consulted
 	// peer held the result (the job then computes locally).
 	MetricPeerMisses = "server/peer_misses"
-	// MetricPeerErrors counts peer-cache lookups that failed in
-	// transport (dead owner, timeout); the job computes locally.
+	// MetricPeerErrors counts peer-cache lookups that failed: in
+	// transport (dead owner, timeout), with an unexpected status, or
+	// with a payload that is not a job result (cluster.ValidPayload).
+	// The job computes locally.
 	MetricPeerErrors = "server/peer_errors"
 	// MetricPeerServed counts finished results this replica served to
 	// peers over GET /internal/cache/{hash}.
@@ -214,12 +204,12 @@ func New(cfg Config) *Server {
 		env.Variant = cfg.Faults.Fingerprint()
 	}
 	s := &Server{
-		cfg:    cfg,
-		reg:    cfg.Registry,
-		cache:  cache,
-		env:    env,
-		jobs:   make(map[string]*job),
-		resIdx: make(map[string][]byte),
+		cfg:     cfg,
+		reg:     cfg.Registry,
+		cache:   cache,
+		env:     env,
+		jobs:    make(map[string]*job),
+		results: cluster.NewResults(),
 
 		cSubmitted:    cfg.Registry.Counter(MetricJobsSubmitted),
 		cCompleted:    cfg.Registry.Counter(MetricJobsCompleted),
@@ -309,7 +299,7 @@ func (s *Server) Handler() http.Handler {
 // (docs/cluster.md): a pure read of the finished-result index, 200
 // with the terminal JobResult payload or 404. It never computes.
 func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
-	payload, ok := s.lookupResult(r.PathValue("hash"))
+	payload, ok := s.results.Get(r.PathValue("hash"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no finished result for that hash")
 		return
@@ -318,29 +308,6 @@ func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(payload)
-}
-
-// storeResult indexes one finished result payload under its spec hash,
-// evicting the oldest entries past resultIndexCap.
-func (s *Server) storeResult(hash string, payload []byte) {
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	if _, exists := s.resIdx[hash]; !exists {
-		s.resOrder = append(s.resOrder, hash)
-	}
-	s.resIdx[hash] = payload
-	for len(s.resOrder) > resultIndexCap {
-		delete(s.resIdx, s.resOrder[0])
-		s.resOrder = s.resOrder[1:]
-	}
-}
-
-// lookupResult reads the finished-result index.
-func (s *Server) lookupResult(hash string) ([]byte, bool) {
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	payload, ok := s.resIdx[hash]
-	return payload, ok
 }
 
 // cleanResults reports whether this server's results may enter the
@@ -358,9 +325,7 @@ func (s *Server) cleanResults() bool {
 // single-node results) or false to compute locally — any error path
 // degrades to a miss.
 func (s *Server) peerLookup(ctx context.Context, hash string) ([]byte, bool) {
-	pctx, cancel := context.WithTimeout(ctx, peerTimeout)
-	defer cancel()
-	payload, _, err := s.cfg.Cluster.Lookup(pctx, hash)
+	payload, _, err := s.cfg.Cluster.Lookup(ctx, hash)
 	switch {
 	case err == nil:
 		s.cPeerHits.Add(1)

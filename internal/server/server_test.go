@@ -872,3 +872,29 @@ func TestFaultedResultsStayOutOfPeerIndex(t *testing.T) {
 		})
 	}
 }
+
+// TestPeerGarbagePayloadIsAPeerError: a peer payload that is not a
+// result is a failed lookup, not a hit. The replica computes the job
+// itself, and the lookup counts in server/peer_errors.
+func TestPeerGarbagePayloadIsAPeerError(t *testing.T) {
+	const self, peer = "http://self", "http://peer"
+	s, ts := newTestServer(t, Config{Workers: 1, Cluster: &cluster.Node{
+		Self: self,
+		Ring: cluster.NewRing([]string{self, peer}, 0),
+		Fetch: func(context.Context, string, string) ([]byte, error) {
+			return []byte("{not json"), nil
+		},
+	}})
+	st, code := postJob(t, ts, shortSpec(), "?wait=1")
+	if code != http.StatusOK || st.State != StateDone || st.Deduped {
+		t.Fatalf("submit: %d %s deduped=%t %s, want a locally computed result", code, st.State, st.Deduped, st.Error)
+	}
+	for name, want := range map[string]int64{MetricPeerHits: 0, MetricPeerMisses: 0, MetricPeerErrors: 1} {
+		if got := s.reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if run := s.Cache().Stats().JobsRun; run != 1 {
+		t.Errorf("jobs run %d, want 1", run)
+	}
+}

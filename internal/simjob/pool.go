@@ -4,12 +4,13 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool bounds the parallelism of a batch of simulation jobs and routes
 // their results through a Cache, which also counts the pool's tasks.
-// It is cheap to construct — the workers are goroutines Map starts per
-// task, admitted through a semaphore — so every experiment runner can
+// It is cheap to construct — Map starts its workers per batch and
+// admits each task through a semaphore — so every experiment runner can
 // carry its own Pool while sharing the process-wide cache.
 type Pool struct {
 	sem   chan struct{}
@@ -68,29 +69,25 @@ func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 
 // run executes the tasks with at most the pool's parallelism in flight,
 // counting them in the cache's Stats, waits for all of them, and
-// returns the first error in task order.
+// returns the first error in task order. Up to Width workers take the
+// tasks in index order, each holding one semaphore slot per task, so a
+// one-wide pool runs a batch in order and concurrent batches share the
+// pool's bound.
 func (p *Pool) run(tasks ...func() error) error {
-	st := &p.cache.stats
-	st.tasksQueued.Add(int64(len(tasks)))
+	p.cache.stats.tasksQueued.Add(int64(len(tasks)))
 	errs := make([]error, len(tasks))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, task := range tasks {
+	for range min(p.width, len(tasks)) {
 		wg.Add(1)
-		go func(i int, task func() error) {
+		go func() {
 			defer wg.Done()
-			p.sem <- struct{}{}
-			defer func() { <-p.sem }()
-			st.tasksRunning.Add(1)
-			defer func() {
-				if r := recover(); r != nil {
-					st.panics.Add(1)
-					errs[i] = &JobError{Task: i, Value: r, Stack: debug.Stack()}
-				}
-				st.tasksRunning.Add(-1)
-				st.tasksDone.Add(1)
-			}()
-			errs[i] = task()
-		}(i, task)
+			for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
+				p.sem <- struct{}{}
+				errs[i] = p.runTask(i, tasks[i])
+				<-p.sem
+			}
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -99,4 +96,20 @@ func (p *Pool) run(tasks ...func() error) error {
 		}
 	}
 	return nil
+}
+
+// runTask runs task i, counting it in the cache's Stats; a panic
+// becomes a *JobError carrying i.
+func (p *Pool) runTask(i int, task func() error) (err error) {
+	st := &p.cache.stats
+	st.tasksRunning.Add(1)
+	defer func() {
+		if r := recover(); r != nil {
+			st.panics.Add(1)
+			err = &JobError{Task: i, Value: r, Stack: debug.Stack()}
+		}
+		st.tasksRunning.Add(-1)
+		st.tasksDone.Add(1)
+	}()
+	return task()
 }

@@ -61,11 +61,9 @@ type Job struct {
 	// process order (a single name for solo and periodic runs).
 	Benchmarks string
 	// Policy uniquely identifies the preemption policy configuration,
-	// including ablation flags ("" for none, "FCFS" for the serial
-	// baseline).
+	// including ablation flags ("" for solo runs, "FCFS" for the
+	// non-preemptive baseline).
 	Policy string
-	// Serial marks the non-preemptive FCFS baseline.
-	Serial bool
 	// Window is the simulated duration.
 	Window units.Cycles
 	// Constraint is the preemption latency bound.

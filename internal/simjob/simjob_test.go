@@ -201,6 +201,25 @@ func TestMapIndexOrder(t *testing.T) {
 	}
 }
 
+// TestMapWidthOneRunsInIndexOrder: a one-wide pool runs a batch's
+// tasks one after another in index order, so whatever they share (the
+// warm-up memo's LRU) sees the same sequence on every run.
+func TestMapWidthOneRunsInIndexOrder(t *testing.T) {
+	const n = 200
+	var order []int
+	if _, err := Map(NewPool(1, NewCache()), n, func(i int) (int, error) {
+		order = append(order, i) // one task at a time: no lock needed
+		return i, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("task %d ran in position %d (order starts %v)", got, i, order[:min(i+1, 10)])
+		}
+	}
+}
+
 // TestMapFirstErrorByIndex checks Map fails with the lowest-index error
 // even when a later task fails first, after every task ran.
 func TestMapFirstErrorByIndex(t *testing.T) {

@@ -200,17 +200,17 @@ func TestPolicyKeyDistinguishesAblations(t *testing.T) {
 		engine.FixedPolicy{Technique: 0},
 		engine.FixedPolicy{Technique: 2},
 		engine.FixedPolicy{Technique: 2, StrictIdempotence: true},
-		nil,
+		engine.FCFS{},
 	}
 	seen := map[string]int{}
 	for i, p := range policies {
-		k := jobspec.PolicyKey(p, false)
+		k := jobspec.PolicyKey(p)
 		if prev, dup := seen[k]; dup {
 			t.Errorf("policies %d and %d share key %q", prev, i, k)
 		}
 		seen[k] = i
 	}
-	if k := jobspec.PolicyKey(nil, true); k != "FCFS" {
-		t.Errorf("serial key = %q", k)
+	if k := jobspec.PolicyKey(engine.FCFS{}); k != "FCFS" {
+		t.Errorf("FCFS key = %q", k)
 	}
 }

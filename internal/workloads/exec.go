@@ -67,14 +67,14 @@ func NewExecutor(r *Runner) *Executor {
 // prepare normalizes and validates spec in place, parses its policy,
 // and derives the per-spec Runner: the base environment with the spec's
 // simulation parameters substituted in.
-func (e *Executor) prepare(spec *jobspec.Spec) (r *Runner, policy engine.Policy, serial bool, err error) {
+func (e *Executor) prepare(spec *jobspec.Spec) (r *Runner, policy engine.Policy, err error) {
 	spec.Normalize()
 	if err := spec.Validate(e.base.cat); err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	policy, serial, err = jobspec.ParsePolicy(spec.Policy)
+	policy, err = jobspec.ParsePolicy(spec.Policy)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	rs := *e.base
 	rs.Window = units.FromMicroseconds(spec.WindowUs)
@@ -85,7 +85,7 @@ func (e *Executor) prepare(spec *jobspec.Spec) (r *Runner, policy engine.Policy,
 	if spec.Variant != "" {
 		rs.Variant = spec.Variant
 	}
-	return &rs, policy, serial, nil
+	return &rs, policy, nil
 }
 
 // Run executes one spec. The spec is normalized and validated first, so
@@ -95,7 +95,7 @@ func (e *Executor) prepare(spec *jobspec.Spec) (r *Runner, policy engine.Policy,
 // cache or singleflight hit) — the dedup signal chimerad and replay
 // reports use.
 func (e *Executor) Run(ctx context.Context, spec jobspec.Spec) (res SpecResult, executed bool, err error) {
-	r, policy, serial, err := e.prepare(&spec)
+	r, policy, err := e.prepare(&spec)
 	if err != nil {
 		return SpecResult{}, false, err
 	}
@@ -109,7 +109,7 @@ func (e *Executor) Run(ctx context.Context, spec jobspec.Spec) (res SpecResult, 
 		res.Periodic = &pr
 	default: // jobspec.KindPair, jobspec.KindMulti
 		var mr MultiResult
-		mr, executed, err = r.multi(ctx, spec.Benchmarks(), policy, serial)
+		mr, executed, err = r.multi(ctx, spec.Benchmarks(), policy)
 		if spec.Kind == jobspec.KindMulti {
 			res.Multi = &mr
 		} else {
@@ -143,7 +143,7 @@ func (e *Executor) RunSpecs(ctx context.Context, specs []jobspec.Spec) ([]SpecRe
 // environment, which the identity tests pin; solo specs that differ
 // only in constraint_us hash apart but share a job.
 func (e *Executor) SimJob(spec jobspec.Spec) (simjob.Job, error) {
-	r, policy, serial, err := e.prepare(&spec)
+	r, policy, err := e.prepare(&spec)
 	if err != nil {
 		return simjob.Job{}, err
 	}
@@ -155,5 +155,5 @@ func (e *Executor) SimJob(spec jobspec.Spec) (simjob.Job, error) {
 	case jobspec.KindPeriodic:
 		kind = simjob.KindPeriodic
 	}
-	return r.job(kind, spec.Benchmarks(), policy, serial), nil
+	return r.job(kind, spec.Benchmarks(), policy), nil
 }

@@ -226,7 +226,7 @@ func TestSpecHashIsSimJobIdentity(t *testing.T) {
 	if job.Window != units.FromMicroseconds(2000) || job.Seed != 9 || job.Headroom != units.FromMicroseconds(3) {
 		t.Errorf("derived job %+v does not reflect spec parameters", job)
 	}
-	if job.Policy != jobspec.PolicyKey(engine.FixedPolicy{Technique: 1}, false) {
+	if job.Policy != jobspec.PolicyKey(engine.FixedPolicy{Technique: 1}) {
 		t.Errorf("derived job policy key %q", job.Policy)
 	}
 }

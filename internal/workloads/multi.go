@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"chimera/internal/engine"
-	"chimera/internal/jobspec"
 	"chimera/internal/metrics"
 	"chimera/internal/simjob"
 )
@@ -42,12 +41,12 @@ type PairResult struct {
 }
 
 // multi runs the "+"-joined benchmarks concurrently under the given
-// policy (nil policy + serial for the non-preemptive FCFS baseline) and
+// policy (engine.FCFS for the non-preemptive baseline) and
 // computes N-program ANTT/STP against their stand-alone rates, memoized
 // by job identity like every other scenario; executed reports whether
 // this call ran the simulation.
-func (r *Runner) multi(ctx context.Context, label string, policy engine.Policy, serial bool) (MultiResult, bool, error) {
-	return do(ctx, r, r.job(simjob.KindMulti, label, policy, serial), func(ctx context.Context) (MultiResult, error) {
+func (r *Runner) multi(ctx context.Context, label string, policy engine.Policy) (MultiResult, bool, error) {
+	return do(ctx, r, r.job(simjob.KindMulti, label, policy), func(ctx context.Context) (MultiResult, error) {
 		benches := strings.Split(label, "+")
 		singles := make([]float64, len(benches))
 		for i, b := range benches {
@@ -57,7 +56,7 @@ func (r *Runner) multi(ctx context.Context, label string, policy engine.Policy, 
 			}
 			singles[i] = rate
 		}
-		sim, err := r.simulate(ctx, simjob.KindMulti, benches, policy, serial, nil)
+		sim, err := r.simulate(ctx, simjob.KindMulti, benches, policy, nil)
 		if err != nil {
 			return MultiResult{}, err
 		}
@@ -74,7 +73,7 @@ func (r *Runner) multi(ctx context.Context, label string, policy engine.Policy, 
 			}
 			progs[i] = metrics.ProgRate{Name: b, Single: singles[i], Multi: float64(u) / float64(r.Window)}
 		}
-		name := jobspec.PolicyName(policy, serial)
+		name := policy.Name()
 		antt, err := metrics.ANTT(progs)
 		if err != nil {
 			return MultiResult{}, fmt.Errorf("workloads: %s under %s: %w", label, name, err)

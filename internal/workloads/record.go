@@ -77,12 +77,12 @@ func Record(ctx context.Context, opts RecordOptions) (*Recording, error) {
 // simulates.
 func (e *Executor) Record(ctx context.Context, spec jobspec.Spec) (SpecResult, []trace.Event, error) {
 	spec.Trace = true // validation then admits periodic specs only
-	r, policy, _, err := e.prepare(&spec)
+	r, policy, err := e.prepare(&spec)
 	if err != nil {
 		return SpecResult{}, nil, err
 	}
 	col := trace.NewCollector()
-	sim, err := r.simulate(ctx, simjob.KindPeriodic, []string{spec.Bench}, policy, false, col)
+	sim, err := r.simulate(ctx, simjob.KindPeriodic, []string{spec.Bench}, policy, col)
 	if err != nil {
 		return SpecResult{}, nil, err
 	}

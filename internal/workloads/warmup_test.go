@@ -75,7 +75,7 @@ func TestCancelledWarmupIsNotMemoized(t *testing.T) {
 		}
 	})
 	run := func(ctx context.Context) (*engine.Simulation, error) {
-		return r.simulate(ctx, simjob.KindPeriodic, []string{"SAD"}, engine.ChimeraPolicy{}, false, nil)
+		return r.simulate(ctx, simjob.KindPeriodic, []string{"SAD"}, engine.ChimeraPolicy{}, nil)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

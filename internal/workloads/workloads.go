@@ -186,7 +186,7 @@ func (r *Runner) solo() *Runner {
 // explicit Table 1 device shares the zero Config's results. The key
 // keeps the zero form, not the full one, because faults.JobKey hashes
 // it and chimerad's jobs carry the zero Config.
-func (r *Runner) job(kind simjob.Kind, benches string, policy engine.Policy, serial bool) simjob.Job {
+func (r *Runner) job(kind simjob.Kind, benches string, policy engine.Policy) simjob.Job {
 	// An armed watchdog or stall injector changes run outcomes, so fold
 	// both into the cache-key variant even when the caller forgot to set
 	// one — a faulted run must never be served as a clean result.
@@ -197,7 +197,6 @@ func (r *Runner) job(kind simjob.Kind, benches string, policy engine.Policy, ser
 	job := simjob.Job{
 		Kind:       kind,
 		Benchmarks: benches,
-		Serial:     serial,
 		Window:     r.Window,
 		Constraint: r.Constraint,
 		Seed:       r.Seed,
@@ -218,7 +217,7 @@ func (r *Runner) job(kind simjob.Kind, benches string, policy engine.Policy, ser
 	// specs split keys slightly more eagerly than Runner calls, never
 	// less).
 	if kind != simjob.KindSolo {
-		job.Policy = jobspec.PolicyKey(policy, serial)
+		job.Policy = jobspec.PolicyKey(policy)
 		if r.Estimator != "" && r.Estimator != predict.NameOracle {
 			variant = fmt.Sprintf("%s|est=%s", variant, r.Estimator)
 		}
@@ -235,7 +234,7 @@ func (r *Runner) job(kind simjob.Kind, benches string, policy engine.Policy, ser
 // multiprogrammed processes are named by procName. An untraced
 // single-process run longer than one task period continues a shared
 // warm-up (fork). A cancelled ctx aborts the run within one event.
-func (r *Runner) simulate(ctx context.Context, kind simjob.Kind, benches []string, policy engine.Policy, serial bool, tracer trace.Recorder) (*engine.Simulation, error) {
+func (r *Runner) simulate(ctx context.Context, kind simjob.Kind, benches []string, policy engine.Policy, tracer trace.Recorder) (*engine.Simulation, error) {
 	procs := make([]engine.ProcessSpec, len(benches))
 	for i, bench := range benches {
 		b, err := r.cat.Benchmark(bench)
@@ -254,7 +253,6 @@ func (r *Runner) simulate(ctx context.Context, kind simjob.Kind, benches []strin
 	opts := engine.Options{
 		Config:         r.Config,
 		Policy:         policy,
-		Serial:         serial,
 		Constraint:     r.Constraint,
 		Seed:           r.Seed,
 		WarmStats:      r.Warm,
@@ -366,8 +364,8 @@ func do[T any](ctx context.Context, r *Runner, job simjob.Job, fn func(context.C
 // on the solo Runner copy.
 func (r *Runner) soloRate(ctx context.Context, bench string) (rate float64, executed bool, err error) {
 	s := r.solo()
-	return do(ctx, s, s.job(simjob.KindSolo, bench, nil, false), func(ctx context.Context) (float64, error) {
-		sim, err := s.simulate(ctx, simjob.KindSolo, []string{bench}, engine.ChimeraPolicy{}, false, nil)
+	return do(ctx, s, s.job(simjob.KindSolo, bench, nil), func(ctx context.Context) (float64, error) {
+		sim, err := s.simulate(ctx, simjob.KindSolo, []string{bench}, engine.ChimeraPolicy{}, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -445,12 +443,12 @@ type RequestOutcome struct {
 // Fig 7) pay for them once; executed reports whether this call ran the
 // simulation.
 func (r *Runner) periodic(ctx context.Context, bench string, policy engine.Policy) (PeriodicResult, bool, error) {
-	return do(ctx, r, r.job(simjob.KindPeriodic, bench, policy, false), func(ctx context.Context) (PeriodicResult, error) {
+	return do(ctx, r, r.job(simjob.KindPeriodic, bench, policy), func(ctx context.Context) (PeriodicResult, error) {
 		soloRate, _, err := r.soloRate(ctx, bench)
 		if err != nil {
 			return PeriodicResult{}, err
 		}
-		sim, err := r.simulate(ctx, simjob.KindPeriodic, []string{bench}, policy, false, nil)
+		sim, err := r.simulate(ctx, simjob.KindPeriodic, []string{bench}, policy, nil)
 		if err != nil {
 			return PeriodicResult{}, err
 		}

@@ -96,7 +96,7 @@ func TestSoloRunIgnoresUnkeyedFields(t *testing.T) {
 								t.Fatalf("%s %s: %v", c.name, bench, err)
 							}
 						}
-						sim, err := r.simulate(ctx, simjob.KindSolo, []string{bench}, engine.ChimeraPolicy{}, false, nil)
+						sim, err := r.simulate(ctx, simjob.KindSolo, []string{bench}, engine.ChimeraPolicy{}, nil)
 						if err != nil {
 							t.Fatalf("%s %s: %v", c.name, bench, err)
 						}
@@ -128,9 +128,9 @@ func TestTable1ConfigKeysAsZero(t *testing.T) {
 	}
 	jobs := func(r *Runner) []simjob.Job {
 		return []simjob.Job{
-			r.solo().job(simjob.KindSolo, "HS", nil, false),
-			r.job(simjob.KindPeriodic, "HS", engine.ChimeraPolicy{}, false),
-			r.job(simjob.KindMulti, MultiLabel([]string{"LUD", "HS"}), engine.ChimeraPolicy{}, false),
+			r.solo().job(simjob.KindSolo, "HS", nil),
+			r.job(simjob.KindPeriodic, "HS", engine.ChimeraPolicy{}),
+			r.job(simjob.KindMulti, MultiLabel([]string{"LUD", "HS"}), engine.ChimeraPolicy{}),
 		}
 	}
 	zero, table1 := jobs(withConfig(0)), jobs(withConfig(30))
@@ -236,18 +236,6 @@ func TestPreemptiveBeatsFCFSWithLongPartner(t *testing.T) {
 	}
 	if fcfs.Requests != 0 {
 		t.Errorf("FCFS issued %d preemption requests", fcfs.Requests)
-	}
-}
-
-func TestPolicyName(t *testing.T) {
-	if got := jobspec.PolicyName(nil, true); got != "FCFS" {
-		t.Errorf("serial name = %s", got)
-	}
-	if got := jobspec.PolicyName(nil, false); got != "none" {
-		t.Errorf("nil policy name = %s", got)
-	}
-	if got := jobspec.PolicyName(engine.ChimeraPolicy{}, false); got != "Chimera" {
-		t.Errorf("chimera name = %s", got)
 	}
 }
 
