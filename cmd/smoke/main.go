@@ -7,7 +7,8 @@
 //
 //   - serve: the full client path against one chimerad — submit, poll
 //     to completion, fetch the result, cancel a second job, scrape
-//     /metrics — then a reboot with the fault plane armed (-fault-*
+//     /metrics, let a queued job's timeout pass behind two long jobs —
+//     then a reboot with the fault plane armed (-fault-*
 //     flags) where the retrying client must still get every result
 //     while the resilience counters surface on /metrics.
 //   - replay: record a mixed campaign through chimerad -record, then
@@ -174,10 +175,79 @@ func serveClean(ctx context.Context, dir string) error {
 	}
 	fmt.Println("smoke serve: metrics scrape ok")
 
+	if err := queuedTimeout(ctx, c); err != nil {
+		return err
+	}
+
 	if _, err := d.drain(ctx); err != nil {
 		return err
 	}
 	fmt.Println("smoke serve: graceful drain ok")
+	return nil
+}
+
+// queuedTimeout holds both of the daemon's workers with long jobs and
+// requires a job whose timeout passes in the queue to fail with
+// "deadline exceeded" within 2 s, its slot given back while the long
+// jobs still run. It cancels the long jobs before it returns.
+func queuedTimeout(ctx context.Context, c *client.Client) error {
+	var held []string
+	defer func() {
+		for _, id := range held {
+			_ = c.Cancel(ctx, id)
+		}
+	}()
+	for seed := uint64(2); seed <= 3; seed++ {
+		st, err := c.Submit(ctx, jobspec.Periodic("SAD", "").WithWindowUs(60e6).WithSeed(seed))
+		if err != nil {
+			return fmt.Errorf("submit long: %w", err)
+		}
+		held = append(held, st.ID)
+	}
+	running := func() error {
+		for _, id := range held {
+			st, err := c.Status(ctx, id)
+			if err != nil {
+				return fmt.Errorf("status %s: %w", id, err)
+			}
+			if st.State != server.StateRunning {
+				return fmt.Errorf("long job %s is %s, want running", id, st.State)
+			}
+		}
+		return nil
+	}
+	for running() != nil {
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("long jobs never both ran: %w", running())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	st, err := c.Submit(ctx, jobspec.Periodic("SAD", "").WithWindowUs(2000).WithSeed(4).WithTimeoutMs(100))
+	if err != nil {
+		return fmt.Errorf("submit timed: %w", err)
+	}
+	within, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	fin, err := c.Await(within, st.ID, 25*time.Millisecond)
+	if err != nil {
+		return fmt.Errorf("queued job %s with timeout_ms 100 not ended within 2s: %w", st.ID, err)
+	}
+	if fin.State != server.StateFailed || fin.Error != "deadline exceeded" {
+		return fmt.Errorf("queued job %s ended %s (%q), want failed (deadline exceeded)", st.ID, fin.State, fin.Error)
+	}
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		return fmt.Errorf("metrics: %w", err)
+	}
+	if err := checkCounters(text, map[string]float64{"chimera_server_queue_depth": 0}); err != nil {
+		return err
+	}
+	if err := running(); err != nil {
+		return err
+	}
+	fmt.Printf("smoke serve: queued job %s failed at its timeout, slot freed\n", st.ID)
 	return nil
 }
 

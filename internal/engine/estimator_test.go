@@ -119,7 +119,7 @@ func TestPredictObservationsPublished(t *testing.T) {
 		return n
 	}
 	c := catalogCase(t, "SAD")
-	c.warm = false
+	c.opts.WarmStats = false
 	c.window = units.FromMicroseconds(5000)
 	warmReg := metrics.NewRegistry()
 	w := c.warmUp(t, warmReg)
@@ -127,9 +127,9 @@ func TestPredictObservationsPublished(t *testing.T) {
 		t.Errorf("warm-up: predict/observations = %d, estimates hold %d", got, want)
 	}
 	for i, solo := range []bool{false, true} {
-		c.fork.Solo = solo
+		c.solo = solo
 		reg := metrics.NewRegistry()
-		c.fork.Metrics = reg
+		c.opts.Metrics = reg
 		f := c.forked(w)
 		if got, want := reg.Counter(MetricPredictObservations).Value(), held(f)-heldWarm(w); got != want || want == 0 {
 			t.Errorf("fork %d: predict/observations = %d, the fork's own completions %d", i, got, want)

@@ -6,7 +6,6 @@ import (
 
 	"chimera/internal/eventq"
 	"chimera/internal/gpu"
-	"chimera/internal/metrics"
 	"chimera/internal/rng"
 	"chimera/internal/sched/predict"
 	"chimera/internal/units"
@@ -26,27 +25,6 @@ import (
 // simulates that stretch once and keeps its state as a Warmup; Fork
 // turns a Warmup into any number of independent simulations, each with
 // its own options.
-
-// ForkOptions are what a fork of a warm-up sets for itself: the options
-// nothing reads before the task's first instance. The device, seed,
-// warm start and estimate window are the warm-up's own.
-type ForkOptions struct {
-	// Policy, Constraint, Headroom, ContentionBeta, WatchdogK and
-	// FaultStall act as in Options.
-	Policy         Policy
-	Constraint     units.Cycles
-	Headroom       units.Cycles
-	ContentionBeta float64
-	WatchdogK      float64
-	FaultStall     func(reqIndex int, estimate units.Cycles) units.Cycles
-	// Metrics receives what the fork simulates after the warm-up. The
-	// warm-up's own events were observed once, into the warm-up's
-	// registry, when it was simulated.
-	Metrics *metrics.Registry
-	// Solo drops the periodic task: the fork continues as the process's
-	// stand-alone run.
-	Solo bool
-}
 
 // Warmup is the state of a one-process run with the §4.1 task one
 // cycle before the task's first instance, kept compactly: nothing in it
@@ -219,24 +197,28 @@ func (s *Simulation) warmup() *Warmup {
 }
 
 // Fork returns an independent simulation that continues the warm-up
-// under o: Run it to its own window, as far as the warm-up or further.
-// It dispatches exactly the events, in exactly the order, that the
-// uninterrupted run of the warm-up's configuration with o's options
-// would; with o.Solo, those of the process's plain stand-alone run. The
-// pending events are re-armed in their original dispatch order on a
-// queue whose clock stands where the warm-up paused, so the events the
-// fork schedules later sort after them within a cycle, as they would
-// have in the warm-up's own queue. A Warmup keeps no FCFS queue, so o's
-// policy must not be FCFS.
-func (w *Warmup) Fork(o ForkOptions) *Simulation {
-	if _, fcfs := o.Policy.(FCFS); fcfs {
+// under opts: Run it to its own window, as far as the warm-up or
+// further. It dispatches exactly the events, in exactly the order, that
+// the uninterrupted run under opts would; with solo, those of the
+// process's plain stand-alone run. The pending events are re-armed in
+// their original dispatch order on a queue whose clock stands where the
+// warm-up paused, so the events the fork schedules later sort after them
+// within a cycle, as they would have in the warm-up's own queue. opts
+// sets what nothing reads before the task's first instance (the policy,
+// constraint, headroom, contention β, watchdog, stall injector and
+// metrics); Fork panics unless the rest are the warm-up's own: its
+// device and seed, its warm start and estimate window unless solo (a
+// stand-alone run reads no estimate), and no tracer. A Warmup keeps no
+// FCFS queue, so opts' policy must not be FCFS either.
+func (w *Warmup) Fork(opts Options, solo bool) *Simulation {
+	s := New(opts)
+	if s.serial {
 		panic("engine: Fork under FCFS")
 	}
-	opts := w.opts
-	opts.Policy, opts.Constraint, opts.Headroom = o.Policy, o.Constraint, o.Headroom
-	opts.ContentionBeta, opts.WatchdogK, opts.FaultStall = o.ContentionBeta, o.WatchdogK, o.FaultStall
-	opts.Metrics = o.Metrics
-	s := New(opts)
+	if s.cfg != w.opts.Config || opts.Seed != w.opts.Seed || opts.Tracer != nil ||
+		!solo && (opts.WarmStats != w.opts.WarmStats || opts.EstimateWindow != w.opts.EstimateWindow) {
+		panic("engine: Fork with options other than its warm-up's")
+	}
 	s.forked = true
 	*s.rnd = w.rnd
 	s.nextKID, s.arrival, s.slotGen = w.nextKID, w.arrival, w.slotGen
@@ -287,7 +269,7 @@ func (w *Warmup) Fork(o ForkOptions) *Simulation {
 		s.free = append(s.free, s.sms[id])
 	}
 
-	if !o.Solo {
+	if !solo {
 		t := &periodicTask{}
 		*t = w.task
 		t.sim, t.bench = s, p

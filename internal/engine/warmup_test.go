@@ -19,16 +19,14 @@ import (
 )
 
 // warmupCase is one §4.1 configuration, run both from cycle 0 and as a
-// fork of its warm-up.
+// fork of its warm-up: opts are the run's options, the warm-up's own
+// included, and solo drops the task.
 type warmupCase struct {
-	bench     string
-	launches  []LaunchSpec
-	cfg       gpu.Config
-	seed      uint64
-	warm      bool
-	estWindow int64
-	fork      ForkOptions
-	window    units.Cycles
+	bench    string
+	launches []LaunchSpec
+	opts     Options
+	solo     bool
+	window   units.Cycles
 }
 
 // warmupPeriod is the §4.1 task's period: the warm-up is the stretch
@@ -42,14 +40,11 @@ func (c warmupCase) task(numSMs int) PeriodicSpec {
 // straight runs the case uninterrupted from cycle 0 with every option
 // set up front; a solo case runs without the task.
 func (c warmupCase) straight(metricsReg *metrics.Registry) *Simulation {
-	sim := New(Options{
-		Config: c.cfg, Seed: c.seed, WarmStats: c.warm, EstimateWindow: c.estWindow,
-		Policy: c.fork.Policy, Constraint: c.fork.Constraint, Headroom: c.fork.Headroom,
-		ContentionBeta: c.fork.ContentionBeta, WatchdogK: c.fork.WatchdogK, FaultStall: c.fork.FaultStall,
-		Metrics: metricsReg,
-	})
+	opts := c.opts
+	opts.Metrics = metricsReg
+	sim := New(opts)
 	sim.AddProcess(ProcessSpec{Name: c.bench, Launches: c.launches, Loop: true})
-	if !c.fork.Solo {
+	if !c.solo {
 		sim.AddPeriodicTask(c.task(sim.Config().NumSMs))
 	}
 	sim.Run(c.window)
@@ -60,7 +55,7 @@ func (c warmupCase) straight(metricsReg *metrics.Registry) *Simulation {
 // set: the process and the task, up to the task's first instance.
 func (c warmupCase) warmUp(t testing.TB, metricsReg *metrics.Registry) *Warmup {
 	t.Helper()
-	sim := New(Options{Config: c.cfg, Seed: c.seed, WarmStats: c.warm, EstimateWindow: c.estWindow, Metrics: metricsReg})
+	sim := New(Options{Config: c.opts.Config, Seed: c.opts.Seed, WarmStats: c.opts.WarmStats, EstimateWindow: c.opts.EstimateWindow, Metrics: metricsReg})
 	sim.AddProcess(ProcessSpec{Name: c.bench, Launches: c.launches, Loop: true})
 	sim.AddPeriodicTask(c.task(sim.Config().NumSMs))
 	w, err := sim.WarmUp(context.Background())
@@ -72,7 +67,7 @@ func (c warmupCase) warmUp(t testing.TB, metricsReg *metrics.Registry) *Warmup {
 
 // forked runs one fork of w to the case's window.
 func (c warmupCase) forked(w *Warmup) *Simulation {
-	sim := w.Fork(c.fork)
+	sim := w.Fork(c.opts, c.solo)
 	sim.Run(c.window)
 	return sim
 }
@@ -120,10 +115,10 @@ func diffRuns(a, b *Simulation, name string, window units.Cycles) string {
 func checkFork(t *testing.T, c warmupCase, w *Warmup) {
 	t.Helper()
 	for _, solo := range []bool{false, true} {
-		c.fork.Solo = solo
+		c.solo = solo
 		if d := diffRuns(c.straight(nil), c.forked(w), c.bench, c.window); d != "" {
 			t.Fatalf("%s seed %d %v solo=%v window %v: fork differs from the uninterrupted run: %s",
-				c.bench, c.seed, policyName(c.fork.Policy), solo, c.window, d)
+				c.bench, c.opts.Seed, policyName(c.opts.Policy), solo, c.window, d)
 		}
 	}
 }
@@ -139,8 +134,8 @@ func policyName(p Policy) string {
 // seed 1, warm oracle statistics, Chimera at 15 µs, a 3 ms window.
 func catalogCase(t testing.TB, bench string) warmupCase {
 	return warmupCase{
-		bench: bench, launches: launchesFor(t, bench), seed: 1, warm: true,
-		fork:   ForkOptions{Policy: ChimeraPolicy{}, Constraint: units.FromMicroseconds(15)},
+		bench: bench, launches: launchesFor(t, bench),
+		opts:   Options{Seed: 1, WarmStats: true, Policy: ChimeraPolicy{}, Constraint: units.FromMicroseconds(15)},
 		window: units.FromMicroseconds(3000),
 	}
 }
@@ -159,7 +154,7 @@ func TestForkMatchesUninterruptedRun(t *testing.T) {
 		c := catalogCase(t, name)
 		w := c.warmUp(t, nil)
 		for _, p := range policies {
-			c.fork.Policy = p
+			c.opts.Policy = p
 			checkFork(t, c, w)
 		}
 	}
@@ -177,14 +172,12 @@ func TestForkKeepsOptionsOfItsOwn(t *testing.T) {
 		return 0
 	}
 	c := catalogCase(t, "FWT")
-	c.cfg = gpu.DefaultConfig()
-	c.cfg.NumSMs = 12
-	c.estWindow = predict.DefaultK
+	c.opts.Config = gpu.DefaultConfig()
+	c.opts.Config.NumSMs = 12
+	c.opts.EstimateWindow = predict.DefaultK
 	c.window = units.FromMicroseconds(3400)
-	c.fork = ForkOptions{
-		Policy: ChimeraPolicy{}, Constraint: units.FromMicroseconds(10), Headroom: units.FromMicroseconds(2),
-		ContentionBeta: 1, WatchdogK: 1.5, FaultStall: stall,
-	}
+	c.opts.Constraint, c.opts.Headroom = units.FromMicroseconds(10), units.FromMicroseconds(2)
+	c.opts.ContentionBeta, c.opts.WatchdogK, c.opts.FaultStall = 1, 1.5, stall
 	w := c.warmUp(t, nil)
 	checkFork(t, c, w)
 	var escalations int
@@ -223,8 +216,9 @@ func TestForkConcurrently(t *testing.T) {
 
 // TestWarmUpMisuse pins the guards: a warmed-up simulation cannot be
 // run, WarmUp needs a periodic task, a fork cannot stop before its
-// warm-up's end, and a cancelled WarmUp clears its queue and returns no
-// Warmup.
+// warm-up's end nor run under a device, seed, warm start, estimate
+// window or tracer its warm-up was not simulated with, and a cancelled
+// WarmUp clears its queue and returns no Warmup.
 func TestWarmUpMisuse(t *testing.T) {
 	c := catalogCase(t, "BS")
 	mustPanic := func(what string, fn func()) {
@@ -244,7 +238,24 @@ func TestWarmUpMisuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustPanic("Run after WarmUp", func() { sim.Run(c.window) })
-	mustPanic("a fork run to before the warm-up's end", func() { w.Fork(c.fork).Run(warmupPeriod / 2) })
+	opts := Options{Policy: ChimeraPolicy{}, Constraint: c.opts.Constraint}
+	mustPanic("a fork run to before the warm-up's end", func() { w.Fork(opts, false).Run(warmupPeriod / 2) })
+	small := gpu.DefaultConfig()
+	small.NumSMs = 12
+	mismatched := map[string]Options{
+		"another seed":       {Seed: 1},
+		"another device":     {Config: small},
+		"another warm start": {WarmStats: true},
+		"another window":     {EstimateWindow: predict.DefaultK},
+		"a tracer":           {Tracer: recorderFunc(func(trace.Event) {})},
+	}
+	for what, o := range mismatched {
+		o.Policy, o.Constraint = opts.Policy, opts.Constraint
+		mustPanic("a fork with "+what, func() { w.Fork(o, false) })
+	}
+	// A solo fork reads no estimate, so it may differ in warm start and
+	// window; an explicit Table 1 device is the warm-up's zero Config.
+	w.Fork(Options{Config: gpu.DefaultConfig(), WarmStats: true, EstimateWindow: predict.DefaultK, Policy: opts.Policy}, true).Run(c.window)
 	plain := New(Options{})
 	plain.AddProcess(ProcessSpec{Name: c.bench, Launches: c.launches, Loop: true})
 	mustPanic("WarmUp without a periodic task", func() { _, _ = plain.WarmUp(context.Background()) })
@@ -252,7 +263,7 @@ func TestWarmUpMisuse(t *testing.T) {
 	fcfs.AddProcess(ProcessSpec{Name: c.bench, Launches: c.launches, Loop: true})
 	fcfs.AddPeriodicTask(c.task(fcfs.Config().NumSMs))
 	mustPanic("WarmUp under FCFS", func() { _, _ = fcfs.WarmUp(context.Background()) })
-	mustPanic("a fork under FCFS", func() { w.Fork(ForkOptions{Policy: FCFS{}}) })
+	mustPanic("a fork under FCFS", func() { w.Fork(Options{Policy: FCFS{}}, false) })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -283,12 +294,12 @@ func FuzzWarmupFork(f *testing.F) {
 		names := cat.BenchmarkNames()
 		name := names[int(bench)%len(names)]
 		c := catalogCase(t, name)
-		c.seed = seed
-		c.cfg = gpu.DefaultConfig()
-		c.cfg.NumSMs = 2 + int(sms)%29
-		c.warm = flags&1 != 0
+		c.opts.Seed = seed
+		c.opts.Config = gpu.DefaultConfig()
+		c.opts.Config.NumSMs = 2 + int(sms)%29
+		c.opts.WarmStats = flags&1 != 0
 		if flags&2 != 0 {
-			c.estWindow = predict.DefaultK
+			c.opts.EstimateWindow = predict.DefaultK
 		}
 		policies := []Policy{
 			ChimeraPolicy{},
@@ -299,15 +310,13 @@ func FuzzWarmupFork(f *testing.F) {
 			FixedPolicy{Technique: preempt.Flush, StrictIdempotence: true},
 			nil,
 		}
-		c.fork = ForkOptions{
-			Policy:         policies[int(policy)%len(policies)],
-			Constraint:     units.FromMicroseconds(float64(1 + constraintUs%40)),
-			Headroom:       units.FromMicroseconds(float64(headroomUs % 8)),
-			ContentionBeta: float64(beta%4) / 2,
-			WatchdogK:      []float64{0, 1, 1.5, 3}[watchdog%4],
-		}
+		c.opts.Policy = policies[int(policy)%len(policies)]
+		c.opts.Constraint = units.FromMicroseconds(float64(1 + constraintUs%40))
+		c.opts.Headroom = units.FromMicroseconds(float64(headroomUs % 8))
+		c.opts.ContentionBeta = float64(beta%4) / 2
+		c.opts.WatchdogK = []float64{0, 1, 1.5, 3}[watchdog%4]
 		if every := int(stall % 4); every > 0 {
-			c.fork.FaultStall = func(i int, est units.Cycles) units.Cycles {
+			c.opts.FaultStall = func(i int, est units.Cycles) units.Cycles {
 				if i%every == 0 {
 					return est + units.Cycles(every)*units.FromMicroseconds(5)
 				}
@@ -324,7 +333,7 @@ func FuzzWarmupFork(f *testing.F) {
 func TestWarmupTracerSeesNothingTwice(t *testing.T) {
 	c := catalogCase(t, "HS")
 	var events int
-	sim := New(Options{Seed: c.seed, WarmStats: c.warm, Tracer: recorderFunc(func(trace.Event) { events++ })})
+	sim := New(Options{Seed: c.opts.Seed, WarmStats: c.opts.WarmStats, Tracer: recorderFunc(func(trace.Event) { events++ })})
 	sim.AddProcess(ProcessSpec{Name: c.bench, Launches: c.launches, Loop: true})
 	sim.AddPeriodicTask(c.task(sim.Config().NumSMs))
 	w, err := sim.WarmUp(context.Background())
@@ -350,7 +359,7 @@ func TestWarmupAndForkObserveTheRunOnce(t *testing.T) {
 	want := metrics.NewRegistry()
 	c.straight(want)
 	got := metrics.NewRegistry()
-	c.fork.Metrics = got
+	c.opts.Metrics = got
 	c.forked(c.warmUp(t, got))
 	var a, b strings.Builder
 	if err := want.Render(&a); err != nil {

@@ -9,10 +9,7 @@
 
 package sched
 
-import (
-	"container/heap"
-	"sort"
-)
+import "container/heap"
 
 // Item is one queued admission entry.
 type Item struct {
@@ -135,28 +132,6 @@ func (q *AdmissionQueue) Cancel(id string) bool {
 	e.removed = true
 	delete(q.byID, id)
 	return true
-}
-
-// ExpireBefore removes every live entry whose deadline is set and
-// strictly earlier than now, returning them ordered by (Deadline, Seq)
-// — the order in which they became hopeless.
-func (q *AdmissionQueue) ExpireBefore(now int64) []Item {
-	var out []Item
-	for _, e := range q.h {
-		if e.removed || e.item.Deadline == 0 || e.item.Deadline >= now {
-			continue
-		}
-		e.removed = true
-		delete(q.byID, e.item.ID)
-		out = append(out, e.item)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Deadline != out[j].Deadline {
-			return out[i].Deadline < out[j].Deadline
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
 }
 
 // Hopeless is chimerad's shed-on-hopeless predicate: given the

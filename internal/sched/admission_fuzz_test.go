@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 )
 
@@ -70,25 +69,6 @@ func (m *admModel) cancel(id string) bool {
 	return false
 }
 
-func (m *admModel) expire(now int64) []Item {
-	var out, keep []Item
-	for _, it := range m.items {
-		if it.Deadline != 0 && it.Deadline < now {
-			out = append(out, it)
-		} else {
-			keep = append(keep, it)
-		}
-	}
-	m.items = keep
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Deadline != out[j].Deadline {
-			return out[i].Deadline < out[j].Deadline
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
-}
-
 // runAdmissionOps interprets one fuzz input as an operation sequence
 // over a fresh queue, checking every step against the reference model,
 // and returns the outcome log (what happened to every pushed ID, in
@@ -99,7 +79,7 @@ func runAdmissionOps(t *testing.T, data []byte) []string {
 	var m admModel
 	var log []string
 	// outcome tracks each pushed ID's fate; every pushed job must end
-	// popped, cancelled or expired — exactly once — or still queued.
+	// popped or cancelled — exactly once — or still queued.
 	outcome := make(map[string]string)
 	pushed := 0
 	note := func(id, what string) {
@@ -112,7 +92,7 @@ func runAdmissionOps(t *testing.T, data []byte) []string {
 
 	for i := 0; i+2 < len(data); i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
-		switch op % 8 {
+		switch op % 7 {
 		case 0, 1, 2, 3: // push (weighted: queues should mostly fill)
 			id := fmt.Sprintf("j%d", pushed)
 			pushed++
@@ -142,17 +122,7 @@ func runAdmissionOps(t *testing.T, data []byte) []string {
 			if gotOK {
 				note(id, "cancel")
 			}
-		case 6: // deadline expiry sweep
-			now := int64(a % 20)
-			got := q.ExpireBefore(now)
-			want := m.expire(now)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("expire(%d): queue %v, model %v", now, got, want)
-			}
-			for _, it := range got {
-				note(it.ID, "expire")
-			}
-		case 7: // shed decision: a pure function of its inputs
+		case 6: // shed decision: a pure function of its inputs
 			budget, queued, workers, est := float64(a), q.Len(), int(b%4), float64(b)
 			first := Hopeless(budget, queued, workers, est)
 			for k := 0; k < 3; k++ {
@@ -186,16 +156,16 @@ func runAdmissionOps(t *testing.T, data []byte) []string {
 	return log
 }
 
-// FuzzAdmissionOrder fuzzes submit/cancel/expiry/pop interleavings over
+// FuzzAdmissionOrder fuzzes submit/cancel/pop/shed interleavings over
 // the admission queue against the reference model: identical pop
 // results at every step, no lost or duplicated jobs, and a bit-
 // identical outcome log on a second run of the same input (determinism
 // per seed — the property chimerad's dedup and the fleet's routing rely
 // on).
 func FuzzAdmissionOrder(f *testing.F) {
-	f.Add([]byte{0, 1, 5, 0, 2, 9, 4, 0, 0, 5, 0, 0, 6, 8, 0})
+	f.Add([]byte{0, 1, 5, 0, 2, 9, 4, 0, 0, 5, 0, 0, 4, 8, 0})
 	f.Add([]byte{0, 2, 0, 1, 2, 0, 2, 1, 3, 4, 0, 0, 4, 0, 0, 4, 0, 0})
-	f.Add([]byte{7, 100, 3, 0, 0, 15, 6, 19, 0, 7, 0, 0})
+	f.Add([]byte{6, 100, 3, 0, 0, 15, 4, 19, 0, 6, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first := runAdmissionOps(t, data)
 		second := runAdmissionOps(t, data)

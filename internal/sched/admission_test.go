@@ -78,34 +78,6 @@ func TestAdmissionDuplicateAndCancel(t *testing.T) {
 	}
 }
 
-func TestExpireBefore(t *testing.T) {
-	var q AdmissionQueue
-	push(t, &q, "none", 2, 0)    // deadline-free: never expires
-	push(t, &q, "late", 0, 300)  // seq 1
-	push(t, &q, "early", 0, 100) // seq 2
-	push(t, &q, "early2", 1, 100)
-	push(t, &q, "future", 0, 900)
-
-	exp := q.ExpireBefore(300)
-	var ids []string
-	for _, it := range exp {
-		ids = append(ids, it.ID)
-	}
-	// Ordered by (Deadline, Seq), not by queue rank.
-	if fmt.Sprint(ids) != "[early early2]" {
-		t.Fatalf("expired %v, want [early early2]", ids)
-	}
-	if q.Len() != 3 {
-		t.Fatalf("Len after expiry = %d, want 3", q.Len())
-	}
-	if got := popIDs(&q); fmt.Sprint(got) != "[none late future]" {
-		t.Fatalf("survivors popped as %v", got)
-	}
-	if more := q.ExpireBefore(1 << 40); len(more) != 0 {
-		t.Fatalf("empty queue expired %v", more)
-	}
-}
-
 func TestHopeless(t *testing.T) {
 	cases := []struct {
 		name            string

@@ -37,11 +37,11 @@ const (
 	StateRunning JobState = "running"
 	// StateDone: completed successfully; the result is available.
 	StateDone JobState = "done"
-	// StateFailed: completed with an error (including deadline
-	// exceeded).
+	// StateFailed: completed with an error, or reached its deadline
+	// queued or running ("deadline exceeded").
 	StateFailed JobState = "failed"
-	// StateCanceled: cancelled by DELETE or an abandoned wait=1 request
-	// before completing.
+	// StateCanceled: cancelled by DELETE, an abandoned wait=1 request or
+	// the shutdown cut-off before completing.
 	StateCanceled JobState = "canceled"
 )
 

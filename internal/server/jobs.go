@@ -20,8 +20,11 @@ import (
 
 // job is the server-side record of one submission. The immutable
 // identity fields are set at admission; the mutable lifecycle fields are
-// guarded by mu. done closes exactly once, when the job reaches a
-// terminal state.
+// guarded by mu. done closes exactly once, when finish ends the job.
+// ctx is the job's one lifecycle signal: DELETE, an abandoned wait=1,
+// the shutdown cut-off and the job's deadline all end it. stop
+// unregisters the hook that takes the job out of the queue when ctx
+// ends (submit); a worker stops it when it pops the job.
 type job struct {
 	id       string
 	seq      int64
@@ -29,6 +32,7 @@ type job struct {
 	priority int
 	ctx      context.Context
 	cancel   context.CancelFunc
+	stop     func() bool
 	done     chan struct{}
 
 	mu        sync.Mutex
@@ -139,6 +143,7 @@ func (s *Server) submit(spec JobSpec) (*job, error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.queue.Push(sched.Item{ID: j.id, Priority: j.priority, Deadline: deadline, Payload: j})
+	j.stop = context.AfterFunc(ctx, func() { s.dequeue(j) })
 	s.cSubmitted.Add(1)
 	s.gQueueDepth.Set(int64(s.queue.Len()))
 	s.trimHistoryLocked()
@@ -192,41 +197,34 @@ func (s *Server) list() []JobStatus {
 	return out
 }
 
-// cancelJob requests cancellation. A queued job transitions to
-// canceled immediately and gives up its admission-queue slot (a worker
-// that popped it first skips it); a running job has its context
-// cancelled and reaches the canceled state when the engine aborts.
-// Terminal jobs are left untouched. It reports whether the call changed
-// anything.
+// dequeue ends a job that is still queued with its context's error and
+// gives its admission-queue slot back at once; a job a worker has
+// already popped is the worker's to end. The job's context runs it when
+// it ends (submit), so a queued job is canceled, or failed with
+// "deadline exceeded", at that moment.
+func (s *Server) dequeue(j *job) {
+	s.mu.Lock()
+	queued := s.queue.Cancel(j.id)
+	s.gQueueDepth.Set(int64(s.queue.Len()))
+	s.mu.Unlock()
+	if queued {
+		s.finish(j, nil, false, nil, j.ctx.Err())
+	}
+}
+
+// cancelJob cancels the job's context. It runs the context's dequeue
+// itself instead of in the hook's goroutine, so a queued job is
+// canceled, and server/queue_depth down, before it returns; a running
+// job reaches canceled when the engine aborts. It reports whether the
+// job was not yet terminal.
 func (s *Server) cancelJob(j *job) bool {
-	j.mu.Lock()
-	switch j.state {
-	case StateQueued:
-		j.state = StateCanceled
-		j.errMsg = context.Canceled.Error()
-		j.finished = time.Now()
-		j.mu.Unlock()
-		// s.mu only after j.mu is released: trimHistoryLocked takes
-		// j.mu under s.mu.
-		s.mu.Lock()
-		s.queue.Cancel(j.id)
-		s.gQueueDepth.Set(int64(s.queue.Len()))
-		s.mu.Unlock()
-		j.cancel()
-		s.cCanceled.Add(1)
-		// This terminal transition bypasses finish(), so the trace
-		// recorder must be fed here too.
-		s.record(j)
-		close(j.done)
-		return true
-	case StateRunning:
-		j.mu.Unlock()
-		j.cancel()
-		return true
-	default:
-		j.mu.Unlock()
+	if j.status().State.Terminal() {
 		return false
 	}
+	j.stop()
+	j.cancel()
+	s.dequeue(j)
+	return true
 }
 
 // worker is one admission-queue consumer: it pops the highest-priority
@@ -248,12 +246,15 @@ func (s *Server) worker() {
 		s.gQueueDepth.Set(int64(s.queue.Len()))
 		s.mu.Unlock()
 
-		j.mu.Lock()
-		if j.state != StateQueued {
-			// Cancelled while queued; already terminal.
-			j.mu.Unlock()
+		// Out of the queue, the job is this worker's to end. One whose
+		// context ended before the pop ends without executing, so no
+		// expired job is answered from a cache.
+		j.stop()
+		if err := j.ctx.Err(); err != nil {
+			s.finish(j, nil, false, nil, err)
 			continue
 		}
+		j.mu.Lock()
 		j.state = StateRunning
 		j.started = time.Now()
 		j.mu.Unlock()
@@ -337,16 +338,14 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (payload []byte, exe
 	return payload, executed, events, err
 }
 
-// finish records a job's outcome (payload is its result bytes, stored
-// verbatim), updates the server counters, releases the deadline timer,
-// and wakes every waiter.
+// finish is a job's one terminal transition, run exactly once by
+// whoever took the job out of the admission queue: the worker that
+// popped it, or dequeue. It records the outcome (payload is the result
+// bytes, stored verbatim), updates the server counters, releases the
+// deadline timer, and wakes every waiter.
 func (s *Server) finish(j *job, payload []byte, executed bool, events []trace.Event, err error) {
 	now := time.Now()
 	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
 	j.finished = now
 	switch {
 	case err == nil:

@@ -137,7 +137,7 @@ const (
 	MetricJobsCompleted = "server/jobs_completed"
 	// MetricJobsFailed counts jobs that finished with an error.
 	MetricJobsFailed = "server/jobs_failed"
-	// MetricJobsCanceled counts jobs canceled or timed out.
+	// MetricJobsCanceled counts jobs cancelled before completing.
 	MetricJobsCanceled = "server/jobs_canceled"
 	// MetricJobsRejected counts submissions refused by admission control.
 	MetricJobsRejected = "server/jobs_rejected"
@@ -151,7 +151,8 @@ const (
 	// MetricJobRetries counts worker re-executions of jobs whose run
 	// panicked (Config.RetryBudget).
 	MetricJobRetries = "server/job_retries"
-	// MetricJobLatency is the submit-to-done service-time histogram.
+	// MetricJobLatency is the submission-to-terminal service-time
+	// histogram of every job, whatever its end.
 	MetricJobLatency = "server/job_latency_ms"
 	// MetricRecordErrors counts workload-trace records that failed to
 	// write (Config.Record); the job itself is unaffected.
@@ -250,28 +251,39 @@ func (s *Server) Cache() *simjob.Cache { return s.cache }
 
 // Shutdown stops admission and waits for queued and running jobs to
 // drain. If ctx expires first every outstanding job is cancelled, the
-// (now fast) drain is awaited, and ctx's error is returned.
+// (now fast) drain is awaited, and ctx's error is returned. Either way
+// every job is terminal when Shutdown returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
+	all := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		all = append(all, j)
+	}
 	s.mu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		// A job its context took out of the queue may still be ending
+		// in that context's hook.
+		for _, j := range all {
+			<-j.done
+		}
 		close(done)
 	}()
 	select {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		s.mu.Lock()
-		all := make([]*job, 0, len(s.jobs))
-		for _, j := range s.jobs {
-			all = append(all, j)
+		// Queued jobs first, so that a worker freed by a cancelled run
+		// starts none of them.
+		for _, j := range all {
+			if j.status().State == StateQueued {
+				s.cancelJob(j)
+			}
 		}
-		s.mu.Unlock()
 		for _, j := range all {
 			s.cancelJob(j)
 		}

@@ -61,11 +61,11 @@ func postJob(t *testing.T, ts *httptest.Server, spec JobSpec, query string) (Job
 	return st, resp.StatusCode
 }
 
-// await polls a job until it is terminal.
-func await(t *testing.T, ts *httptest.Server, id string) JobStatus {
+// awaitWithin polls a job until it is terminal, failing after d.
+func awaitWithin(t *testing.T, ts *httptest.Server, id string, d time.Duration) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
+	deadline := time.Now().Add(d)
+	for {
 		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
@@ -79,10 +79,38 @@ func await(t *testing.T, ts *httptest.Server, id string) JobStatus {
 		if st.State.Terminal() {
 			return st
 		}
-		time.Sleep(10 * time.Millisecond)
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s after %v", id, st.State, d)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("job %s never became terminal", id)
-	return JobStatus{}
+}
+
+// cancelStatus cancels a job over the API and decodes the 202's status.
+func cancelStatus(t *testing.T, ts *httptest.Server, id string) (JobStatus, int) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st JobStatus
+	if resp.StatusCode == http.StatusAccepted {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st, resp.StatusCode
+}
+
+// await polls a job until it is terminal.
+func await(t *testing.T, ts *httptest.Server, id string) JobStatus {
+	t.Helper()
+	return awaitWithin(t, ts, id, 60*time.Second)
 }
 
 // awaitRunning polls a job until a worker has picked it up.
@@ -113,16 +141,8 @@ func awaitRunning(t *testing.T, ts *httptest.Server, id string) {
 // deleteJob cancels a job over the API and returns the response status.
 func deleteJob(t *testing.T, ts *httptest.Server, id string) int {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+id, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
+	_, code := cancelStatus(t, ts, id)
+	return code
 }
 
 // fetchResult reads /result's raw payload.

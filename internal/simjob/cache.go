@@ -179,23 +179,29 @@ func isCancellation(err error) bool {
 
 // DoContext is Do with cancellation threaded through: fn receives ctx
 // and should stop promptly when it is cancelled (the engine's RunContext
-// does). If this call ends up waiting on another goroutine's execution,
-// a cancelled ctx abandons the wait and returns ctx.Err() — the
-// execution itself continues for the remaining consumers. A cancelled
-// execution's error is never cached, and waiters that are still live
-// when the executor was cancelled re-execute the job themselves rather
-// than inheriting the cancellation.
+// does). A completed entry answers even a cancelled ctx. If this call
+// ends up waiting on another goroutine's execution, a cancelled ctx
+// abandons the wait and returns ctx.Err() — the execution itself
+// continues for the remaining consumers. A cancelled execution's error
+// is never cached, and waiters that are still live when the executor
+// was cancelled re-execute the job themselves rather than inheriting
+// the cancellation.
 func (c *Cache) DoContext(ctx context.Context, job Job, fn func(context.Context) (any, error)) (any, error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[job]; ok {
-			if e.elem != nil {
+			completed := e.elem != nil
+			if completed {
 				c.lru.MoveToFront(e.elem)
 			}
 			c.mu.Unlock()
 			// The hit is counted at arrival — a singleflight wait on an
 			// in-flight duplicate is a hit even before the value lands.
 			c.stats.cacheHits.Add(1)
+			if completed {
+				// Whatever ctx says: only a wait can be abandoned.
+				return e.val, nil
+			}
 			select {
 			case <-e.done:
 			case <-ctx.Done():

@@ -118,6 +118,32 @@ func TestDoContextWaiterAbandonsOnCancel(t *testing.T) {
 	}
 }
 
+// TestDoContextCompletedEntryIgnoresCancelledCaller: a completed entry
+// gives its value to a caller whose context is already cancelled, every
+// time, and each call counts as a hit. Only a wait on an in-flight
+// execution can be abandoned.
+func TestDoContextCompletedEntryIgnoresCancelledCaller(t *testing.T) {
+	c := NewCache()
+	if _, err := c.Do(jobN(1), func() (any, error) { return 42, nil }); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const calls = 1000
+	for i := 0; i < calls; i++ {
+		v, err := c.DoContext(ctx, jobN(1), func(context.Context) (any, error) {
+			t.Fatal("a completed entry must not execute")
+			return nil, nil
+		})
+		if err != nil || v != 42 {
+			t.Fatalf("call %d: v=%v err=%v, want 42/nil", i, v, err)
+		}
+	}
+	if st := c.Stats(); st.CacheHits != calls || st.JobsRun != 1 {
+		t.Fatalf("stats = %+v, want %d hits and 1 run", st, calls)
+	}
+}
+
 func TestDoContextWaiterTakesOverCancelledExecution(t *testing.T) {
 	c := NewCache()
 	started := make(chan struct{})

@@ -326,16 +326,7 @@ func (r *Runner) fork(ctx context.Context, solo bool, proc engine.ProcessSpec, o
 	if err != nil {
 		return nil, err
 	}
-	sim := v.(*engine.Warmup).Fork(engine.ForkOptions{
-		Policy:         opts.Policy,
-		Constraint:     opts.Constraint,
-		Headroom:       opts.Headroom,
-		ContentionBeta: opts.ContentionBeta,
-		WatchdogK:      opts.WatchdogK,
-		FaultStall:     opts.FaultStall,
-		Metrics:        opts.Metrics,
-		Solo:           solo,
-	})
+	sim := v.(*engine.Warmup).Fork(opts, solo)
 	if err := sim.RunContext(ctx, r.Window); err != nil {
 		return nil, err
 	}
